@@ -16,6 +16,7 @@ factorizations are cached per stage coefficient and reused across steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "tableau_by_name",
     "solve_implicit_stage",
     "step",
+    "step_times",
     "integrate",
 ]
 
@@ -60,6 +62,21 @@ class ImexTableau:
     @property
     def n_stages(self) -> int:
         return self.c.size
+
+    @cached_property
+    def reads_explicit(self) -> tuple[bool, ...]:
+        """Per stage: True iff some coefficient reads F at that stage value."""
+        reads = (self.a_explicit != 0.0).any(axis=0) | (self.b_explicit != 0.0)
+        return tuple(bool(r) for r in reads)
+
+    @cached_property
+    def reads_implicit(self) -> tuple[bool, ...]:
+        """Per stage: True iff some coefficient reads L at that stage value.
+
+        The diagonal A2[i,i] is the stage solve itself, not a read.
+        """
+        reads = (np.tril(self.a_implicit, -1) != 0.0).any(axis=0) | (self.b_implicit != 0.0)
+        return tuple(bool(r) for r in reads)
 
     def validation_residuals(self) -> dict[str, float]:
         """Structural residuals: row sums vs c, padding, stiff accuracy."""
@@ -204,20 +221,25 @@ class ImexSplitProblem:
     def energy(self, u: np.ndarray) -> float:
         return float(u @ (self.m_diag * u))
 
+    def stepper(self, tableau: ImexTableau) -> "Stepper":
+        """The stepping session ``integrate`` drives for this problem."""
+        return Stepper(tableau, self)
+
 
 class _StageSolverCache:
     """Per-problem cache of implicit stage factorizations, keyed by tau."""
 
     def __init__(self, problem: ImexSplitProblem):
         self.problem = problem
-        self._solvers: dict[float, Callable[[np.ndarray], np.ndarray]] = {}
+        self._solvers: dict[float, Callable] = {}
 
-    def solve(self, tau: float, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, tau: float, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(x, L x) for (I - tau L) x = rhs; L x is None when no solve ran."""
         if tau < 0:
             raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
         lmat = self.problem.l_implicit
         if lmat is None or tau == 0.0:
-            return rhs.copy()
+            return rhs.copy(), None
         if tau not in self._solvers:
             self._solvers[tau] = _build_stage_solver(lmat, tau, self.problem.m_diag)
         return self._solvers[tau](rhs)
@@ -262,26 +284,30 @@ def _build_stage_solver(lmat, tau: float, m_diag: np.ndarray):
 
         apply_l = lambda v: lmat @ v
 
-    def tolerance(b_norm: float, x_norm: float) -> float:
-        # the residual evaluation itself carries fp noise of order
-        # eps * (1 + tau ||L||) * ||x||; below that the target is unmeasurable
-        eps = np.finfo(float).eps
-        return max(SOLVE_RTOL * b_norm, 64.0 * eps * (1.0 + tau * row_norm) * x_norm)
+    # the residual evaluation itself carries fp noise of order
+    # eps * (1 + tau ||L||) * ||x||; below that the target is unmeasurable
+    noise_per_x = 64.0 * np.finfo(float).eps * (1.0 + tau * row_norm)
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
+    def tolerance(b_norm: float, x_norm: float) -> float:
+        return max(SOLVE_RTOL * b_norm, noise_per_x * x_norm)
+
+    def solve(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, L x): the refinement check's L x is handed back for reuse."""
         b_norm = float(np.linalg.norm(rhs))
         x = base_solve(m_diag * rhs)
         if b_norm == 0.0:
-            return x
+            return x, apply_l(x)
         # iterative refinement against the unsymmetrized system (I - tau L)
         for _ in range(5):
-            residual = rhs - (x - tau * apply_l(x))
+            l_x = apply_l(x)
+            residual = rhs - (x - tau * l_x)
             if np.linalg.norm(residual) <= tolerance(b_norm, float(np.linalg.norm(x))):
-                return x
+                return x, l_x
             x = x + base_solve(m_diag * residual)
-        residual = rhs - (x - tau * apply_l(x))
+        l_x = apply_l(x)
+        residual = rhs - (x - tau * l_x)
         if np.linalg.norm(residual) <= tolerance(b_norm, float(np.linalg.norm(x))):
-            return x
+            return x, l_x
         raise SolverFailure(
             "implicit stage residual stalled at "
             f"{np.linalg.norm(residual) / b_norm:.3e} relative"
@@ -300,7 +326,7 @@ def solve_implicit_stage(
         return np.asarray(rhs, dtype=float).copy()
     if m_diag is None:
         m_diag = np.ones(rhs.shape[0])
-    return _build_stage_solver(lmat, tau, m_diag)(np.asarray(rhs, dtype=float))
+    return _build_stage_solver(lmat, tau, m_diag)(np.asarray(rhs, dtype=float))[0]
 
 
 def step(
@@ -311,7 +337,11 @@ def step(
     t_n: float = 0.0,
     cache: _StageSolverCache | None = None,
 ) -> np.ndarray:
-    """Advance one step of size dt from (t_n, u_n)."""
+    """Advance one step of size dt from (t_n, u_n).
+
+    F and L are evaluated only at the stage values some tableau coefficient
+    reads, and L u_i comes from the stage solve's refinement check.
+    """
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     if cache is None:
@@ -319,17 +349,19 @@ def step(
     a_ex, a_im, c = tableau.a_explicit, tableau.a_implicit, tableau.c
     s = tableau.n_stages
     lmat = problem.l_implicit
+    f_read = tableau.reads_explicit if problem.f_explicit is not None else (False,) * s
+    l_read = tableau.reads_implicit if lmat is not None else (False,) * s
 
     f_ex = [None] * s
     l_u = [None] * s
 
-    def eval_stage(i: int, u: np.ndarray) -> None:
-        if problem.f_explicit is not None:
+    def eval_stage(i: int, u: np.ndarray, l_x: Optional[np.ndarray]) -> None:
+        if f_read[i]:
             f_ex[i] = problem.f_explicit(t_n + c[i] * dt, u)
-        if lmat is not None:
-            l_u[i] = lmat @ u
+        if l_read[i]:
+            l_u[i] = lmat @ u if l_x is None else l_x
 
-    eval_stage(0, u_n)
+    eval_stage(0, u_n, None)
     for i in range(1, s):
         rhs = u_n.copy()
         for j in range(i):
@@ -337,8 +369,8 @@ def step(
                 rhs += dt * a_ex[i, j] * f_ex[j]
             if l_u[j] is not None and a_im[i, j] != 0.0:
                 rhs += dt * a_im[i, j] * l_u[j]
-        u_i = cache.solve(dt * a_im[i, i], rhs)
-        eval_stage(i, u_i)
+        u_i, l_x = cache.solve(dt * a_im[i, i], rhs)
+        eval_stage(i, u_i, l_x)
 
     u_next = u_n.copy()
     for j in range(s):
@@ -350,15 +382,30 @@ def step(
 
 
 class Stepper:
-    """Stepping session owning its stage-factorization cache."""
+    """Stepping session owning its stage-factorization cache.
+
+    ``integrate`` drives any session with this interface: ``state`` maps the
+    nodal initial data to the session's state, ``advance`` takes one step,
+    ``energy`` is the squared M-norm of a state and ``nodal`` maps it back.
+    Here the state is the nodal vector itself.
+    """
 
     def __init__(self, tableau: ImexTableau, problem: ImexSplitProblem):
         self.tableau = tableau
         self.problem = problem
         self._cache = _StageSolverCache(problem)
 
+    def state(self, u0: np.ndarray) -> np.ndarray:
+        return np.asarray(u0, dtype=float).copy()
+
     def advance(self, u: np.ndarray, dt: float, t: float = 0.0) -> np.ndarray:
         return step(self.tableau, self.problem, u, dt, t_n=t, cache=self._cache)
+
+    def energy(self, u: np.ndarray) -> float:
+        return self.problem.energy(u)
+
+    def nodal(self, u: np.ndarray) -> np.ndarray:
+        return u
 
 
 @dataclass
@@ -383,9 +430,29 @@ class EnergyTrace:
                 fh.write(f"{k},{t:.12e},{e:.12e}\n")
 
 
+def step_times(dt: float, t_final: float):
+    """Yield (t, t_next) for each step ``integrate`` takes from 0 to t_final.
+
+    Steps land on multiples of dt, and the last one is truncated to land on
+    t_final; the step size t_next - t therefore varies in the last ulp.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    tol = 1e-12 * max(dt, t_final)
+    t = 0.0
+    k = 0
+    while t < t_final - tol:
+        t_next = (k + 1) * dt
+        if t_next > t_final - tol:
+            t_next = t_final
+        yield t, t_next
+        k += 1
+        t = t_next
+
+
 def integrate(
     tableau: ImexTableau,
-    problem: ImexSplitProblem,
+    problem,
     u0: np.ndarray,
     dt: float,
     t_final: float,
@@ -393,29 +460,23 @@ def integrate(
 ) -> tuple[np.ndarray, EnergyTrace]:
     """Integrate from t = 0 to t_final, truncating the last step to land on it.
 
-    The observer is called after every step with (step index, time, squared
-    M-norm); returning True halts the integration early.
+    ``problem`` is an ImexSplitProblem or any problem whose ``stepper(tableau)``
+    returns a session with the interface of ``Stepper``. The observer is
+    called after every step with (step index, time, squared M-norm);
+    returning True halts the integration early.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if t_final < 0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
-    u = np.asarray(u0, dtype=float).copy()
-    cache = _StageSolverCache(problem)
+    stepper = problem.stepper(tableau)
+    u = stepper.state(u0)
     trace = EnergyTrace()
-    trace.append(0, 0.0, problem.energy(u))
-    t = 0.0
-    k = 0
-    tol = 1e-12 * max(dt, t_final)
-    while t < t_final - tol:
-        t_next = (k + 1) * dt
-        if t_next > t_final - tol:
-            t_next = t_final
-        u = step(tableau, problem, u, t_next - t, t_n=t, cache=cache)
-        k += 1
-        t = t_next
-        energy = problem.energy(u)
-        trace.append(k, t, energy)
-        if observer is not None and observer(k, t, energy):
+    trace.append(0, 0.0, stepper.energy(u))
+    for k, (t, t_next) in enumerate(step_times(dt, t_final), start=1):
+        u = stepper.advance(u, t_next - t, t)
+        energy = stepper.energy(u)
+        trace.append(k, t_next, energy)
+        if observer is not None and observer(k, t_next, energy):
             break
-    return u, trace
+    return stepper.nodal(u), trace

@@ -218,6 +218,70 @@ def test_imex2_matches_two_stage_formulas(small_advdiff):
     assert np.max(np.abs(direct - stepped)) <= 1e-12
 
 
+class CountingCsr(sp.csr_matrix):
+    """CSR matrix that counts its applications to vectors."""
+
+    applications = 0
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray) and other.ndim == 1:
+            CountingCsr.applications += 1
+        return super().__matmul__(other)
+
+
+# (F evaluations, L applications) per step: F only where a coefficient reads
+# it, L only in the refinement check, whose product the step reuses
+@pytest.mark.parametrize(
+    "factory,f_calls,l_calls",
+    [(tableau_imex1, 1, 1), (tableau_imex2, 2, 2), (tableau_imex3, 4, 3)],
+)
+def test_step_evaluation_counts(small_advdiff, factory, f_calls, l_calls):
+    cfg, disc, problem = small_advdiff
+    calls = [0]
+
+    def f_explicit(t, u):
+        calls[0] += 1
+        return problem.f_explicit(t, u)
+
+    counted = ImexSplitProblem(
+        problem.dim, f_explicit, CountingCsr(problem.l_implicit), problem.m_diag
+    )
+    stepper = Stepper(factory(), counted)
+    u = np.sin(disc.nodes)
+    u = stepper.advance(u, 0.3)  # builds the factorizations
+    calls[0] = CountingCsr.applications = 0
+    for k in range(3):
+        u = stepper.advance(u, 0.3, 0.3 * (k + 1))
+    assert (calls[0], CountingCsr.applications) == (3 * f_calls, 3 * l_calls)
+
+
+def test_step_is_unchanged_by_skipped_evaluations(small_advdiff):
+    # the reference recomputes F and L at every stage value, as a step did
+    # before it skipped unread evaluations
+    cfg, disc, problem = small_advdiff
+    u = np.random.default_rng(5).standard_normal(problem.dim)
+    lmat, dt = problem.l_implicit, 0.4
+    for factory in ALL_TABLEAUX:
+        tb = factory()
+        s = tb.n_stages
+        stages = [u]
+        for i in range(1, s):
+            rhs = u.copy()
+            for j in range(i):
+                if tb.a_explicit[i, j] != 0.0:
+                    rhs += dt * tb.a_explicit[i, j] * problem.f_explicit(0.0, stages[j])
+                if tb.a_implicit[i, j] != 0.0:
+                    rhs += dt * tb.a_implicit[i, j] * (lmat @ stages[j])
+            stages.append(solve_implicit_stage(lmat, dt * tb.a_implicit[i, i], rhs, problem.m_diag))
+        expected = u.copy()
+        for j in range(s):
+            if tb.b_explicit[j] != 0.0:
+                expected += dt * tb.b_explicit[j] * problem.f_explicit(0.0, stages[j])
+            if tb.b_implicit[j] != 0.0:
+                expected += dt * tb.b_implicit[j] * (lmat @ stages[j])
+        np.testing.assert_array_equal(step(tb, problem, u, dt), expected)
+
+
 # ------------------------------------------------------------- integrate
 
 
