@@ -20,7 +20,6 @@ from .operators import (
     GlobalOperatorSet,
     SecondDerivativeOperator,
     assemble_first_derivative,
-    dissipation_matrix,
     interface_jumps,
     sat_advection_rhs,
     second_derivative,

@@ -44,7 +44,7 @@ SOLVE_RTOL = 1e-12
 
 
 class SolverFailure(RuntimeError):
-    """Implicit stage solve failed to reach the residual tolerance."""
+    """Implicit stage system failed to factorize or to reach the residual tolerance."""
 
 
 @dataclass(frozen=True)
@@ -233,56 +233,45 @@ class _StageSolverCache:
         self.problem = problem
         self._solvers: dict[float, Callable] = {}
 
+    @cached_property
+    def _pieces(self):
+        return _stage_pieces(self.problem.l_implicit, self.problem.m_diag)
+
     def solve(self, tau: float, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """(x, L x) for (I - tau L) x = rhs; L x is None when no solve ran."""
         if tau < 0:
             raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
-        lmat = self.problem.l_implicit
-        if lmat is None or tau == 0.0:
+        if self.problem.l_implicit is None or tau == 0.0:
             return rhs.copy(), None
         if tau not in self._solvers:
-            self._solvers[tau] = _build_stage_solver(lmat, tau, self.problem.m_diag)
+            self._solvers[tau] = _build_stage_solver(self._pieces, tau, self.problem.m_diag)
         return self._solvers[tau](rhs)
 
 
-def _build_stage_solver(lmat, tau: float, m_diag: np.ndarray):
-    """Factorize the M-symmetrized stage matrix M - tau M L once."""
-    dense = isinstance(lmat, np.ndarray)
-    if dense:
-        system = np.diag(m_diag) - tau * (m_diag[:, None] * lmat)
-        row_norm = float(np.max(np.sum(np.abs(lmat), axis=1)))
-        try:
-            lu = sla.lu_factor(system)
-        except Exception as exc:  # singular system: misassembled operator
-            raise SolverFailure(f"stage factorization failed: {exc}") from exc
+def _stage_pieces(lmat, m_diag: np.ndarray):
+    """(L, M L, max absolute row sum of L): the tau-free parts of a stage system."""
+    if isinstance(lmat, np.ndarray):
+        return lmat, m_diag[:, None] * lmat, float(np.max(np.sum(np.abs(lmat), axis=1)))
+    lmat = lmat.tocsr()
+    return lmat, sp.diags(m_diag) @ lmat, float(np.max(np.abs(lmat).sum(axis=1)))
 
-        def base_solve(b: np.ndarray) -> np.ndarray:
-            return sla.lu_solve(lu, b)
 
-        apply_l = lambda v: lmat @ v
-    else:
-        lmat = lmat.tocsr()
-        row_norm = float(np.max(np.abs(lmat).sum(axis=1)))
-        m_sp = sp.diags(m_diag)
-        system = (m_sp - tau * (m_sp @ lmat)).tocsc()
-        try:
-            factor = spla.splu(system)
-            base_solve = factor.solve
-        except Exception:
-            # fall back to conjugate gradients on the SPD system
-            sym = (0.5 * (system + system.T)).tocsr()
+def _build_stage_solver(pieces, tau: float, m_diag: np.ndarray):
+    """Factorize the M-symmetrized stage matrix M - tau M L once.
 
-            def base_solve(b: np.ndarray) -> np.ndarray:
-                x, info = spla.cg(
-                    sym, b, rtol=SOLVE_RTOL, atol=0.0, maxiter=10 * b.size
-                )
-                if info != 0:
-                    raise SolverFailure(
-                        f"conjugate gradient stage solve did not converge (info={info})"
-                    )
-                return x
-
-        apply_l = lambda v: lmat @ v
+    M - tau M L is symmetric positive definite by the SBP identity, so a
+    failed factorization means a misassembled operator and raises
+    ``SolverFailure``.
+    """
+    lmat, ml, row_norm = pieces
+    try:
+        if isinstance(lmat, np.ndarray):
+            lu = sla.lu_factor(np.diag(m_diag) - tau * ml)
+            base_solve = lambda b: sla.lu_solve(lu, b)
+        else:
+            base_solve = spla.splu((sp.diags(m_diag) - tau * ml).tocsc()).solve
+    except Exception as exc:  # singular system: misassembled operator
+        raise SolverFailure(f"stage factorization failed: {exc}") from exc
 
     # the residual evaluation itself carries fp noise of order
     # eps * (1 + tau ||L||) * ||x||; below that the target is unmeasurable
@@ -296,15 +285,15 @@ def _build_stage_solver(lmat, tau: float, m_diag: np.ndarray):
         b_norm = float(np.linalg.norm(rhs))
         x = base_solve(m_diag * rhs)
         if b_norm == 0.0:
-            return x, apply_l(x)
+            return x, lmat @ x
         # iterative refinement against the unsymmetrized system (I - tau L)
         for _ in range(5):
-            l_x = apply_l(x)
+            l_x = lmat @ x
             residual = rhs - (x - tau * l_x)
             if np.linalg.norm(residual) <= tolerance(b_norm, float(np.linalg.norm(x))):
                 return x, l_x
             x = x + base_solve(m_diag * residual)
-        l_x = apply_l(x)
+        l_x = lmat @ x
         residual = rhs - (x - tau * l_x)
         if np.linalg.norm(residual) <= tolerance(b_norm, float(np.linalg.norm(x))):
             return x, l_x
@@ -326,7 +315,8 @@ def solve_implicit_stage(
         return np.asarray(rhs, dtype=float).copy()
     if m_diag is None:
         m_diag = np.ones(rhs.shape[0])
-    return _build_stage_solver(lmat, tau, m_diag)(np.asarray(rhs, dtype=float))[0]
+    pieces = _stage_pieces(lmat, m_diag)
+    return _build_stage_solver(pieces, tau, m_diag)(np.asarray(rhs, dtype=float))[0]
 
 
 def step(

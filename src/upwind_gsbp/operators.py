@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .mesh import Mesh1D, physical_nodes
 from .ref_element import ReferenceElement
@@ -37,7 +37,6 @@ __all__ = [
     "SecondDerivativeOperator",
     "CertificationReport",
     "assemble_first_derivative",
-    "dissipation_matrix",
     "second_derivative",
     "second_derivative_from",
     "verify_axioms",
@@ -46,10 +45,6 @@ __all__ = [
 ]
 
 TOPOLOGIES = ("periodic", "bounded")
-
-# Dense eigenvalue certification is used up to this global dimension;
-# beyond it the extreme eigenvalue is estimated iteratively.
-DENSE_EIG_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -132,45 +127,28 @@ def _first_derivative_matrix(
     a_lb = d_hat - (0.5 - theta) * np.outer(inv_w * l1, l1)
     a_rb = d_hat + (0.5 + theta) * np.outer(inv_w * lm, lm)
 
-    # accumulate: for K = 2 periodic the wrap block and the neighbor block
-    # land in the same slot and must be summed
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-
-    def add(i: int, j: int, block: np.ndarray) -> None:
-        scaled = (2.0 / mesh.widths[i]) * block
-        if (i, j) in blocks:
-            blocks[(i, j)] = blocks[(i, j)] + scaled
-        else:
-            blocks[(i, j)] = scaled
-
-    for i in range(k_cells):
-        if topology == "periodic":
-            add(i, i, a11)
-            add(i, (i + 1) % k_cells, a12)
-            add(i, (i - 1) % k_cells, a21)
-        else:
-            if i == 0:
-                add(i, i, a_lb)
-                add(i, i + 1, a12)
-            elif i == k_cells - 1:
-                add(i, i, a_rb)
-                add(i, i - 1, a21)
-            else:
-                add(i, i, a11)
-                add(i, i + 1, a12)
-                add(i, i - 1, a21)
-
+    # one block row per cell on the diagonal, then the right and left
+    # couplings; for K = 2 periodic a right and a left block share a slot
+    # and are summed when the triplets are converted to CSR
+    cells = np.arange(k_cells)
+    diag = np.repeat(a11[None], k_cells, axis=0)
+    if topology == "periodic":
+        right = left = cells
+    else:
+        diag[0], diag[-1] = a_lb, a_rb
+        right, left = cells[:-1], cells[1:]
+    block_rows = np.concatenate([cells, right, left])
+    block_cols = np.concatenate([cells, (right + 1) % k_cells, (left - 1) % k_cells])
+    blocks = np.concatenate(
+        [diag, np.broadcast_to(a12, (right.size, n, n)), np.broadcast_to(a21, (left.size, n, n))]
+    )
+    vals = (2.0 / mesh.widths)[block_rows, None, None] * blocks
+    local = np.arange(n)
+    rows = np.broadcast_to(block_rows[:, None, None] * n + local[:, None], vals.shape)
+    cols = np.broadcast_to(block_cols[:, None, None] * n + local, vals.shape)
     dim = k_cells * n
-    local_rows = np.repeat(np.arange(n), n)
-    local_cols = np.tile(np.arange(n), n)
-    rows, cols, vals = [], [], []
-    for (i, j), block in sorted(blocks.items()):
-        rows.append(local_rows + i * n)
-        cols.append(local_cols + j * n)
-        vals.append(block.ravel())
     mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
+        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim)
     ).tocsr()
     mat.eliminate_zeros()
     return mat
@@ -235,11 +213,6 @@ def assemble_first_derivative(
     )
 
 
-def dissipation_matrix(opset: GlobalOperatorSet) -> sp.csr_matrix:
-    """C = (Q+ - Q-)/2, the symmetric interface-jump dissipation matrix."""
-    return (0.5 * (opset.Q_plus - opset.Q_minus)).tocsr()
-
-
 def interface_jumps(opset: GlobalOperatorSet, u: np.ndarray) -> np.ndarray:
     """Interface jumps u_right(-1) - u_left(1), one per coupled interface."""
     n = opset.elem.n_nodes
@@ -288,15 +261,33 @@ def _max_abs(mat: sp.spmatrix) -> float:
 
 
 def _max_eig_sym(mat: sp.spmatrix) -> float:
-    """Largest eigenvalue of the symmetric part of ``mat``."""
-    sym = 0.5 * (mat + mat.T)
-    if sym.shape[0] <= DENSE_EIG_LIMIT:
-        return float(np.linalg.eigvalsh(sym.toarray())[-1])
-    try:
-        val = spla.eigsh(sym.tocsc(), k=1, which="LA", return_eigenvectors=False)
-        return float(val[0])
-    except Exception:
-        return float(np.linalg.eigvalsh(sym.toarray())[-1])
+    """Largest eigenvalue of the symmetric part of ``mat``, one component at a time.
+
+    A symmetric matrix is block diagonal over the connected components of its
+    sparsity graph, so its spectrum is the union of the components' spectra.
+    The components of each size are stacked into one batched ``eigvalsh``. On
+    LGL nodes C couples only the two trace nodes of each interface, so its
+    components have at most two nodes.
+    """
+    sym = sp.coo_matrix(0.5 * (mat + mat.T))
+    n_comp, labels = csgraph.connected_components(sym, directed=False)
+    sizes = np.bincount(labels, minlength=n_comp)
+    # position of each node within its component, and of each component
+    # within the stack of components of its size
+    order = np.argsort(labels, kind="stable")
+    local = np.empty_like(labels)
+    local[order] = np.arange(labels.size) - (np.cumsum(sizes) - sizes)[labels[order]]
+    slot = np.empty_like(sizes)
+    top = -np.inf
+    for size in np.unique(sizes):
+        comps = np.flatnonzero(sizes == size)
+        slot[comps] = np.arange(comps.size)
+        keep = sizes[labels[sym.row]] == size
+        rows, cols = sym.row[keep], sym.col[keep]
+        stack = np.zeros((comps.size, size, size))
+        stack[slot[labels[rows]], local[rows], local[cols]] = sym.data[keep]
+        top = max(top, float(np.linalg.eigvalsh(stack)[:, -1].max()))
+    return top
 
 
 @dataclass(frozen=True)

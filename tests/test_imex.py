@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 
 from upwind_gsbp.imex import (
     ImexSplitProblem,
+    SolverFailure,
     Stepper,
     integrate,
     solve_implicit_stage,
@@ -158,6 +159,14 @@ def test_stage_solve_residual_contract():
         x = solve_implicit_stage(lmat, tau, rhs, disc.m_diag)
         res = rhs - (x - tau * (lmat @ x))
         assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(rhs)
+
+
+def test_singular_sparse_stage_system_raises():
+    # tau L = I makes M - tau M L vanish: the factorization must fail loudly
+    lmat = 2.0 * sp.identity(4, format="csr")
+    m_diag = np.array([0.3, 0.7, 1.1, 0.2])
+    with pytest.raises(SolverFailure, match="factorization"):
+        solve_implicit_stage(lmat, 0.5, np.ones(4), m_diag)
 
 
 def test_stage_matrix_smallest_eigenvalue_bound():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from upwind_gsbp.mesh import physical_nodes, uniform_mesh
+from upwind_gsbp.mesh import Mesh1D, physical_nodes, uniform_mesh
 from upwind_gsbp.operators import (
+    _max_eig_sym,
     assemble_first_derivative,
-    dissipation_matrix,
     interface_jumps,
     sat_advection_rhs,
     second_derivative,
@@ -57,6 +57,95 @@ def test_wraparound_coupling_coefficient():
     # cell 2 carries -(1/2+theta) * (2/dx) / w_1 = -2
     ops = make_opset(1, 2, 0.5, "periodic", interval=(0.0, 2.0))
     assert ops.D_minus[0, -1] == pytest.approx(-2.0, abs=1e-14)
+
+
+def reference_first_derivative(elem, mesh, theta, topology):
+    """D-(theta) assembled block by block, one cell at a time."""
+    n, k_cells = elem.n_nodes, mesh.n_cells
+    d_hat, inv_w = elem.diff, 1.0 / elem.weights
+    lm, l1 = elem.boundary_left, elem.boundary_right
+    a11 = (
+        d_hat
+        - (0.5 - theta) * np.outer(inv_w * l1, l1)
+        + (0.5 + theta) * np.outer(inv_w * lm, lm)
+    )
+    a12 = (0.5 - theta) * np.outer(inv_w * l1, lm)
+    a21 = -(0.5 + theta) * np.outer(inv_w * lm, l1)
+    a_lb = d_hat - (0.5 - theta) * np.outer(inv_w * l1, l1)
+    a_rb = d_hat + (0.5 + theta) * np.outer(inv_w * lm, lm)
+
+    blocks = {}
+
+    def add(i, j, block):
+        scaled = (2.0 / mesh.widths[i]) * block
+        blocks[(i, j)] = blocks[(i, j)] + scaled if (i, j) in blocks else scaled
+
+    for i in range(k_cells):
+        if topology == "periodic":
+            add(i, i, a11)
+            add(i, (i + 1) % k_cells, a12)
+            add(i, (i - 1) % k_cells, a21)
+        elif i == 0:
+            add(i, i, a_lb)
+            add(i, i + 1, a12)
+        elif i == k_cells - 1:
+            add(i, i, a_rb)
+            add(i, i - 1, a21)
+        else:
+            add(i, i, a11)
+            add(i, i + 1, a12)
+            add(i, i - 1, a21)
+
+    local_rows, local_cols = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    rows, cols, vals = [], [], []
+    for (i, j), block in sorted(blocks.items()):
+        rows.append(local_rows + i * n)
+        cols.append(local_cols + j * n)
+        vals.append(block.ravel())
+    dim = k_cells * n
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    ).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def same_bits(a, b):
+    return all(
+        getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("data", "indices", "indptr")
+    )
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 4, 7, 320])
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("theta", [-0.5, -0.25, 0.0, 0.25, 0.5])
+@pytest.mark.parametrize("topology", ["periodic", "bounded"])
+def test_assembly_matches_per_cell_reference(n_cells, uniform, theta, topology):
+    if uniform:
+        mesh = uniform_mesh(-np.pi, np.pi, n_cells)
+    else:
+        widths = np.random.default_rng(n_cells).uniform(0.5, 1.5, n_cells)
+        mesh = Mesh1D(0.0, float(np.sum(widths)), widths)
+    for degree in (1, 3):
+        elem = build_lgl(degree)
+        ops = assemble_first_derivative(elem, mesh, theta, topology)
+        d_minus = reference_first_derivative(elem, mesh, theta, topology)
+        d_plus = reference_first_derivative(elem, mesh, -theta, topology)
+        m = sp.diags(ops.m_diag)
+        q_minus, q_plus = m @ d_minus, m @ d_plus
+        if topology == "bounded":
+            q_minus, q_plus = q_minus - 0.5 * ops.B_glob, q_plus - 0.5 * ops.B_glob
+        q_minus, q_plus = q_minus.tocsr(), q_plus.tocsr()
+        c = (0.5 * (q_plus - q_minus)).tocsr()
+        c.eliminate_zeros()
+        for got, want in [
+            (ops.D_minus, d_minus),
+            (ops.D_plus, d_plus),
+            (ops.Q_minus, q_minus),
+            (ops.Q_plus, q_plus),
+            (ops.C, c),
+        ]:
+            assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("degree,n_cells,theta", [(1, 4, 0.5), (2, 6, 0.25), (3, 5, 0.0)])
@@ -122,7 +211,7 @@ def test_boundary_operator_structure():
 @pytest.mark.parametrize("topology", ["periodic", "bounded"])
 def test_c_symmetric_negative_semidefinite(theta, topology):
     ops = make_opset(2, 5, theta, topology)
-    c = dissipation_matrix(ops)
+    c = ops.C
     assert abs(c - c.T).max() <= 1e-13
     eigs = np.linalg.eigvalsh(c.toarray())
     assert eigs[-1] <= 1e-12
@@ -135,6 +224,54 @@ def test_negative_theta_flips_sign_and_is_flagged():
     assert report.c_max_eigenvalue > 1e-3
     # the other axioms are untouched by the sign of theta
     assert report.axiom_accuracy_pass and report.axiom_sbp_pass
+
+
+def dense_max_eig_sym(mat):
+    return np.linalg.eigvalsh((0.5 * (mat + mat.T)).toarray())[-1]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("n_cells", [4, 20, 80, 320])
+@pytest.mark.parametrize("topology", ["periodic", "bounded"])
+def test_max_eig_matches_dense_on_certified_sets(degree, n_cells, topology):
+    thetas = [0.0, 0.25, 0.5] + ([-0.25, -0.5] if n_cells == 320 else [])
+    for theta in thetas:
+        c = make_opset(degree, n_cells, theta, topology).C
+        want = dense_max_eig_sym(c)
+        assert _max_eig_sym(c) == want
+        if theta < 0:
+            assert want > 0
+
+
+def test_max_eig_of_zero_matrix():
+    assert _max_eig_sym(sp.csr_matrix((6, 6))) == 0.0
+
+
+def test_max_eig_mixed_component_sizes():
+    rng = np.random.default_rng(5)
+    sizes = [1, 1, 2, 2, 2, 3, 4, 5, 6, 6]
+    blocks = sp.block_diag([rng.standard_normal((s, s)) for s in sizes]).toarray()
+    perm = rng.permutation(blocks.shape[0])
+    mat = sp.csr_matrix(blocks[perm][:, perm])
+    # the components are solved in a different order than the dense matrix
+    assert _max_eig_sym(mat) == pytest.approx(dense_max_eig_sym(mat), rel=1e-13)
+
+
+def test_max_eig_single_component_above_old_dense_limit():
+    rng = np.random.default_rng(6)
+    n = 600
+    mat = sp.diags(
+        [rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)],
+        [-1, 0, 1],
+    ).tocsr()
+    assert _max_eig_sym(mat) == dense_max_eig_sym(mat)
+
+
+def test_fully_one_sided_flux_certifies_zero_at_large_dim():
+    # dim 640: C's largest eigenvalue is 0 (constants), not -2 theta
+    report = verify_axioms(make_opset(1, 320, 0.5, "periodic"))
+    assert report.c_max_eigenvalue == 0.0
+    assert report.axiom_dissipation_pass
 
 
 @pytest.mark.parametrize("topology", ["periodic", "bounded"])
