@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
+EXIT_INTERNAL = 5
 
 
 class ConfigError(ValueError):
@@ -175,6 +177,13 @@ def _parse_float(key: str, value: str) -> float:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as a number") from exc
 
 
+def _parse_int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: cannot parse {value!r} as an integer") from exc
+
+
 def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in value.split(",") if part.strip())
@@ -222,8 +231,8 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
     take("resolution", _parse_float, "resolution")
     take("solution", lambda k, v: v, "solution")
     take("out", lambda k, v: v, "out")
-    take("workers", lambda k, v: int(v), "workers")
-    take("seed", lambda k, v: int(v), "seed")
+    take("workers", _parse_int, "workers")
+    take("seed", _parse_int, "seed")
 
     if overrides.get("pairs") is not None:
         updates["pairs"] = overrides["pairs"]
@@ -296,6 +305,14 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
         raise ConfigError(f"key 'dt': must be > 0, got {cfg.dt}")
     if cfg.mu is not None and cfg.mu <= 0:
         raise ConfigError(f"key 'mu': must be > 0, got {cfg.mu}")
+    # the bisection stops once hi / lo <= 1 + resolution, which adjacent
+    # floats never reach when resolution <= 0
+    if not cfg.tau_lo > 0:
+        raise ConfigError(f"key 'tau_lo': must be > 0, got {cfg.tau_lo}")
+    if not cfg.tau_cap > cfg.tau_lo:
+        raise ConfigError(f"key 'tau_cap': must be > tau_lo = {cfg.tau_lo}, got {cfg.tau_cap}")
+    if not cfg.resolution > 0:
+        raise ConfigError(f"key 'resolution': must be > 0, got {cfg.resolution}")
     if cfg.workers < 1:
         raise ConfigError(f"key 'workers': must be >= 1, got {cfg.workers}")
     if cfg.solution not in ("decay", "growth"):
@@ -603,9 +620,10 @@ def main(argv: list[str] | None = None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as exc:  # a bug, not a user mistake: keep the traceback
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

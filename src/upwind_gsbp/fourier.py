@@ -21,7 +21,7 @@ them, and the resulting ``FourierProblem`` is what ``imex.integrate`` steps.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,14 +72,15 @@ def _checked_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x = np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"Fourier stage block solve failed: {exc}") from exc
-    residual = np.linalg.norm(g @ x - rhs, axis=(1, 2))
+    axes = (-2, -1)
+    residual = np.linalg.norm(g @ x - rhs, axis=axes)
     # same target as the sparse stage solve, with the same roundoff floor
-    floor = 64.0 * np.finfo(float).eps * np.linalg.norm(g, axis=(1, 2))
+    floor = 64.0 * np.finfo(float).eps * np.linalg.norm(g, axis=axes)
     tol = np.maximum(
-        SOLVE_RTOL * np.linalg.norm(rhs, axis=(1, 2)), floor * np.linalg.norm(x, axis=(1, 2))
+        SOLVE_RTOL * np.linalg.norm(rhs, axis=axes), floor * np.linalg.norm(x, axis=axes)
     )
     if not np.all(residual <= tol):
-        worst = float(np.nanmax(residual / np.linalg.norm(rhs, axis=(1, 2))))
+        worst = float(np.nanmax(residual / np.linalg.norm(rhs, axis=axes)))
         raise SolverFailure(f"Fourier stage block residual {worst:.3e} relative")
     return x
 
@@ -124,11 +125,13 @@ class FourierEngine:
         cell_weights = (weights / n_cells)[:, None] * self.m_cell[None, :]
         self.energy_weights = np.repeat(cell_weights.ravel(), 2)
 
-    def step_map(self, h: float) -> np.ndarray:
-        """The batched one-step maps S_k(h), shape (K//2+1, n, n)."""
+    def step_maps(self, step_sizes: Sequence[float]) -> np.ndarray:
+        """The batched one-step maps S_k(h), shape (len(step_sizes), K//2+1, n, n)."""
         tb = self.tableau
         s = tb.n_stages
+        h = np.asarray(step_sizes, dtype=float)[:, None, None, None]
         eye = np.broadcast_to(np.eye(self.m_cell.size), self.a_hat.shape)
+        start = np.broadcast_to(eye, h.shape[:1] + self.a_hat.shape).astype(complex)
         f = [None] * s
         lu = [None] * s
 
@@ -140,16 +143,16 @@ class FourierEngine:
 
         eval_stage(0, eye)
         for i in range(1, s):
-            rhs = eye.astype(complex)
+            rhs = start
             for j in range(i):
                 if f[j] is not None and tb.a_explicit[i, j] != 0.0:
                     rhs = rhs + h * tb.a_explicit[i, j] * f[j]
                 if lu[j] is not None and tb.a_implicit[i, j] != 0.0:
                     rhs = rhs + h * tb.a_implicit[i, j] * lu[j]
             tau = h * tb.a_implicit[i, i]
-            u_i = _checked_solve(eye - tau * self.l_hat, rhs) if tau != 0.0 else rhs
+            u_i = _checked_solve(eye - tau * self.l_hat, rhs) if tb.a_implicit[i, i] != 0.0 else rhs
             eval_stage(i, u_i)
-        s_map = eye.astype(complex)
+        s_map = start
         for j in range(s):
             if f[j] is not None and tb.b_explicit[j] != 0.0:
                 s_map = s_map + h * tb.b_explicit[j] * f[j]
@@ -157,25 +160,31 @@ class FourierEngine:
                 s_map = s_map + h * tb.b_implicit[j] * lu[j]
         return s_map
 
-    def amplification(self, s_map: np.ndarray) -> float:
-        """max_k ||M^1/2 S_k M^-1/2||_2 of a batched step map."""
-        scaled = self._m_half[:, None] * s_map / self._m_half[None, :]
-        return float(np.max(np.linalg.norm(scaled, ord=2, axis=(1, 2))))
+    def step_map(self, h: float) -> np.ndarray:
+        """The one-step maps S_k(h) of one step size, shape (K//2+1, n, n)."""
+        return self.step_maps([h])[0]
+
+    def amplification(self, s_maps: np.ndarray):
+        """max_k ||M^1/2 S_k M^-1/2||_2, one value per batched step map."""
+        scaled = self._m_half[:, None] * s_maps / self._m_half[None, :]
+        return np.max(np.linalg.norm(scaled, ord=2, axis=(-2, -1)), axis=-1)
 
     def problem(self, step_sizes: Iterable[float]) -> "FourierProblem":
         """Step maps for the given step sizes, certified or not.
 
-        Building starts at the largest step and stops at the first map that
-        fails the certificate, so an uncertified run usually costs one map.
+        The largest step's map is built and certified alone first, so an
+        uncertified run usually costs one map; the others follow in one batch.
         """
+        sizes = sorted(set(step_sizes), reverse=True)
         maps: dict[float, np.ndarray] = {}
-        certified = True
-        for h in sorted(set(step_sizes), reverse=True):
-            maps[h] = self.step_map(h)
-            if self.amplification(maps[h]) ** 2 > self.max_growth:
-                certified = False
-                break
-        return FourierProblem(self, maps if certified else {}, certified)
+        for batch in (sizes[:1], sizes[1:]):
+            if not batch:
+                continue
+            s_maps = self.step_maps(batch)
+            if np.any(self.amplification(s_maps) ** 2 > self.max_growth):
+                return FourierProblem(self, {}, False)
+            maps.update(zip(batch, s_maps))
+        return FourierProblem(self, maps, True)
 
 
 class FourierProblem:

@@ -9,15 +9,17 @@ stage i >= 2 solves the linear system
     (I - dt A2[i,i] L) u_i = u_n + dt sum_{j<i} (A1[i,j] F(u_j) + A2[i,j] L u_j).
 
 Systems are solved through the M-symmetrized form (M - tau M L), which is
-symmetric positive definite when M L is negative semi-definite;
-factorizations are cached per stage coefficient and reused across steps.
+symmetric positive definite when M L is negative semi-definite. Its sparsity
+pattern and the tau-free values on it are built once per problem; each
+stepping session caches one factorization per stage coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -77,6 +79,11 @@ class ImexTableau:
         """
         reads = (np.tril(self.a_implicit, -1) != 0.0).any(axis=0) | (self.b_implicit != 0.0)
         return tuple(bool(r) for r in reads)
+
+    @cached_property
+    def step_plans(self) -> dict[tuple[bool, bool], tuple]:
+        """``_step_plan`` for problems with and without F and L, keyed by (has F, has L)."""
+        return {(f, l): _step_plan(self, f, l) for f in (False, True) for l in (False, True)}
 
     def validation_residuals(self) -> dict[str, float]:
         """Structural residuals: row sums vs c, padding, stiff accuracy."""
@@ -204,6 +211,38 @@ def tableau_by_name(name: str | int) -> ImexTableau:
     return _TABLEAUX[key]()
 
 
+def _step_plan(tableau: "ImexTableau", has_f: bool, has_l: bool):
+    """(stages, final): the nonzero terms of one step, coefficients as Python floats.
+
+    A step keeps its stage evaluations in one list: F(u_j) at index j and
+    L u_j at index s + j. Each stage is (A2[i,i], c_i, F read, L read,
+    terms) and each term (value index, coefficient), in the order
+    j = 0, 1, ..., F before L; ``final`` holds the terms of u_{n+1}.
+    """
+    s = tableau.n_stages
+
+    def terms(a_ex, a_im, upto: int) -> tuple[tuple[int, float], ...]:
+        out = []
+        for j in range(upto):
+            if has_f and a_ex[j] != 0.0:
+                out.append((j, float(a_ex[j])))
+            if has_l and a_im[j] != 0.0:
+                out.append((s + j, float(a_im[j])))
+        return tuple(out)
+
+    stages = tuple(
+        (
+            float(tableau.a_implicit[i, i]),
+            float(tableau.c[i]),
+            has_f and tableau.reads_explicit[i],
+            has_l and tableau.reads_implicit[i],
+            terms(tableau.a_explicit[i], tableau.a_implicit[i], i),
+        )
+        for i in range(s)
+    )
+    return stages, terms(tableau.b_explicit, tableau.b_implicit, s)
+
+
 @dataclass
 class ImexSplitProblem:
     """Split right-hand side du/dt = F_explicit(t, u) + L_implicit u.
@@ -225,17 +264,18 @@ class ImexSplitProblem:
         """The stepping session ``integrate`` drives for this problem."""
         return Stepper(tableau, self)
 
+    @cached_property
+    def stage_pieces(self) -> "_StagePieces":
+        """The tau-free parts of the stage systems, shared by every session."""
+        return _stage_pieces(self.l_implicit, self.m_diag)
+
 
 class _StageSolverCache:
-    """Per-problem cache of implicit stage factorizations, keyed by tau."""
+    """Per-session cache of implicit stage factorizations, keyed by tau."""
 
     def __init__(self, problem: ImexSplitProblem):
         self.problem = problem
         self._solvers: dict[float, Callable] = {}
-
-    @cached_property
-    def _pieces(self):
-        return _stage_pieces(self.problem.l_implicit, self.problem.m_diag)
 
     def solve(self, tau: float, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """(x, L x) for (I - tau L) x = rhs; L x is None when no solve ran."""
@@ -244,63 +284,99 @@ class _StageSolverCache:
         if self.problem.l_implicit is None or tau == 0.0:
             return rhs.copy(), None
         if tau not in self._solvers:
-            self._solvers[tau] = _build_stage_solver(self._pieces, tau, self.problem.m_diag)
+            pieces = self.problem.stage_pieces
+            self._solvers[tau] = _build_stage_solver(pieces, tau, self.problem.m_diag)
         return self._solvers[tau](rhs)
 
 
-def _stage_pieces(lmat, m_diag: np.ndarray):
-    """(L, M L, max absolute row sum of L): the tau-free parts of a stage system."""
+class _StagePieces(NamedTuple):
+    """The tau-free parts of the stage systems M - tau M L of one problem.
+
+    ``system(tau)`` is ``m_on - tau * ml_on``: for a dense L the matrices M
+    and M L themselves, for a sparse L their values on the CSC pattern
+    (``indptr``, ``indices``) of M - M L. The pattern is the union of the
+    nonzeros of M and M L, and exact zeros of a filled system are dropped,
+    so the sparse system is bit for bit ``(sp.diags(m) - tau * ml).tocsc()``.
+    """
+
+    lmat: sp.csr_matrix | np.ndarray
+    row_norm: float  # max absolute row sum of L
+    m_on: np.ndarray
+    ml_on: np.ndarray
+    indptr: Optional[np.ndarray]
+    indices: Optional[np.ndarray]
+
+    def system(self, tau: float):
+        values = self.m_on - tau * self.ml_on
+        if self.indptr is None:
+            return values
+        mat = sp.csc_matrix((values, self.indices, self.indptr), shape=self.lmat.shape, copy=True)
+        mat.eliminate_zeros()
+        return mat
+
+
+def _stage_pieces(lmat, m_diag: np.ndarray) -> _StagePieces:
+    """The ``_StagePieces`` of L with the norm matrix diag(m_diag)."""
     if isinstance(lmat, np.ndarray):
-        return lmat, m_diag[:, None] * lmat, float(np.max(np.sum(np.abs(lmat), axis=1)))
+        row_norm = float(np.max(np.sum(np.abs(lmat), axis=1)))
+        return _StagePieces(lmat, row_norm, np.diag(m_diag), m_diag[:, None] * lmat, None, None)
     lmat = lmat.tocsr()
-    return lmat, sp.diags(m_diag) @ lmat, float(np.max(np.abs(lmat).sum(axis=1)))
+    m = sp.diags(m_diag)
+    ml = m @ lmat
+    # |M| + |M L| cannot cancel: its nonzeros are those of M and of M L
+    pattern = (abs(m) + abs(ml)).tocsc()
+    rows = pattern.indices
+    cols = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
+    m_on = np.where(rows == cols, m_diag[rows], 0.0)
+    ml_on = np.asarray(ml[rows, cols]).ravel()
+    row_norm = float(np.max(np.abs(lmat).sum(axis=1)))
+    return _StagePieces(lmat, row_norm, m_on, ml_on, pattern.indptr, rows)
 
 
-def _build_stage_solver(pieces, tau: float, m_diag: np.ndarray):
+def _build_stage_solver(pieces: _StagePieces, tau: float, m_diag: np.ndarray):
     """Factorize the M-symmetrized stage matrix M - tau M L once.
 
     M - tau M L is symmetric positive definite by the SBP identity, so a
     failed factorization means a misassembled operator and raises
     ``SolverFailure``.
     """
-    lmat, ml, row_norm = pieces
+    lmat = pieces.lmat
     try:
-        if isinstance(lmat, np.ndarray):
-            lu = sla.lu_factor(np.diag(m_diag) - tau * ml)
+        system = pieces.system(tau)
+        if isinstance(system, np.ndarray):
+            lu = sla.lu_factor(system)
             base_solve = lambda b: sla.lu_solve(lu, b)
         else:
-            base_solve = spla.splu((sp.diags(m_diag) - tau * ml).tocsc()).solve
+            base_solve = spla.splu(system).solve
     except Exception as exc:  # singular system: misassembled operator
         raise SolverFailure(f"stage factorization failed: {exc}") from exc
 
     # the residual evaluation itself carries fp noise of order
     # eps * (1 + tau ||L||) * ||x||; below that the target is unmeasurable
-    noise_per_x = 64.0 * np.finfo(float).eps * (1.0 + tau * row_norm)
-
-    def tolerance(b_norm: float, x_norm: float) -> float:
-        return max(SOLVE_RTOL * b_norm, noise_per_x * x_norm)
+    noise_per_x = 64.0 * np.finfo(float).eps * (1.0 + tau * pieces.row_norm)
 
     def solve(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, L x): the refinement check's L x is handed back for reuse."""
-        b_norm = float(np.linalg.norm(rhs))
+        """(x, L x): the refinement check's L x is handed back for reuse.
+
+        Norms are sqrt(v . v), which is what np.linalg.norm computes for a
+        contiguous real vector.
+        """
+        b_norm = math.sqrt(rhs.dot(rhs))
         x = base_solve(m_diag * rhs)
         if b_norm == 0.0:
             return x, lmat @ x
-        # iterative refinement against the unsymmetrized system (I - tau L)
-        for _ in range(5):
+        target = SOLVE_RTOL * b_norm
+        # iterative refinement against the unsymmetrized system (I - tau L):
+        # up to 5 refinements before the residual counts as stalled
+        for refinement in range(6):
+            if refinement:
+                x = x + base_solve(m_diag * residual)
             l_x = lmat @ x
             residual = rhs - (x - tau * l_x)
-            if np.linalg.norm(residual) <= tolerance(b_norm, float(np.linalg.norm(x))):
+            r_norm = math.sqrt(residual.dot(residual))
+            if r_norm <= max(target, noise_per_x * math.sqrt(x.dot(x))):
                 return x, l_x
-            x = x + base_solve(m_diag * residual)
-        l_x = lmat @ x
-        residual = rhs - (x - tau * l_x)
-        if np.linalg.norm(residual) <= tolerance(b_norm, float(np.linalg.norm(x))):
-            return x, l_x
-        raise SolverFailure(
-            "implicit stage residual stalled at "
-            f"{np.linalg.norm(residual) / b_norm:.3e} relative"
-        )
+        raise SolverFailure(f"implicit stage residual stalled at {r_norm / b_norm:.3e} relative")
 
     return solve
 
@@ -316,7 +392,7 @@ def solve_implicit_stage(
     if m_diag is None:
         m_diag = np.ones(rhs.shape[0])
     pieces = _stage_pieces(lmat, m_diag)
-    return _build_stage_solver(pieces, tau, m_diag)(np.asarray(rhs, dtype=float))[0]
+    return _build_stage_solver(pieces, tau, m_diag)(np.ascontiguousarray(rhs, dtype=float))[0]
 
 
 def step(
@@ -336,38 +412,25 @@ def step(
         raise ValueError(f"dt must be >= 0, got {dt}")
     if cache is None:
         cache = _StageSolverCache(problem)
-    a_ex, a_im, c = tableau.a_explicit, tableau.a_implicit, tableau.c
+    f_explicit, lmat = problem.f_explicit, problem.l_implicit
+    stages, final = tableau.step_plans[f_explicit is not None, lmat is not None]
     s = tableau.n_stages
-    lmat = problem.l_implicit
-    f_read = tableau.reads_explicit if problem.f_explicit is not None else (False,) * s
-    l_read = tableau.reads_implicit if lmat is not None else (False,) * s
-
-    f_ex = [None] * s
-    l_u = [None] * s
-
-    def eval_stage(i: int, u: np.ndarray, l_x: Optional[np.ndarray]) -> None:
-        if f_read[i]:
-            f_ex[i] = problem.f_explicit(t_n + c[i] * dt, u)
-        if l_read[i]:
-            l_u[i] = lmat @ u if l_x is None else l_x
-
-    eval_stage(0, u_n, None)
-    for i in range(1, s):
-        rhs = u_n.copy()
-        for j in range(i):
-            if f_ex[j] is not None and a_ex[i, j] != 0.0:
-                rhs += dt * a_ex[i, j] * f_ex[j]
-            if l_u[j] is not None and a_im[i, j] != 0.0:
-                rhs += dt * a_im[i, j] * l_u[j]
-        u_i, l_x = cache.solve(dt * a_im[i, i], rhs)
-        eval_stage(i, u_i, l_x)
+    values = [None] * (2 * s)
+    u_i, l_x = u_n, None
+    for i, (a_ii, c_i, f_read, l_read, terms) in enumerate(stages):
+        if i:
+            u_i = u_n.copy()
+            for k, coef in terms:
+                u_i += dt * coef * values[k]
+            u_i, l_x = cache.solve(dt * a_ii, u_i)
+        if f_read:
+            values[i] = f_explicit(t_n + c_i * dt, u_i)
+        if l_read:
+            values[s + i] = lmat @ u_i if l_x is None else l_x
 
     u_next = u_n.copy()
-    for j in range(s):
-        if f_ex[j] is not None and tableau.b_explicit[j] != 0.0:
-            u_next += dt * tableau.b_explicit[j] * f_ex[j]
-        if l_u[j] is not None and tableau.b_implicit[j] != 0.0:
-            u_next += dt * tableau.b_implicit[j] * l_u[j]
+    for k, coef in final:
+        u_next += dt * coef * values[k]
     return u_next
 
 

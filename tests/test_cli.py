@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from upwind_gsbp import cli
 from upwind_gsbp.cli import (
     ConfigError,
     build_run_config,
@@ -8,6 +11,8 @@ from upwind_gsbp.cli import (
     parse_config,
     run_config_from_text,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 # ----------------------------------------------------------- config parsing
@@ -172,6 +177,63 @@ def test_burgers_defaults_complete(tmp_path):
 def test_bad_flag_value_exits_with_config_error(tmp_path):
     rc = main(["scan", "--pair", "0.7", "0", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "values,key",
+    [
+        ({"tau_lo": "0"}, "tau_lo"),
+        ({"tau_lo": "-1"}, "tau_lo"),
+        ({"tau_lo": "nan"}, "tau_lo"),
+        ({"tau_lo": "10", "tau_cap": "10"}, "tau_cap"),
+        ({"tau_lo": "10", "tau_cap": "1"}, "tau_cap"),
+        ({"resolution": "0"}, "resolution"),
+        ({"resolution": "-1e-3"}, "resolution"),
+    ],
+)
+def test_scan_bracket_rejected(values, key):
+    # resolution 0 would bisect forever once lo and hi are adjacent floats
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        build_run_config("scan", values, {})
+
+
+def test_scan_bracket_flags_exit_with_config_error(tmp_path):
+    for flags in (["--tau-lo", "0"], ["--resolution", "0"], ["--tau-cap", "1e-3"]):
+        assert main(["scan", "--K", "4", *flags, "--out", str(tmp_path)]) == 2
+
+
+def test_unparsable_integer_in_config_file_is_a_config_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("workers = two\n")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    # a ValueError raised inside the numerics is a bug, not a config error
+    def broken(cfg):
+        raise ValueError("numerics went wrong")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    rc = main(["verify", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INTERNAL == 5
+    assert "internal error" in capsys.readouterr().err
+
+
+# Byte-for-byte outputs captured before the sparse stage path was rewritten.
+# The scan's tau of 1.213066e-01 is set by roundoff, so any change to the
+# stage arithmetic shows up in it.
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["scan", "--order", "1", "--N", "3", "--K", "20", "--pair", "0.5", "0",
+          "--workers", "1"], "stability.csv"),
+        (["burgers", "--N", "2", "--order", "2", "--dt", "0.02", "--T", "2", "--K", "100",
+          "--pair", "0.5", "0.5"], "burgers_energy_K100.csv"),
+    ],
+)
+def test_outputs_match_golden_bytes(tmp_path, argv, name):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_config_file_drives_run(tmp_path, capsys):

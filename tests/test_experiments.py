@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from upwind_gsbp import experiments, imex
 from upwind_gsbp.experiments import (
     ConvergenceRow,
     ScanConfig,
@@ -118,6 +119,56 @@ def test_scan_many_orders_results_deterministically():
     lines = stability_csv_lines(serial)
     assert lines[0].startswith("order,N,K")
     assert len(lines) == 3
+
+
+def record_probes(monkeypatch):
+    """Per integrate call of a scan: (tableau, engine, factorized taus, trace times)."""
+    runs, built = [], []
+    real_build = imex._build_stage_solver
+    real_integrate = experiments.integrate
+
+    def build(pieces, tau, m_diag):
+        built.append(tau)
+        return real_build(pieces, tau, m_diag)
+
+    def recording(tableau, problem, *args, **kwargs):
+        built.clear()
+        u, trace = real_integrate(tableau, problem, *args, **kwargs)
+        runs.append((tableau, type(problem).__name__, list(built), trace.times()))
+        return u, trace
+
+    monkeypatch.setattr(imex, "_build_stage_solver", build)
+    monkeypatch.setattr(experiments, "integrate", recording)
+    return runs
+
+
+def test_scan_builds_stage_pieces_once(monkeypatch):
+    # the tau-free parts of the stage systems belong to the problem, which
+    # every probe of a scan shares
+    calls = []
+    real_pieces = imex._stage_pieces
+    monkeypatch.setattr(imex, "_stage_pieces", lambda *a: calls.append(a) or real_pieces(*a))
+    runs = record_probes(monkeypatch)
+    max_stable_dt(scan_cfg(1, 0.5, 0.0, degree=3, n_cells=20))
+    assert sum(engine == "ImexSplitProblem" for _, engine, _, _ in runs) > 1
+    assert len(calls) == 1
+
+
+def test_sparse_probe_factorizes_once_per_stage_coefficient(monkeypatch):
+    # step sizes t_next - t of one run differ in the last ulp, and each size
+    # gets its own factorization; a fixed step would change the arithmetic
+    runs = record_probes(monkeypatch)
+    max_stable_dt(scan_cfg(2, 0.5, 0.0, degree=3, n_cells=20))
+    sparse = [run for run in runs if run[1] == "ImexSplitProblem"]
+    assert sparse
+    spread = 0
+    for tableau, _, taus, times in sparse:
+        sizes = set(np.diff(times).tolist())
+        diagonal = {float(g) for g in np.diag(tableau.a_implicit) if g != 0.0}
+        assert len(taus) == len(set(taus))
+        assert set(taus) == {h * g for h in sizes for g in diagonal}
+        spread += len(sizes) > 1
+    assert spread > 0
 
 
 # ------------------------------------------------------------- convergence

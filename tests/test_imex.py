@@ -4,12 +4,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from upwind_gsbp.imex import (
+    SOLVE_RTOL,
     ImexSplitProblem,
     SolverFailure,
     Stepper,
     integrate,
     solve_implicit_stage,
     step,
+    step_times,
     tableau_by_name,
     tableau_imex1,
     tableau_imex2,
@@ -17,7 +19,7 @@ from upwind_gsbp.imex import (
 )
 from upwind_gsbp.mesh import uniform_mesh
 from upwind_gsbp.operators import assemble_first_derivative, second_derivative_from
-from upwind_gsbp.problems import AdvDiffConfig, discretize, make_split_problem
+from upwind_gsbp.problems import AdvDiffConfig, burgers_rhs, discretize, make_split_problem
 from upwind_gsbp.ref_element import build_lgl
 
 ALL_TABLEAUX = [tableau_imex1, tableau_imex2, tableau_imex3]
@@ -289,6 +291,160 @@ def test_step_is_unchanged_by_skipped_evaluations(small_advdiff):
             if tb.b_implicit[j] != 0.0:
                 expected += dt * tb.b_implicit[j] * (lmat @ stages[j])
         np.testing.assert_array_equal(step(tb, problem, u, dt), expected)
+
+
+# ------------------------------------- stage systems: bit-identity reference
+#
+# Roundoff sets some scan thresholds, so the sparse stage path must keep the
+# arithmetic of its reference bit for bit: the stage matrix assembled as
+# (diag(M) - tau M L).tocsc() and a step that reads its coefficients from the
+# tableau's arrays and measures norms with np.linalg.norm.
+
+
+def reference_stage_matrix(lmat, m_diag, tau):
+    return (sp.diags(m_diag) - tau * (sp.diags(m_diag) @ lmat.tocsr())).tocsc()
+
+
+def reference_stage_solver(lmat, m_diag, tau):
+    base_solve = spla.splu(reference_stage_matrix(lmat, m_diag, tau)).solve
+    row_norm = float(np.max(np.abs(lmat).sum(axis=1)))
+    noise_per_x = 64.0 * np.finfo(float).eps * (1.0 + tau * row_norm)
+
+    def tolerance(b_norm, x_norm):
+        return max(SOLVE_RTOL * b_norm, noise_per_x * x_norm)
+
+    def solve(rhs):
+        b_norm = float(np.linalg.norm(rhs))
+        x = base_solve(m_diag * rhs)
+        if b_norm == 0.0:
+            return x, lmat @ x
+        for _ in range(5):
+            l_x = lmat @ x
+            residual = rhs - (x - tau * l_x)
+            if np.linalg.norm(residual) <= tolerance(b_norm, float(np.linalg.norm(x))):
+                return x, l_x
+            x = x + base_solve(m_diag * residual)
+        l_x = lmat @ x
+        residual = rhs - (x - tau * l_x)
+        assert np.linalg.norm(residual) <= tolerance(b_norm, float(np.linalg.norm(x)))
+        return x, l_x
+
+    return solve
+
+
+def reference_step(tableau, problem, u_n, dt, t_n, solvers):
+    a_ex, a_im, c = tableau.a_explicit, tableau.a_implicit, tableau.c
+    s = tableau.n_stages
+    lmat = problem.l_implicit
+    f_ex = [None] * s
+    l_u = [None] * s
+
+    def eval_stage(i, u, l_x):
+        if tableau.reads_explicit[i]:
+            f_ex[i] = problem.f_explicit(t_n + c[i] * dt, u)
+        if tableau.reads_implicit[i]:
+            l_u[i] = lmat @ u if l_x is None else l_x
+
+    eval_stage(0, u_n, None)
+    for i in range(1, s):
+        rhs = u_n.copy()
+        for j in range(i):
+            if f_ex[j] is not None and a_ex[i, j] != 0.0:
+                rhs += dt * a_ex[i, j] * f_ex[j]
+            if l_u[j] is not None and a_im[i, j] != 0.0:
+                rhs += dt * a_im[i, j] * l_u[j]
+        tau = dt * a_im[i, i]
+        if tau not in solvers:
+            solvers[tau] = reference_stage_solver(lmat, problem.m_diag, tau)
+        eval_stage(i, *solvers[tau](rhs))
+    u_next = u_n.copy()
+    for j in range(s):
+        if f_ex[j] is not None and tableau.b_explicit[j] != 0.0:
+            u_next += dt * tableau.b_explicit[j] * f_ex[j]
+        if l_u[j] is not None and tableau.b_implicit[j] != 0.0:
+            u_next += dt * tableau.b_implicit[j] * l_u[j]
+    return u_next
+
+
+def burgers_problem(n_cells):
+    return burgers_rhs(build_lgl(2), uniform_mesh(-np.pi, np.pi, n_cells), 0.5, 0.5, 0.1)
+
+
+def scan_step_sizes(dt, t_final=100.0):
+    """The distinct step sizes of a run: multiples of dt differ in the last ulp."""
+    return sorted({t_next - t for t, t_next in step_times(dt, t_final)})
+
+
+def assert_same_system(got, expected):
+    assert got.format == expected.format == "csc"
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 20, 80])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("pair", [(0.5, 0.5), (0.5, 0.0)])
+def test_pattern_filled_stage_matrix_is_bit_identical(pair, degree, n_cells):
+    problem = make_split_problem(discretize(AdvDiffConfig(0.1, 0.1, *pair, degree, n_cells)))
+    sizes = scan_step_sizes(1.213066)  # the order-1, N = 3, K = 20 scan tau, in dt
+    assert len(sizes) > 1
+    diagonals = [g for tb in (tableau_imex2(), tableau_imex3()) for g in np.diag(tb.a_implicit)]
+    steps = sizes + [0.013, 0.37, 10.0]
+    taus = sorted({h * g for h in steps for g in diagonals + [1.0] if g != 0.0})
+    rhs = np.random.default_rng(3).standard_normal(problem.dim)
+    for tau in taus:
+        got = problem.stage_pieces.system(tau)
+        expected = reference_stage_matrix(problem.l_implicit, problem.m_diag, tau)
+        assert_same_system(got, expected)
+        np.testing.assert_array_equal(spla.splu(got).solve(rhs), spla.splu(expected).solve(rhs))
+
+
+def test_pattern_filled_burgers_stage_matrix_is_bit_identical():
+    problem = burgers_problem(100)
+    gamma = float(tableau_imex2().a_implicit[1, 1])
+    rhs = np.random.default_rng(4).standard_normal(problem.dim)
+    for h in scan_step_sizes(0.02, 20.0) + [0.1]:
+        for tau in (h * gamma, h):
+            got = problem.stage_pieces.system(tau)
+            expected = reference_stage_matrix(problem.l_implicit, problem.m_diag, tau)
+            assert_same_system(got, expected)
+            np.testing.assert_array_equal(spla.splu(got).solve(rhs), spla.splu(expected).solve(rhs))
+
+
+def test_pattern_filled_matrix_drops_exact_cancellations():
+    # tau L = I on the first two nodes: the reference drops the zero entries
+    lmat = sp.csr_matrix(np.diag([2.0, 2.0, -1.0, -3.0]) + np.diag([0.5, 0.5, 0.5], 1))
+    problem = ImexSplitProblem(4, None, lmat, np.array([0.3, 0.7, 1.1, 0.2]))
+    expected = reference_stage_matrix(lmat, problem.m_diag, 0.5)
+    assert expected.nnz == 5
+    assert_same_system(problem.stage_pieces.system(0.5), expected)
+    # the pattern survives the fill it was copied into
+    assert_same_system(
+        problem.stage_pieces.system(0.25), reference_stage_matrix(lmat, problem.m_diag, 0.25)
+    )
+
+
+@pytest.mark.parametrize("factory", ALL_TABLEAUX)
+@pytest.mark.parametrize("case", ["incompatible", "burgers"])
+def test_step_is_bit_identical_to_reference_step(factory, case):
+    if case == "burgers":
+        problem, dt = burgers_problem(100), 0.02
+        u = np.sin(np.linspace(-np.pi, np.pi, problem.dim))
+    else:
+        disc = discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.0, 3, 20))
+        problem, dt = make_split_problem(disc), 1.213066
+        u = np.sin(disc.nodes)
+    tableau = factory()
+    stepper = Stepper(tableau, problem)
+    expected, solvers, sizes = u, {}, set()
+    for k, (t, t_next) in zip(range(40), step_times(dt, 100.0)):
+        u = stepper.advance(u, t_next - t, t)
+        expected = reference_step(tableau, problem, expected, t_next - t, t, solvers)
+        np.testing.assert_array_equal(u, expected)
+        sizes.add(t_next - t)
+    assert len(sizes) > 1  # step sizes that differ in the last ulp
 
 
 # ------------------------------------------------------------- integrate
