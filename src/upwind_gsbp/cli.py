@@ -8,6 +8,7 @@ output directory. Unknown config keys are a hard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import traceback
@@ -109,17 +110,7 @@ class RunConfig:
 
 def run_config_from_text(text: str) -> RunConfig:
     """Rebuild a RunConfig from its ``to_text`` serialization."""
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        raw[key] = value
+    raw = _parse_lines(text)
     subcommand = raw.pop("subcommand", None)
     if subcommand not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -151,23 +142,31 @@ _KNOWN_KEYS = {
 }
 
 
-def parse_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat key = value file; unknown keys are a hard error."""
+def _parse_lines(text: str, source: str | Path | None = None) -> dict[str, str]:
+    """Flat ``key = value`` lines; unknown and duplicate keys are a hard error.
+
+    Messages name ``source:lineno``, or ``line lineno`` for text with no file.
+    """
     raw: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
+        where = f"line {lineno}" if source is None else f"{source}:{lineno}"
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{where}: duplicate key {key!r}")
         raw[key] = value
     return raw
+
+
+def parse_config(path: str | Path) -> dict[str, str]:
+    """Parse a flat key = value file; unknown and duplicate keys are a hard error."""
+    return _parse_lines(Path(path).read_text(encoding="utf-8"), path)
 
 
 def _parse_float(key: str, value: str) -> float:
@@ -591,7 +590,9 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="gsbp",
         description="Upwind-pair derivative operators with IMEX time integration: "
@@ -608,8 +609,11 @@ def main(argv: list[str] | None = None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         file_values = parse_config(args.config) if args.config else {}
         cfg = build_run_config(args.subcommand, file_values, _overrides_from_args(args))

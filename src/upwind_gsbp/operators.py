@@ -75,12 +75,6 @@ class GlobalOperatorSet:
     def dim(self) -> int:
         return self.m_diag.size
 
-    def norm_matrix(self) -> sp.csr_matrix:
-        return sp.diags(self.m_diag).tocsr()
-
-    def nodes(self) -> np.ndarray:
-        return physical_nodes(self.mesh, self.elem)
-
 
 @dataclass(frozen=True)
 class SecondDerivativeOperator:
@@ -129,7 +123,6 @@ def _first_derivative_matrix(
 
     # one block row per cell on the diagonal, then the right and left
     # couplings; for K = 2 periodic a right and a left block share a slot
-    # and are summed when the triplets are converted to CSR
     cells = np.arange(k_cells)
     diag = np.repeat(a11[None], k_cells, axis=0)
     if topology == "periodic":
@@ -142,16 +135,46 @@ def _first_derivative_matrix(
     blocks = np.concatenate(
         [diag, np.broadcast_to(a12, (right.size, n, n)), np.broadcast_to(a21, (left.size, n, n))]
     )
-    vals = (2.0 / mesh.widths)[block_rows, None, None] * blocks
-    local = np.arange(n)
-    rows = np.broadcast_to(block_rows[:, None, None] * n + local[:, None], vals.shape)
-    cols = np.broadcast_to(block_cols[:, None, None] * n + local, vals.shape)
+    scaled = (2.0 / mesh.widths)[block_rows, None, None] * blocks
+    return _block_csr(block_rows, block_cols, scaled, k_cells)
+
+
+def _block_csr(
+    block_rows: np.ndarray, block_cols: np.ndarray, blocks: np.ndarray, k_cells: int
+) -> sp.csr_matrix:
+    """Canonical CSR of the K x K block matrix with block b at (block_rows[b], block_cols[b]).
+
+    Blocks are sorted by (block row, block col); blocks that share a slot are
+    summed in the order given, and exact zeros are dropped, which is what the
+    COO -> CSR conversion followed by ``eliminate_zeros`` produces. Each block
+    row is padded with zero blocks to the same number of blocks, so one
+    transpose lays every node row out in column order and the zero drop
+    removes the padding.
+    """
+    n = blocks.shape[1]
+    order = np.lexsort((block_cols, block_rows))
+    rows, cols, blocks = block_rows[order], block_cols[order], blocks[order]
+    shared = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    if shared.any():
+        first = np.flatnonzero(np.concatenate(([True], ~shared)))
+        rows, cols, blocks = rows[first], cols[first], np.add.reduceat(blocks, first)
+    per_row = np.bincount(rows, minlength=k_cells)
+    slot = np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]
+    width = int(per_row.max())
+    padded = np.zeros((k_cells, width, n, n))
+    padded[rows, slot] = blocks
+    first_col = np.zeros((k_cells, width), dtype=np.int64)
+    first_col[rows, slot] = cols * n
+    # node row (i, a) holds entry a of each block of block row i in turn
     dim = k_cells * n
-    mat = sp.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim)
-    ).tocsr()
-    mat.eliminate_zeros()
-    return mat
+    data = padded.transpose(0, 2, 1, 3).reshape(dim, width * n)
+    indices = np.broadcast_to(
+        first_col[:, None, :, None] + np.arange(n), (k_cells, n, width, n)
+    ).reshape(dim, width * n)
+    keep = data != 0
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sp.csr_matrix((data[keep], indices[keep], indptr), shape=(dim, dim))
 
 
 def assemble_first_derivative(
@@ -171,29 +194,33 @@ def assemble_first_derivative(
 
     n = elem.n_nodes
     k_cells = mesh.n_cells
+    dim = k_cells * n
     m_diag = np.repeat(0.5 * mesh.widths, n) * np.tile(elem.weights, k_cells)
-    m_sp = sp.diags(m_diag)
+    # Q = M D is the same csr_matmat that a DIA M reaches after converting
+    # itself to this CSR matrix
+    m_csr = sp.csr_matrix((m_diag, np.arange(dim), np.arange(dim + 1)), shape=(dim, dim))
+    q_minus = m_csr @ d_minus
+    q_plus = m_csr @ d_plus
 
     if topology == "bounded":
         lm, l1 = elem.boundary_left, elem.boundary_right
-        dim = k_cells * n
         t_alpha = np.zeros(dim)
         t_alpha[:n] = lm
         t_beta = np.zeros(dim)
         t_beta[-n:] = l1
-        b_glob = sp.lil_matrix((dim, dim))
-        b_glob[:n, :n] = -np.outer(lm, lm)
-        b_glob[-n:, -n:] = np.outer(l1, l1)
-        b_glob = b_glob.tocsr()
-        q_minus = (m_sp @ d_minus - 0.5 * b_glob).tocsr()
-        q_plus = (m_sp @ d_plus - 0.5 * b_glob).tocsr()
+        b_glob = _block_csr(
+            np.array([0, k_cells - 1]),
+            np.array([0, k_cells - 1]),
+            np.stack([-np.outer(lm, lm), np.outer(l1, l1)]),
+            k_cells,
+        )
+        q_minus = q_minus - 0.5 * b_glob
+        q_plus = q_plus - 0.5 * b_glob
     else:
         t_alpha = t_beta = None
         b_glob = None
-        q_minus = (m_sp @ d_minus).tocsr()
-        q_plus = (m_sp @ d_plus).tocsr()
 
-    c = (0.5 * (q_plus - q_minus)).tocsr()
+    c = 0.5 * (q_plus - q_minus)
     c.eliminate_zeros()
 
     return GlobalOperatorSet(
@@ -255,21 +282,21 @@ def second_derivative_from(opset: GlobalOperatorSet) -> SecondDerivativeOperator
     )
 
 
-def _max_abs(mat: sp.spmatrix) -> float:
-    coo = sp.coo_matrix(mat)
-    return float(np.max(np.abs(coo.data))) if coo.nnz else 0.0
+def _max_abs(mat: sp.csr_matrix) -> float:
+    return float(np.max(np.abs(mat.data))) if mat.data.size else 0.0
 
 
-def _max_eig_sym(mat: sp.spmatrix) -> float:
+def _max_eig_sym(mat: sp.csr_matrix, mat_t: sp.csr_matrix | None = None) -> float:
     """Largest eigenvalue of the symmetric part of ``mat``, one component at a time.
 
+    ``mat_t`` is the transpose of ``mat`` in CSR, if the caller has formed it.
     A symmetric matrix is block diagonal over the connected components of its
     sparsity graph, so its spectrum is the union of the components' spectra.
     The components of each size are stacked into one batched ``eigvalsh``. On
     LGL nodes C couples only the two trace nodes of each interface, so its
     components have at most two nodes.
     """
-    sym = sp.coo_matrix(0.5 * (mat + mat.T))
+    sym = sp.coo_matrix(0.5 * (mat + (mat.T if mat_t is None else mat_t)))
     n_comp, labels = csgraph.connected_components(sym, directed=False)
     sizes = np.bincount(labels, minlength=n_comp)
     # position of each node within its component, and of each component
@@ -413,9 +440,12 @@ def verify_axioms(opset: GlobalOperatorSet, tol: float = 1e-10) -> Certification
         acc_pass = accuracy <= tol
         nb_pass = bool(np.min(opset.m_diag) > 0.0 and max(bnd_alpha, bnd_beta) <= tol)
 
-    sbp_residual = _max_abs(opset.Q_plus + opset.Q_minus.T)
-    c_sym = _max_abs(opset.C - opset.C.T)
-    c_eig = _max_eig_sym(opset.C)
+    # each transpose once, in CSR: the sparse sums would convert the CSC
+    # views ``.T`` to exactly these matrices on every use
+    c_t = opset.C.T.tocsr()
+    sbp_residual = _max_abs(opset.Q_plus + opset.Q_minus.T.tocsr())
+    c_sym = _max_abs(opset.C - c_t)
+    c_eig = _max_eig_sym(opset.C, c_t)
 
     return CertificationReport(
         degree=degree,

@@ -1,3 +1,4 @@
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,20 @@ def test_parse_config_malformed_line(tmp_path):
     path.write_text("a 0.1\n")
     with pytest.raises(ConfigError, match=":1"):
         parse_config(path)
+
+
+def test_parse_config_duplicate_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("a = 0.1\nK = 20\na = 0.2\n")
+    with pytest.raises(ConfigError, match="run.cfg:3: duplicate key 'a'"):
+        parse_config(path)
+
+
+def test_run_config_from_text_duplicate_key():
+    text = build_run_config("scan", {}, {}).to_text() + "a = 0.3\n"
+    lineno = len(text.splitlines())
+    with pytest.raises(ConfigError, match=f"^line {lineno}: duplicate key 'a'"):
+        run_config_from_text(text)
 
 
 def test_empty_file_scan_defaults(tmp_path):
@@ -234,6 +249,40 @@ def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
 def test_outputs_match_golden_bytes(tmp_path, argv, name):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# Captured before the operator assembly and the verifier were rewritten:
+# bounded accuracy and boundary rows, nonzero residuals, and K = 320, where
+# the eigenvalue check runs on dim 640 and 1280.
+def test_certification_matches_golden_bytes(tmp_path):
+    argv = ["verify", "--N", "1,3", "--K", "4,320", "--theta", "0,0.5"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    for name in ("certification.csv", "certification.txt"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        verify = ["verify", "--N", "2", "--K", "4,20", "--theta", "0.25"]
+        assert main([*verify, "--out", str(tmp_path / "one")]) == 0
+        assert main(["scan", "--pair", "0.7", "0", "--out", str(tmp_path / "bad")]) == 2
+        assert main([*verify, "--out", str(tmp_path / "two")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    # the top-level parser once; its subparsers come from the same build
+    assert built.count("gsbp") == 1
+    assert len(built) == 1 + len(cli._COMMANDS)
+    for name in ("certification.csv", "certification.txt"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
 def test_config_file_drives_run(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -204,6 +206,21 @@ def test_boundary_operator_structure():
     assert abs(lhs - rhs).max() <= 1e-14
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_cells", [2, 3, 20])
+def test_boundary_operator_matches_lil_reference(degree, n_cells):
+    ops = make_opset(degree, n_cells, 0.25, "bounded")
+    n, dim = ops.elem.n_nodes, ops.dim
+    lm, l1 = ops.elem.boundary_left, ops.elem.boundary_right
+    want = sp.lil_matrix((dim, dim))
+    want[:n, :n] = -np.outer(lm, lm)
+    want[-n:, -n:] = np.outer(l1, l1)
+    want = want.tocsr()
+    assert same_bits(ops.B_glob, want)
+    assert ops.B_glob.indices.dtype == want.indices.dtype
+    assert ops.B_glob.indptr.dtype == want.indptr.dtype
+
+
 # ---------------------------------------------------------------- C matrix
 
 
@@ -224,6 +241,21 @@ def test_negative_theta_flips_sign_and_is_flagged():
     assert report.c_max_eigenvalue > 1e-3
     # the other axioms are untouched by the sign of theta
     assert report.axiom_accuracy_pass and report.axiom_sbp_pass
+
+
+def test_misassembled_operators_are_flagged():
+    # the verifier reads the matrices as given, so one wrong entry of Q+
+    # breaks the SBP relation and the symmetry of C
+    ops = make_opset(2, 4, 0.5, "periodic")
+    q_plus = ops.Q_plus.copy()
+    assert q_plus.indices[0] != 0  # an off-diagonal entry of row 0
+    q_plus.data[0] += 1e-3
+    bad = dataclasses.replace(ops, Q_plus=q_plus, C=0.5 * (q_plus - ops.Q_minus))
+    report = verify_axioms(bad)
+    assert report.sbp_residual == pytest.approx(1e-3, rel=1e-9)
+    assert report.c_symmetry_residual == pytest.approx(5e-4, rel=1e-9)
+    assert not report.axiom_sbp_pass
+    assert not report.axiom_dissipation_pass
 
 
 def dense_max_eig_sym(mat):
