@@ -251,6 +251,24 @@ def test_outputs_match_golden_bytes(tmp_path, argv, name):
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+# Captured before the config keys, the time loop and the energy checks were
+# each given one definition: the bare converge run (decay, with unstable dash
+# rows), a sourced growth study and the bare solve run.
+@pytest.mark.parametrize(
+    "argv,files",
+    [
+        (["converge"], {"convergence.csv": "convergence.csv"}),
+        (["converge", "--solution", "growth", "--order", "3", "--N", "2", "--mu", "0.5",
+          "--K", "20,40", "--pair", "0", "0"], {"convergence.csv": "convergence_growth.csv"}),
+        (["solve"], {"energy.csv": "energy.csv", "solution_t10.csv": "solution_t10.csv"}),
+    ],
+)
+def test_study_outputs_match_golden_bytes(tmp_path, argv, files):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    for name, golden in files.items():
+        assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 # Captured before the operator assembly and the verifier were rewritten:
 # bounded accuracy and boundary rows, nonzero residuals, and K = 320, where
 # the eigenvalue check runs on dim 640 and 1280.

@@ -228,6 +228,29 @@ def test_burgers_demo_blowup_and_stable():
         assert np.all(np.isfinite(res.snapshots[2.0]))
 
 
+def test_burgers_solver_failure_is_blowup_at_failed_step(monkeypatch):
+    # every stage solve of step k fails: the run blows up at that step's
+    # t_next and its energy rows end at step k - 1
+    k, dt, t_final = 7, 0.1, 2.0
+    solves_per_step = int(np.count_nonzero(np.diag(imex.tableau_imex2().a_implicit)))
+    calls = [0]
+    real_solve = imex._StageSolverCache.solve
+
+    def failing(self, tau, rhs):
+        calls[0] += 1
+        if calls[0] > (k - 1) * solves_per_step:
+            raise imex.SolverFailure("injected")
+        return real_solve(self, tau, rhs)
+
+    monkeypatch.setattr(imex._StageSolverCache, "solve", failing)
+    res = run_burgers_demo(0.0, 0.0, [20], dt=dt, t_final=t_final, order=2)[0]
+    assert res.blew_up
+    assert res.blowup_time == list(imex.step_times(dt, t_final))[k - 1][1]
+    assert [row[0] for row in res.energy] == list(range(k))
+    assert res.final_time == res.energy[-1][1]
+    assert not res.snapshots
+
+
 def test_burgers_demo_snapshot_times():
     res = run_burgers_demo(0.0, 0.0, [50], dt=0.1, t_final=1.0, snapshot_times=[0.5, 1.0])[0]
     assert sorted(res.snapshots) == [0.5, 1.0]
