@@ -15,8 +15,6 @@ import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments
 from .imex import SolverFailure, integrate, tableau_by_name
 from .mesh import uniform_mesh
@@ -77,7 +75,6 @@ class RunConfig:
     resolution: float = experiments.DEFAULT_RESOLUTION
     out: str = "out"
     workers: int = 1
-    seed: int = 0
 
     def to_text(self) -> str:
         """Flat key = value serialization; reparsing yields this config."""
@@ -104,7 +101,6 @@ class RunConfig:
         lines.append(f"resolution = {self.resolution!r}")
         lines.append(f"out = {self.out}")
         lines.append(f"workers = {self.workers}")
-        lines.append(f"seed = {self.seed}")
         return "\n".join(lines) + "\n"
 
 
@@ -138,7 +134,6 @@ _KNOWN_KEYS = {
     "resolution",
     "out",
     "workers",
-    "seed",
 }
 
 
@@ -231,7 +226,6 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
     take("solution", lambda k, v: v, "solution")
     take("out", lambda k, v: v, "out")
     take("workers", _parse_int, "workers")
-    take("seed", _parse_int, "seed")
 
     if overrides.get("pairs") is not None:
         updates["pairs"] = overrides["pairs"]
@@ -534,7 +528,6 @@ _COMMANDS = {
 
 def dispatch(cfg: RunConfig) -> int:
     """Run the selected experiment; returns the process exit status."""
-    np.random.seed(cfg.seed)
     return _COMMANDS[cfg.subcommand](cfg)
 
 
@@ -543,7 +536,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--workers", type=int, default=None, help="worker pool size")
     parser.add_argument("--horizon", type=float, default=None, help="scan horizon T")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (property tests)")
     parser.add_argument("--a", type=float, default=None, help="advective velocity")
     parser.add_argument("--c", type=float, default=None, help="diffusion coefficient")
     parser.add_argument("--N", type=str, default=None, help="degrees, comma separated")
@@ -586,7 +578,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         "resolution": args.resolution,
         "out": args.out,
         "workers": args.workers,
-        "seed": args.seed,
     }
 
 

@@ -223,6 +223,14 @@ def test_unparsable_integer_in_config_file_is_a_config_error(tmp_path):
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+def test_seed_key_is_unknown(tmp_path, capsys):
+    # no command draws a random number, so there is nothing to seed
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 0\n")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'seed'" in capsys.readouterr().err
+
+
 def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
     # a ValueError raised inside the numerics is a bug, not a config error
     def broken(cfg):
