@@ -277,6 +277,23 @@ def test_study_outputs_match_golden_bytes(tmp_path, argv, files):
         assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+# Captured once the seed key was dropped, before the config keys were
+# derived from one table; argparse wraps help to $COLUMNS.
+@pytest.mark.parametrize("sub", ["gsbp", *cli._COMMANDS])
+def test_help_matches_golden_bytes(monkeypatch, capsys, sub):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if sub == "gsbp" else [sub, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"help_{sub}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("sub", list(cli._COMMANDS))
+def test_bare_config_text_matches_golden_bytes(sub):
+    text = build_run_config(sub, {}, {}).to_text()
+    assert text.encode() == (GOLDEN / f"to_text_{sub}.txt").read_bytes()
+
+
 # Captured before the operator assembly and the verifier were rewritten:
 # bounded accuracy and boundary rows, nonzero residuals, and K = 320, where
 # the eigenvalue check runs on dim 640 and 1280.
