@@ -21,7 +21,6 @@ from .operators import (
     SecondDerivativeOperator,
     assemble_first_derivative,
     interface_jumps,
-    sat_advection_rhs,
     second_derivative,
     second_derivative_from,
     verify_axioms,
@@ -37,8 +36,7 @@ from .problems import (
     initial_condition,
     l2_error,
     make_split_problem,
-    semidiscretize,
 )
-from .ref_element import ReferenceElement, boundary_vectors, build_lgl, diff_matrix
+from .ref_element import ReferenceElement, build_lgl
 
 __version__ = "0.1.0"

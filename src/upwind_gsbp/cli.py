@@ -12,11 +12,12 @@ import functools
 import math
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import field, make_dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import experiments
-from .imex import SolverFailure, integrate, tableau_by_name
+from .imex import EnergyTrace, SolverFailure, integrate, tableau_by_name
 from .mesh import uniform_mesh
 from .operators import assemble_first_derivative, verify_axioms
 from .problems import (
@@ -53,115 +54,8 @@ class ConfigError(ValueError):
     """Invalid configuration file or parameter domain violation."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    subcommand: str
-    a: float = 0.1
-    c: float = 0.1
-    degrees: tuple[int, ...] = (1, 2, 3)
-    cell_counts: tuple[int, ...] = (20, 40, 80, 160, 320)
-    pairs: tuple[tuple[float, float], ...] = TABLE1_PAIRS
-    thetas: tuple[float, ...] = (0.0, 0.25, 0.5)
-    orders: tuple[int, ...] = (1, 2)
-    horizon: float = 100.0
-    t_final: float | None = None
-    dt: float | None = None
-    mu: float | None = None
-    solution: str = "decay"
-    tau_lo: float = experiments.DEFAULT_TAU_LO
-    tau_cap: float = experiments.DEFAULT_TAU_CAP
-    resolution: float = experiments.DEFAULT_RESOLUTION
-    out: str = "out"
-    workers: int = 1
-
-    def to_text(self) -> str:
-        """Flat key = value serialization; reparsing yields this config."""
-        lines = [f"subcommand = {self.subcommand}"]
-        lines.append(f"a = {self.a!r}")
-        lines.append(f"c = {self.c!r}")
-        lines.append("N = " + ",".join(str(n) for n in self.degrees))
-        lines.append("K = " + ",".join(str(k) for k in self.cell_counts))
-        lines.append(
-            "pairs = " + ";".join(f"{p[0]!r},{p[1]!r}" for p in self.pairs)
-        )
-        lines.append("theta = " + ",".join(repr(t) for t in self.thetas))
-        lines.append("order = " + ",".join(str(o) for o in self.orders))
-        lines.append(f"horizon = {self.horizon!r}")
-        if self.t_final is not None:
-            lines.append(f"T = {self.t_final!r}")
-        if self.dt is not None:
-            lines.append(f"dt = {self.dt!r}")
-        if self.mu is not None:
-            lines.append(f"mu = {self.mu!r}")
-        lines.append(f"solution = {self.solution}")
-        lines.append(f"tau_lo = {self.tau_lo!r}")
-        lines.append(f"tau_cap = {self.tau_cap!r}")
-        lines.append(f"resolution = {self.resolution!r}")
-        lines.append(f"out = {self.out}")
-        lines.append(f"workers = {self.workers}")
-        return "\n".join(lines) + "\n"
-
-
-def run_config_from_text(text: str) -> RunConfig:
-    """Rebuild a RunConfig from its ``to_text`` serialization."""
-    raw = _parse_lines(text)
-    subcommand = raw.pop("subcommand", None)
-    if subcommand not in _COMMANDS:
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
-    return build_run_config(subcommand, raw, {})
-
-
-_KNOWN_KEYS = {
-    "subcommand",
-    "a",
-    "c",
-    "N",
-    "K",
-    "pairs",
-    "theta",
-    "theta_adv",
-    "theta_diff",
-    "order",
-    "horizon",
-    "T",
-    "dt",
-    "mu",
-    "solution",
-    "tau_lo",
-    "tau_cap",
-    "resolution",
-    "out",
-    "workers",
-}
-
-
-def _parse_lines(text: str, source: str | Path | None = None) -> dict[str, str]:
-    """Flat ``key = value`` lines; unknown and duplicate keys are a hard error.
-
-    Messages name ``source:lineno``, or ``line lineno`` for text with no file.
-    """
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        where = f"line {lineno}" if source is None else f"{source}:{lineno}"
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(f"{where}: duplicate key {key!r}")
-        raw[key] = value
-    return raw
-
-
-def parse_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat key = value file; unknown and duplicate keys are a hard error."""
-    return _parse_lines(Path(path).read_text(encoding="utf-8"), path)
+def _parse_text(key: str, value: str) -> str:
+    return value
 
 
 def _parse_float(key: str, value: str) -> float:
@@ -192,6 +86,137 @@ def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as numbers") from exc
 
 
+def _parse_pairs(key: str, value: str) -> tuple[tuple[float, float], ...]:
+    pairs = []
+    for chunk in value.split(";"):
+        parts = _parse_float_list(key, chunk)
+        if len(parts) != 2:
+            raise ConfigError(f"key {key!r}: each pair needs two values, got {chunk!r}")
+        pairs.append((parts[0], parts[1]))
+    return tuple(pairs)
+
+
+def _join(fmt: Callable, sep: str = ",") -> Callable:
+    return lambda values: sep.join(fmt(v) for v in values)
+
+
+class _Key(NamedTuple):
+    """One config key: its file name, RunConfig field, parser, flag and text form."""
+
+    name: str  # in config files and in ``to_text``
+    attr: str  # the RunConfig field
+    default: object
+    parse: Callable  # (name, file text) -> value; also reads the comma-separated flags
+    text: Callable  # value -> its ``to_text`` form; a None value has no line
+    rank: int  # position of the flag in ``--help``
+    flag: str
+    flag_kw: dict  # argparse arguments of the flag: type, help, nargs, metavar, choices
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+def _key(name, attr, default, parse, text, rank, flag, **flag_kw) -> _Key:
+    return _Key(name, attr, default, parse, text, rank, flag, flag_kw)
+
+
+# In ``to_text`` order. A file may also give the single pair as the two keys
+# theta_adv and theta_diff, which have no flag and no field.
+_KEYS = (
+    _key("a", "a", 0.1, _parse_float, repr, 3, "--a", type=float, help="advective velocity"),
+    _key("c", "c", 0.1, _parse_float, repr, 4, "--c", type=float, help="diffusion coefficient"),
+    _key("N", "degrees", (1, 2, 3), _parse_int_list, _join(str), 5,
+         "--N", type=str, help="degrees, comma separated"),
+    _key("K", "cell_counts", (20, 40, 80, 160, 320), _parse_int_list, _join(str), 6,
+         "--K", type=str, help="cell counts, comma separated"),
+    _key("pairs", "pairs", TABLE1_PAIRS, _parse_pairs, _join(_join(repr), ";"), 8,
+         "--pair", type=float, nargs=2, metavar=("THETA_ADV", "THETA_DIFF"),
+         help="flux parameter pair"),
+    _key("theta", "thetas", (0.0, 0.25, 0.5), _parse_float_list, _join(repr), 9,
+         "--theta", type=str, help="thetas for verify"),
+    _key("order", "orders", (1, 2), _parse_int_list, _join(str), 7,
+         "--order", type=str, help="IMEX orders, comma separated"),
+    _key("horizon", "horizon", 100.0, _parse_float, repr, 2,
+         "--horizon", type=float, help="scan horizon T"),
+    _key("T", "t_final", None, _parse_float, repr, 10, "--T", type=float, help="final time"),
+    _key("dt", "dt", None, _parse_float, repr, 11, "--dt", type=float, help="time step"),
+    _key("mu", "mu", None, _parse_float, repr, 12,
+         "--mu", type=float, help="time step rule dt = mu dx"),
+    _key("solution", "solution", "decay", _parse_text, str, 13,
+         "--solution", type=str, choices=("decay", "growth")),
+    _key("tau_lo", "tau_lo", experiments.DEFAULT_TAU_LO, _parse_float, repr, 14,
+         "--tau-lo", type=float, help="scan bracket lower tau"),
+    _key("tau_cap", "tau_cap", experiments.DEFAULT_TAU_CAP, _parse_float, repr, 15,
+         "--tau-cap", type=float, help="scan cap tau"),
+    _key("resolution", "resolution", experiments.DEFAULT_RESOLUTION, _parse_float, repr, 16,
+         "--resolution", type=float, help="scan bisection resolution"),
+    _key("out", "out", "out", _parse_text, str, 0, "--out", type=str, help="output directory"),
+    _key("workers", "workers", 1, _parse_int, str, 1,
+         "--workers", type=int, help="worker pool size"),
+)
+
+_FILE_KEYS = {"subcommand", "theta_adv", "theta_diff", *(key.name for key in _KEYS)}
+
+
+def _to_text(self) -> str:
+    """Flat key = value serialization; reparsing yields this config."""
+    lines = [f"subcommand = {self.subcommand}"]
+    for key in _KEYS:
+        value = getattr(self, key.attr)
+        if value is not None:
+            lines.append(f"{key.name} = {key.text(value)}")
+    return "\n".join(lines) + "\n"
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("subcommand", str)] + [(key.attr, object, field(default=key.default)) for key in _KEYS],
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Validated parameters of one CLI invocation; its fields come from _KEYS.",
+        "to_text": _to_text,
+    },
+)
+
+
+def run_config_from_text(text: str) -> RunConfig:
+    """Rebuild a RunConfig from its ``to_text`` serialization."""
+    raw = _parse_lines(text)
+    subcommand = raw.pop("subcommand", None)
+    if subcommand not in _COMMANDS:
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
+    return build_run_config(subcommand, raw, {})
+
+
+def _parse_lines(text: str, source: str | Path | None = None) -> dict[str, str]:
+    """Flat ``key = value`` lines; unknown and duplicate keys are a hard error.
+
+    Messages name ``source:lineno``, or ``line lineno`` for text with no file.
+    """
+    raw: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        where = f"line {lineno}" if source is None else f"{source}:{lineno}"
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in _FILE_KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        raw[key] = value
+    return raw
+
+
+def parse_config(path: str | Path) -> dict[str, str]:
+    """Parse a flat key = value file; unknown and duplicate keys are a hard error."""
+    return _parse_lines(Path(path).read_text(encoding="utf-8"), path)
+
+
 def _check_theta(key: str, value: float) -> float:
     if not -0.5 <= value <= 0.5:
         raise ConfigError(f"key {key!r}: theta must lie in [-1/2, 1/2], got {value}")
@@ -199,45 +224,17 @@ def _check_theta(key: str, value: float) -> float:
 
 
 def build_run_config(subcommand: str, file_values: dict[str, str], overrides: dict) -> RunConfig:
-    """Merge defaults, config-file values and flag overrides, then validate."""
-    cfg = RunConfig(subcommand=subcommand)
+    """Merge defaults, config-file values and flag overrides, then validate.
 
+    ``overrides`` maps RunConfig fields to flag values; None means unset.
+    """
     updates: dict = {}
-
-    def take(key: str, parse, attr: str):
-        if overrides.get(attr) is not None:
-            updates[attr] = overrides[attr]
-        elif key in file_values:
-            updates[attr] = parse(key, file_values[key])
-
-    take("a", _parse_float, "a")
-    take("c", _parse_float, "c")
-    take("N", _parse_int_list, "degrees")
-    take("K", _parse_int_list, "cell_counts")
-    take("order", _parse_int_list, "orders")
-    take("theta", _parse_float_list, "thetas")
-    take("horizon", _parse_float, "horizon")
-    take("T", _parse_float, "t_final")
-    take("dt", _parse_float, "dt")
-    take("mu", _parse_float, "mu")
-    take("tau_lo", _parse_float, "tau_lo")
-    take("tau_cap", _parse_float, "tau_cap")
-    take("resolution", _parse_float, "resolution")
-    take("solution", lambda k, v: v, "solution")
-    take("out", lambda k, v: v, "out")
-    take("workers", _parse_int, "workers")
-
-    if overrides.get("pairs") is not None:
-        updates["pairs"] = overrides["pairs"]
-    elif "pairs" in file_values:
-        pairs = []
-        for chunk in file_values["pairs"].split(";"):
-            parts = _parse_float_list("pairs", chunk)
-            if len(parts) != 2:
-                raise ConfigError(f"key 'pairs': each pair needs two values, got {chunk!r}")
-            pairs.append((parts[0], parts[1]))
-        updates["pairs"] = tuple(pairs)
-    elif "theta_adv" in file_values or "theta_diff" in file_values:
+    for key in _KEYS:
+        if overrides.get(key.attr) is not None:
+            updates[key.attr] = overrides[key.attr]
+        elif key.name in file_values:
+            updates[key.attr] = key.parse(key.name, file_values[key.name])
+    if "pairs" not in updates and ("theta_adv" in file_values or "theta_diff" in file_values):
         if not ("theta_adv" in file_values and "theta_diff" in file_values):
             raise ConfigError("theta_adv and theta_diff must be given together")
         updates["pairs"] = (
@@ -270,7 +267,7 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
         if attr not in updates:
             updates[attr] = value
 
-    cfg = replace(cfg, **updates)
+    cfg = RunConfig(subcommand, **updates)
 
     if cfg.a <= 0:
         raise ConfigError(f"key 'a': advective velocity must be > 0, got {cfg.a}")
@@ -310,7 +307,7 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
         raise ConfigError(f"key 'workers': must be >= 1, got {cfg.workers}")
     if cfg.solution not in ("decay", "growth"):
         raise ConfigError(f"key 'solution': must be decay or growth, got {cfg.solution!r}")
-    if cfg.solution == "growth" and overrides.get("a") is None and "a" not in file_values:
+    if cfg.solution == "growth" and "a" not in updates:
         cfg = replace(cfg, a=1.0)
     elif cfg.solution == "growth" and cfg.a != 1.0:
         raise ConfigError("the growth solution requires a = 1")
@@ -322,16 +319,20 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_snapshot(path: Path, nodes, u) -> None:
+    _write_lines(path, ["x,u"] + [f"{x:.12e},{v:.12e}" for x, v in zip(nodes, u)])
+
+
 def _cmd_verify(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     rows = []
     texts = []
     failed = 0
+    meshes = [uniform_mesh(-math.pi, math.pi, n_cells) for n_cells in cfg.cell_counts]
     for degree in cfg.degrees:
-        for n_cells in cfg.cell_counts:
+        elem = build_lgl(degree)
+        for n_cells, msh in zip(cfg.cell_counts, meshes):
             for theta in cfg.thetas:
-                elem = build_lgl(degree)
-                msh = uniform_mesh(-math.pi, math.pi, n_cells)
                 bounded = assemble_first_derivative(elem, msh, theta, "bounded")
                 periodic = assemble_first_derivative(elem, msh, theta, "periodic")
                 combo_ok = True
@@ -365,25 +366,15 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_scan(cfg: RunConfig) -> int:
     out = Path(cfg.out)
-    scan_cfgs = []
-    for order in cfg.orders:
-        for degree in cfg.degrees:
-            for n_cells in cfg.cell_counts:
-                for theta_adv, theta_diff in cfg.pairs:
-                    scan_cfgs.append(
-                        experiments.ScanConfig(
-                            order=order,
-                            cfg=AdvDiffConfig(
-                                a=cfg.a,
-                                c=cfg.c,
-                                theta_adv=theta_adv,
-                                theta_diff=theta_diff,
-                                degree=degree,
-                                n_cells=n_cells,
-                            ),
-                            horizon=cfg.horizon,
-                        )
-                    )
+    scan_cfgs = [
+        experiments.ScanConfig(
+            order, AdvDiffConfig(cfg.a, cfg.c, *pair, degree, n_cells), cfg.horizon
+        )
+        for order in cfg.orders
+        for degree in cfg.degrees
+        for n_cells in cfg.cell_counts
+        for pair in cfg.pairs
+    ]
 
     scale = cfg.c / cfg.a**2
 
@@ -415,14 +406,7 @@ def _cmd_converge(cfg: RunConfig) -> int:
     degree = cfg.degrees[0]
     blocks = []
     for theta_adv, theta_diff in cfg.pairs:
-        base = AdvDiffConfig(
-            a=cfg.a,
-            c=cfg.c,
-            theta_adv=theta_adv,
-            theta_diff=theta_diff,
-            degree=degree,
-            n_cells=cfg.cell_counts[0],
-        )
+        base = AdvDiffConfig(cfg.a, cfg.c, theta_adv, theta_diff, degree, cfg.cell_counts[0])
         rows = experiments.run_convergence(
             base, order, mu, cfg.cell_counts, t_final, cfg.solution
         )
@@ -442,17 +426,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
     order = cfg.orders[0]
     degree = cfg.degrees[0]
     n_cells = cfg.cell_counts[0]
-    theta_adv, theta_diff = cfg.pairs[0]
     t_final = cfg.t_final if cfg.t_final is not None else 10.0
-    adv_cfg = AdvDiffConfig(
-        a=cfg.a,
-        c=cfg.c,
-        theta_adv=theta_adv,
-        theta_diff=theta_diff,
-        degree=degree,
-        n_cells=n_cells,
-    )
-    disc = discretize(adv_cfg)
+    disc = discretize(AdvDiffConfig(cfg.a, cfg.c, *cfg.pairs[0], degree, n_cells))
     if cfg.solution == "growth":
         solution = growth_solution(cfg.c)
         problem = make_split_problem(disc, solution.source)
@@ -467,10 +442,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     tableau = tableau_by_name(order)
     u_final, trace = integrate(tableau, problem, u0, dt, t_final)
     error = l2_error(u_final, solution, t_final, disc.nodes, disc.m_diag)
-    snapshot = ["x,u"] + [
-        f"{x:.12e},{u:.12e}" for x, u in zip(disc.nodes, u_final)
-    ]
-    _write_lines(out / f"solution_t{t_final:g}.csv", snapshot)
+    _write_snapshot(out / f"solution_t{t_final:g}.csv", disc.nodes, u_final)
     trace.to_csv(out / "energy.csv")
     print(f"solve: K={n_cells} N={degree} dt={dt:g} T={t_final:g} l2_error={error:.6e}")
     return EXIT_OK
@@ -491,18 +463,13 @@ def _cmd_burgers(cfg: RunConfig) -> int:
         degree=cfg.degrees[0],
         order=cfg.orders[0],
     )
+    out.mkdir(parents=True, exist_ok=True)
     summary = ["K,theta_adv,theta_diff,outcome,time"]
     for res in results:
         tag = f"K{res.n_cells}"
         for t_snap, u_snap in sorted(res.snapshots.items()):
-            lines = ["x,u"] + [
-                f"{x:.12e},{u:.12e}" for x, u in zip(res.nodes, u_snap)
-            ]
-            _write_lines(out / f"burgers_{tag}_t{t_snap:g}.csv", lines)
-        energy_lines = ["step,t,energy"] + [
-            f"{k},{t:.12e},{e:.12e}" for k, t, e in res.energy
-        ]
-        _write_lines(out / f"burgers_energy_{tag}.csv", energy_lines)
+            _write_snapshot(out / f"burgers_{tag}_t{t_snap:g}.csv", res.nodes, u_snap)
+        EnergyTrace(res.energy).to_csv(out / f"burgers_energy_{tag}.csv")
         if res.blew_up:
             summary.append(
                 f"{res.n_cells},{theta_adv:g},{theta_diff:g},blowup,{res.blowup_time:.6e}"
@@ -531,54 +498,20 @@ def dispatch(cfg: RunConfig) -> int:
     return _COMMANDS[cfg.subcommand](cfg)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=str, default=None, help="flat key = value file")
-    parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--workers", type=int, default=None, help="worker pool size")
-    parser.add_argument("--horizon", type=float, default=None, help="scan horizon T")
-    parser.add_argument("--a", type=float, default=None, help="advective velocity")
-    parser.add_argument("--c", type=float, default=None, help="diffusion coefficient")
-    parser.add_argument("--N", type=str, default=None, help="degrees, comma separated")
-    parser.add_argument("--K", type=str, default=None, help="cell counts, comma separated")
-    parser.add_argument("--order", type=str, default=None, help="IMEX orders, comma separated")
-    parser.add_argument(
-        "--pair",
-        type=float,
-        nargs=2,
-        metavar=("THETA_ADV", "THETA_DIFF"),
-        default=None,
-        help="flux parameter pair",
-    )
-    parser.add_argument("--theta", type=str, default=None, help="thetas for verify")
-    parser.add_argument("--T", type=float, default=None, help="final time")
-    parser.add_argument("--dt", type=float, default=None, help="time step")
-    parser.add_argument("--mu", type=float, default=None, help="time step rule dt = mu dx")
-    parser.add_argument("--solution", type=str, default=None, choices=("decay", "growth"))
-    parser.add_argument("--tau-lo", type=float, default=None, help="scan bracket lower tau")
-    parser.add_argument("--tau-cap", type=float, default=None, help="scan cap tau")
-    parser.add_argument("--resolution", type=float, default=None, help="scan bisection resolution")
+def _flag_value(key: _Key, value):
+    """The RunConfig value a parsed flag gives, or None when it gives none."""
+    if isinstance(value, list):  # --pair THETA_ADV THETA_DIFF: one pair
+        return (tuple(value),)
+    if isinstance(value, str) and key.parse is not _parse_text:  # a comma-separated list
+        return key.parse(key.name, value) if value else None
+    return value
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    return {
-        "a": args.a,
-        "c": args.c,
-        "degrees": _parse_int_list("N", args.N) if args.N else None,
-        "cell_counts": _parse_int_list("K", args.K) if args.K else None,
-        "orders": _parse_int_list("order", args.order) if args.order else None,
-        "thetas": _parse_float_list("theta", args.theta) if args.theta else None,
-        "pairs": ((args.pair[0], args.pair[1]),) if args.pair else None,
-        "horizon": args.horizon,
-        "t_final": args.T,
-        "dt": args.dt,
-        "mu": args.mu,
-        "solution": args.solution,
-        "tau_lo": args.tau_lo,
-        "tau_cap": args.tau_cap,
-        "resolution": args.resolution,
-        "out": args.out,
-        "workers": args.workers,
-    }
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of parsed arguments: defaults, then ``--config``, then flags."""
+    file_values = parse_config(args.config) if args.config else {}
+    overrides = {key.attr: _flag_value(key, getattr(args, key.dest)) for key in _KEYS}
+    return build_run_config(args.subcommand, file_values, overrides)
 
 
 @functools.cache
@@ -599,16 +532,16 @@ def _parser() -> argparse.ArgumentParser:
         ("burgers", "viscous Burgers stability demonstration"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
+        p.add_argument("--config", type=str, default=None, help="flat key = value file")
+        for key in sorted(_KEYS, key=lambda key: key.rank):
+            p.add_argument(key.flag, default=None, **key.flag_kw)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        file_values = parse_config(args.config) if args.config else {}
-        cfg = build_run_config(args.subcommand, file_values, _overrides_from_args(args))
-        return dispatch(cfg)
+        return dispatch(_config_from_args(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,14 +12,15 @@ L2 errors and experimental orders.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .fourier import FourierEngine
-from .imex import SolverFailure, Stepper, integrate, step_times, tableau_by_name
+from .imex import SolverFailure, integrate, step_times, tableau_by_name
 from .mesh import physical_nodes, uniform_mesh
 from .problems import (
     AdvDiffConfig,
@@ -38,7 +39,7 @@ __all__ = [
     "StabilityScanResult",
     "ConvergenceRow",
     "BurgersRunResult",
-    "is_stable",
+    "EnergyMonitor",
     "max_stable_dt",
     "scan_many",
     "run_convergence",
@@ -65,8 +66,51 @@ TAU_FLOOR = 1e-8
 # a sourced run is declared unstable once its energy exceeds this multiple
 # of the initial energy (the solution itself grows only modestly)
 BLOWUP_FACTOR = 1e12
+# a Burgers run blows up once its energy exceeds this multiple of the initial
+# energy
+BURGERS_BLOWUP_FACTOR = 1e3
 
 STABLE, UNSTABLE, SOLVER_FAILURE = "stable", "unstable", "solver_failure"
+
+
+class EnergyMonitor:
+    """``integrate`` observer that halts the run at the first growth of the energy.
+
+    With ``growth_rtol`` the energy (u, u)_M grows when it exceeds the previous
+    step's by more than that relative slack, starting from ``reference``; with
+    ``blowup_factor`` when it exceeds that multiple of ``reference``. A
+    non-finite energy always counts as growth. ``first_growth`` is the step
+    where the energy grew (None while it has not) and ``growth_ratio`` the
+    energy there over the one it was compared with.
+    """
+
+    def __init__(
+        self,
+        reference: float,
+        *,
+        growth_rtol: Optional[float] = None,
+        blowup_factor: Optional[float] = None,
+    ):
+        if (growth_rtol is None) == (blowup_factor is None):
+            raise ValueError("give exactly one of growth_rtol and blowup_factor")
+        self.base = reference
+        self.factor = blowup_factor if growth_rtol is None else 1.0 + growth_rtol
+        self.tracks_previous = growth_rtol is not None
+        self.first_growth: Optional[int] = None
+        self.growth_ratio: Optional[float] = None
+
+    @property
+    def grew(self) -> bool:
+        return self.first_growth is not None
+
+    def __call__(self, k: int, t: float, energy: float) -> bool:
+        if not math.isfinite(energy) or energy > self.base * self.factor:
+            self.first_growth = k
+            self.growth_ratio = energy / self.base if self.base else math.inf
+            return True
+        if self.tracks_previous:
+            self.base = energy
+        return False
 
 
 @dataclass(frozen=True)
@@ -129,30 +173,16 @@ class _ProbeContext:
         )
 
     def probe(self, dt: float) -> str:
-        grew = [False]
-        prev = [self.problem.energy(self.u0)]
-
-        def observer(k, t, energy):
-            if not np.isfinite(energy) or energy > prev[0] * (1.0 + ENERGY_GROWTH_RTOL):
-                grew[0] = True
-                return True
-            prev[0] = energy
-
+        """STABLE iff the decay-problem energy is non-increasing at every step."""
+        monitor = EnergyMonitor(self.problem.energy(self.u0), growth_rtol=ENERGY_GROWTH_RTOL)
         horizon = self.scan_cfg.horizon
         try:
             fourier = self.fourier.problem(t_next - t for t, t_next in step_times(dt, horizon))
             problem = fourier if fourier.certified else self.problem
-            integrate(self.tableau, problem, self.u0, dt, horizon, observer=observer)
+            integrate(self.tableau, problem, self.u0, dt, horizon, observer=monitor)
         except SolverFailure:
             return SOLVER_FAILURE
-        return UNSTABLE if grew[0] else STABLE
-
-
-def is_stable(scan_cfg: ScanConfig, dt: float) -> bool:
-    """True iff the decay-problem energy is non-increasing at every step."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    return _ProbeContext(scan_cfg).probe(dt) == STABLE
+        return UNSTABLE if monitor.grew else STABLE
 
 
 def max_stable_dt(
@@ -240,17 +270,11 @@ def scan_many(
     """Run independent scans, merging results in input order."""
     jobs = [(cfg, bracket, resolution, extend_lower) for cfg in scan_cfgs]
     results: list[StabilityScanResult] = []
-    if workers <= 1:
-        for i, job in enumerate(jobs):
-            results.append(_scan_job(job))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for res in (pool.map if pool else map)(_scan_job, jobs):
+            results.append(res)
             if progress is not None:
-                progress(i + 1, len(jobs), results[-1])
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, res in enumerate(pool.map(_scan_job, jobs)):
-                results.append(res)
-                if progress is not None:
-                    progress(i + 1, len(jobs), res)
+                progress(len(results), len(jobs), res)
     return results
 
 
@@ -289,11 +313,13 @@ def run_convergence(
     if solution_kind == "decay":
         solution = decay_solution(base_cfg.a, base_cfg.c)
         source = None
+        monitor_for = lambda e0: EnergyMonitor(e0, growth_rtol=ENERGY_GROWTH_RTOL)
     elif solution_kind == "growth":
         if base_cfg.a != 1.0:
             raise ValueError("the growth solution is defined for a = 1")
         solution = growth_solution(base_cfg.c)
         source = solution.source
+        monitor_for = lambda e0: EnergyMonitor(max(e0, 1.0), blowup_factor=BLOWUP_FACTOR)
     else:
         raise ValueError(f"unknown solution kind {solution_kind!r}")
 
@@ -305,45 +331,22 @@ def run_convergence(
         problem = make_split_problem(disc, source)
         u0 = initial_condition(solution, disc.mesh, disc.elem)
         dt = mu * disc.dx_max
-        e0 = problem.energy(u0)
-        bad = [False]
-        prev = [e0]
-
-        if solution_kind == "decay":
-
-            def observer(k, t, energy):
-                if not np.isfinite(energy) or energy > prev[0] * (
-                    1.0 + ENERGY_GROWTH_RTOL
-                ):
-                    bad[0] = True
-                    return True
-                prev[0] = energy
-
-        else:
-
-            def observer(k, t, energy):
-                if not np.isfinite(energy) or energy > BLOWUP_FACTOR * max(e0, 1.0):
-                    bad[0] = True
-                    return True
-
+        monitor = monitor_for(problem.energy(u0))
+        try:
+            u_final, _ = integrate(tableau, problem, u0, dt, t_final, observer=monitor)
+            unstable = monitor.grew
+        except SolverFailure:
+            unstable = True
         error: Optional[float] = None
-        if t_final > 0:
-            try:
-                u_final, _ = integrate(tableau, problem, u0, dt, t_final, observer=observer)
-            except SolverFailure:
-                bad[0] = True
-        else:
-            u_final = u0
-        if not bad[0]:
+        if not unstable:
             error = l2_error(u_final, solution, t_final, disc.nodes, disc.m_diag)
             if not np.isfinite(error):
-                error = None
-                bad[0] = True
+                error, unstable = None, True
 
         eoc = None
         if error is not None and prev_error is not None and error > 0:
             eoc = math.log2(prev_error / error)
-        rows.append(ConvergenceRow(n_cells, error, eoc, unstable=bad[0]))
+        rows.append(ConvergenceRow(n_cells, error, eoc, unstable=unstable))
         prev_error = error
     return rows
 
@@ -375,59 +378,48 @@ def run_burgers_demo(
     c: float = 0.1,
     degree: int = 2,
     order: int = 2,
-    snapshot_times: Optional[Iterable[float]] = None,
-    blowup_factor: float = 1e3,
 ) -> list[BurgersRunResult]:
     """Integrate sin(x) initial data on (-pi, pi) for each cell count.
 
-    Blow-up (energy above ``blowup_factor`` times the initial energy, or
-    non-finite values) halts the run and is recorded with its time.
+    Blow-up halts the run and is recorded with its time: energy above
+    BURGERS_BLOWUP_FACTOR times the initial energy or non-finite values at
+    the step that shows them, a failed stage solve at the end of the failed
+    step. A completed run that took a step keeps its state at t_final.
     """
     tableau = tableau_by_name(order)
-    wanted = sorted(set(snapshot_times)) if snapshot_times else [t_final]
     results = []
     for n_cells in cell_counts:
         elem = build_lgl(degree)
         msh = uniform_mesh(-math.pi, math.pi, n_cells)
         problem = burgers_rhs(elem, msh, theta_adv, theta_diff, c)
         nodes = physical_nodes(msh, elem)
-        u = np.sin(nodes)
-        e0 = problem.energy(u)
-
-        stepper = Stepper(tableau, problem)
-        snapshots: dict[float, np.ndarray] = {}
+        u0 = np.sin(nodes)
+        e0 = problem.energy(u0)
+        monitor = EnergyMonitor(e0, blowup_factor=BURGERS_BLOWUP_FACTOR)
+        # kept here, not from the returned trace, so a failed solve keeps them
         energy_rows = [(0, 0.0, e0)]
-        blowup_time = None
-        t = 0.0
-        k = 0
-        pending = list(wanted)
-        tol = 1e-12 * max(dt, t_final)
-        while t < t_final - tol:
-            t_next = min((k + 1) * dt, t_final)
-            try:
-                u = stepper.advance(u, t_next - t, t)
-            except SolverFailure:
-                blowup_time = t_next
-                break
-            k += 1
-            t = t_next
-            energy = problem.energy(u)
-            energy_rows.append((k, t, energy))
-            if not np.isfinite(energy) or energy > blowup_factor * e0:
-                blowup_time = t
-                break
-            while pending and t >= pending[0] - tol:
-                snapshots[pending.pop(0)] = u.copy()
 
+        def observer(k, t, energy):
+            energy_rows.append((k, t, energy))
+            return monitor(k, t, energy)
+
+        blowup_time = None
+        try:
+            u, _ = integrate(tableau, problem, u0, dt, t_final, observer=observer)
+        except SolverFailure:
+            blowup_time = list(step_times(dt, t_final))[len(energy_rows) - 1][1]
+        if monitor.grew:
+            blowup_time = energy_rows[-1][1]
+        completed = blowup_time is None and len(energy_rows) > 1
         results.append(
             BurgersRunResult(
                 n_cells=n_cells,
                 theta_adv=theta_adv,
                 theta_diff=theta_diff,
                 blowup_time=blowup_time,
-                final_time=t,
+                final_time=energy_rows[-1][1],
                 nodes=nodes,
-                snapshots=snapshots,
+                snapshots={t_final: u} if completed else {},
                 energy=energy_rows,
             )
         )

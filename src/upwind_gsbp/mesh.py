@@ -13,10 +13,7 @@ __all__ = ["Mesh1D", "uniform_mesh", "physical_nodes"]
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Partition of (x_a, x_b) into K cells of positive widths.
-
-    The quasi-uniformity ratio min(widths)/max(widths) is exposed as ``rho``.
-    """
+    """Partition of (x_a, x_b) into K cells of positive widths."""
 
     x_a: float
     x_b: float
@@ -41,10 +38,6 @@ class Mesh1D:
     @property
     def n_cells(self) -> int:
         return self.widths.size
-
-    @property
-    def rho(self) -> float:
-        return float(np.min(self.widths) / np.max(self.widths))
 
 
 def uniform_mesh(x_a: float, x_b: float, n_cells: int) -> Mesh1D:

@@ -40,7 +40,6 @@ __all__ = [
     "second_derivative",
     "second_derivative_from",
     "verify_axioms",
-    "sat_advection_rhs",
     "interface_jumps",
 ]
 
@@ -465,24 +464,3 @@ def verify_axioms(opset: GlobalOperatorSet, tol: float = 1e-10) -> Certification
         axiom_sbp_pass=sbp_residual <= tol,
         axiom_dissipation_pass=bool(c_sym <= tol and c_eig <= tol),
     )
-
-
-def sat_advection_rhs(opset: GlobalOperatorSet, a: float, sigma: float) -> sp.csr_matrix:
-    """Advection right-hand side -a D- + sigma M^{-1} t_alpha t_alpha^T.
-
-    Weakly enforces the inflow boundary condition through a penalty of
-    strength sigma; sigma <= -a/2 makes the boundary-augmented symmetric part
-    M R + R^T M + a t_beta t_beta^T negative semi-definite.
-    """
-    if opset.topology != "bounded":
-        raise ValueError("SAT boundary treatment requires the bounded topology")
-    if a <= 0:
-        raise ValueError("advective velocity must be positive")
-    # t_alpha is supported on the first cell only
-    n = opset.elem.n_nodes
-    block = np.outer(opset.t_alpha[:n] / opset.m_diag[:n], opset.t_alpha[:n])
-    penalty = sp.coo_matrix(
-        (block.ravel(), (np.repeat(np.arange(n), n), np.tile(np.arange(n), n))),
-        shape=(opset.dim, opset.dim),
-    ).tocsr()
-    return (-a * opset.D_minus + sigma * penalty).tocsr()

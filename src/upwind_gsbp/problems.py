@@ -35,7 +35,6 @@ __all__ = [
     "decay_solution",
     "growth_solution",
     "discretize",
-    "semidiscretize",
     "make_split_problem",
     "initial_condition",
     "l2_error",
@@ -168,14 +167,6 @@ def make_split_problem(
         l_implicit=(cfg.c * disc.d2op.D2).tocsr(),
         m_diag=disc.m_diag,
     )
-
-
-def semidiscretize(
-    cfg: AdvDiffConfig,
-    source: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
-) -> ImexSplitProblem:
-    """Assemble operators and return the IMEX split problem."""
-    return make_split_problem(discretize(cfg), source)
 
 
 def initial_condition(

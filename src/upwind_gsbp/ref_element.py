@@ -23,8 +23,6 @@ MAX_DEGREE = 16
 __all__ = [
     "ReferenceElement",
     "build_lgl",
-    "diff_matrix",
-    "boundary_vectors",
     "lagrange_basis_at",
 ]
 
@@ -143,13 +141,3 @@ def build_lgl(degree: int) -> ReferenceElement:
         boundary_left=lagrange_basis_at(nodes, -1.0),
         boundary_right=lagrange_basis_at(nodes, 1.0),
     )
-
-
-def diff_matrix(elem: ReferenceElement) -> np.ndarray:
-    """Differentiation matrix D with D[j, k] = L_k'(nodes[j])."""
-    return elem.diff
-
-
-def boundary_vectors(elem: ReferenceElement) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary interpolation vectors (L(-1), L(1))."""
-    return elem.boundary_left, elem.boundary_right

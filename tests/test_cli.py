@@ -107,6 +107,40 @@ def test_run_config_roundtrip_defaults():
         assert run_config_from_text(cfg.to_text()) == cfg
 
 
+# a non-default value of every config key: (file text, flag arguments)
+KEY_SAMPLES = {
+    "a": ("0.2", ["0.2"]),
+    "c": ("0.05", ["0.05"]),
+    "N": ("2,3", ["2,3"]),
+    "K": ("8,16", ["8,16"]),
+    "pairs": ("0.25,0", ["0.25", "0"]),
+    "theta": ("0.5,-0.25", ["0.5,-0.25"]),
+    "order": ("3", ["3"]),
+    "horizon": ("12.5", ["12.5"]),
+    "T": ("1.5", ["1.5"]),
+    "dt": ("0.01", ["0.01"]),
+    "mu": ("2", ["2"]),
+    "solution": ("growth", ["growth"]),
+    "tau_lo": ("0.125", ["0.125"]),
+    "tau_cap": ("64", ["64"]),
+    "resolution": ("0.01", ["0.01"]),
+    "out": ("elsewhere", ["elsewhere"]),
+    "workers": ("2", ["2"]),
+}
+
+
+@pytest.mark.parametrize("key", cli._KEYS, ids=lambda key: key.name)
+def test_key_in_file_equals_key_as_flag(tmp_path, key):
+    assert set(KEY_SAMPLES) == {k.name for k in cli._KEYS}
+    text, values = KEY_SAMPLES[key.name]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key.name} = {text}\n")
+    from_file = cli._config_from_args(cli._parser().parse_args(["scan", "--config", str(path)]))
+    from_flag = cli._config_from_args(cli._parser().parse_args(["scan", key.flag, *values]))
+    assert from_file == from_flag
+    assert getattr(from_file, key.attr) != key.default
+
+
 # -------------------------------------------------------------- subcommands
 
 

@@ -6,7 +6,6 @@ from upwind_gsbp.experiments import (
     ConvergenceRow,
     ScanConfig,
     convergence_csv_lines,
-    is_stable,
     max_stable_dt,
     run_burgers_demo,
     run_convergence,
@@ -24,7 +23,12 @@ def scan_cfg(order, theta_adv, theta_diff, degree=1, n_cells=20, a=0.1, c=0.1, h
     )
 
 
-# ---------------------------------------------------------------- is_stable
+# ------------------------------------------------------------------ probes
+
+
+def is_stable(scan_cfg, dt):
+    """Verdict of one scan probe: the energy is non-increasing at every step."""
+    return experiments._ProbeContext(scan_cfg).probe(dt) == experiments.STABLE
 
 
 def test_theory_floor_is_stable():
@@ -47,9 +51,44 @@ def test_incompatible_pair_probes_bracket_threshold():
     assert not is_stable(cfg40, 2.0 * cfg40.dt_scale)
 
 
-def test_is_stable_rejects_nonpositive_dt():
+# ---------------------------------------------------------- energy monitor
+
+
+def test_energy_monitor_growth_slack_follows_previous_step():
+    monitor = experiments.EnergyMonitor(4.0, growth_rtol=0.5)
+    assert monitor(1, 0.1, 5.0) is False  # 5 <= 4 * 1.5
+    assert monitor(2, 0.2, 3.0) is False
+    assert not monitor.grew and monitor.growth_ratio is None
+    assert monitor(3, 0.3, 4.8) is True  # 4.8 > 3 * 1.5: above the slack over step 2
+    assert monitor.grew
+    assert monitor.first_growth == 3
+    assert monitor.growth_ratio == pytest.approx(1.6, rel=1e-15)
+
+
+def test_energy_monitor_blowup_factor_is_fixed():
+    monitor = experiments.EnergyMonitor(2.0, blowup_factor=10.0)
+    for k, energy in enumerate([5.0, 15.0, 20.0], start=1):
+        assert monitor(k, 0.1 * k, energy) is False  # growth, but not above 10 * 2
+    assert not monitor.grew
+    assert monitor(4, 0.4, 30.0) is True
+    assert monitor.first_growth == 4
+    assert monitor.growth_ratio == 15.0
+
+
+@pytest.mark.parametrize("mode", [{"growth_rtol": 1e-12}, {"blowup_factor": 1e3}])
+def test_energy_monitor_non_finite_energy_is_growth(mode):
+    monitor = experiments.EnergyMonitor(1.0, **mode)
+    assert monitor(1, 0.1, 0.5) is False
+    assert monitor(2, 0.2, float("inf")) is True
+    assert monitor.first_growth == 2
+    assert monitor.growth_ratio == float("inf")
+
+
+def test_energy_monitor_needs_exactly_one_mode():
     with pytest.raises(ValueError):
-        is_stable(scan_cfg(1, 0.0, 0.0), 0.0)
+        experiments.EnergyMonitor(1.0)
+    with pytest.raises(ValueError):
+        experiments.EnergyMonitor(1.0, growth_rtol=1e-12, blowup_factor=1e3)
 
 
 # ------------------------------------------------------------ max_stable_dt
@@ -249,13 +288,6 @@ def test_burgers_solver_failure_is_blowup_at_failed_step(monkeypatch):
     assert [row[0] for row in res.energy] == list(range(k))
     assert res.final_time == res.energy[-1][1]
     assert not res.snapshots
-
-
-def test_burgers_demo_snapshot_times():
-    res = run_burgers_demo(0.0, 0.0, [50], dt=0.1, t_final=1.0, snapshot_times=[0.5, 1.0])[0]
-    assert sorted(res.snapshots) == [0.5, 1.0]
-    energies = np.array([row[2] for row in res.energy])
-    assert np.all(np.isfinite(energies))
 
 
 def test_burgers_demo_diffusion_dominated_is_monotone():

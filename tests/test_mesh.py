@@ -9,7 +9,6 @@ def test_uniform_widths():
     mesh = uniform_mesh(-np.pi, np.pi, 20)
     np.testing.assert_allclose(mesh.widths, np.pi / 10, rtol=1e-15)
     assert abs(np.sum(mesh.widths) - 2 * np.pi) <= 1e-12 * 2 * np.pi
-    assert mesh.rho == 1.0
 
 
 def test_two_cell_mesh():
@@ -56,9 +55,8 @@ def test_shift_invariance_exact_for_dyadic_data():
     np.testing.assert_array_equal(shifted, base + 1.0)
 
 
-def test_nonuniform_mesh_rho():
+def test_nonuniform_mesh_cell_count():
     mesh = Mesh1D(0.0, 1.0, np.array([0.25, 0.5, 0.25]))
-    assert mesh.rho == 0.5
     assert mesh.n_cells == 3
 
 

@@ -9,7 +9,6 @@ from upwind_gsbp.operators import (
     _max_eig_sym,
     assemble_first_derivative,
     interface_jumps,
-    sat_advection_rhs,
     second_derivative,
     second_derivative_from,
     verify_axioms,
@@ -407,42 +406,6 @@ def test_random_quadratic_form_sign():
     for _ in range(25):
         u = rng.standard_normal(ops.dim)
         assert u @ (ops.C @ u) <= 1e-12 * (u @ u)
-
-
-# -------------------------------------------------------------------- SAT
-
-
-def sat_symmetrized_form(ops, a, sigma):
-    r = sat_advection_rhs(ops, a, sigma)
-    m = sp.diags(ops.m_diag)
-    boundary = sp.csr_matrix(np.outer(ops.t_beta, ops.t_beta))
-    s = (m @ r + r.T @ m + a * boundary).toarray()
-    return np.linalg.eigvalsh(0.5 * (s + s.T))
-
-
-@pytest.mark.parametrize("theta", [0.0, 0.5])
-def test_sat_energy_stable_at_half_penalty(theta):
-    ops = make_opset(1, 4, theta, "bounded")
-    eigs = sat_symmetrized_form(ops, a=0.1, sigma=-0.05)
-    assert eigs[-1] <= 1e-10
-
-
-def test_sat_unpenalized_is_indefinite():
-    ops = make_opset(1, 4, 0.0, "bounded")
-    eigs = sat_symmetrized_form(ops, a=0.1, sigma=0.0)
-    assert eigs[-1] > 1e-6
-
-
-def test_sat_zero_state():
-    ops = make_opset(2, 4, 0.5, "bounded")
-    r = sat_advection_rhs(ops, a=1.0, sigma=-0.5)
-    np.testing.assert_array_equal(r @ np.zeros(ops.dim), 0.0)
-
-
-def test_sat_requires_bounded_topology():
-    ops = make_opset(1, 4, 0.5, "periodic")
-    with pytest.raises(ValueError):
-        sat_advection_rhs(ops, 1.0, -0.5)
 
 
 # -------------------------------------------------- global invariants

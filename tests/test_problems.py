@@ -12,7 +12,6 @@ from upwind_gsbp.problems import (
     initial_condition,
     l2_error,
     make_split_problem,
-    semidiscretize,
 )
 from upwind_gsbp.ref_element import build_lgl
 
@@ -124,7 +123,7 @@ def test_l2_error_single_entry():
 
 
 def test_constants_are_stationary():
-    problem = semidiscretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 2, 6))
+    problem = make_split_problem(discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 2, 6)))
     k = 4.2 * np.ones(problem.dim)
     assert np.max(np.abs(problem.f_explicit(0.0, k))) <= 1e-12
     assert np.max(np.abs(problem.l_implicit @ k)) <= 1e-12

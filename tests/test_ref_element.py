@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from upwind_gsbp.ref_element import (
-    boundary_vectors,
     build_lgl,
-    diff_matrix,
     lagrange_basis_at,
 )
 
@@ -74,14 +72,14 @@ def test_diff_matrix_linear_case():
     # differentiate the two linear Lagrange basis functions on (-1, 1)
     elem = build_lgl(1)
     np.testing.assert_allclose(
-        diff_matrix(elem), [[-0.5, 0.5], [-0.5, 0.5]], atol=1e-15
+        elem.diff, [[-0.5, 0.5], [-0.5, 0.5]], atol=1e-15
     )
 
 
 @pytest.mark.parametrize("degree", ALL_DEGREES)
 def test_diff_matrix_monomial_action(degree):
     elem = build_lgl(degree)
-    d = diff_matrix(elem)
+    d = elem.diff
     np.testing.assert_allclose(d @ np.ones(degree + 1), 0.0, atol=1e-13)
     np.testing.assert_allclose(d @ elem.nodes, 1.0, atol=1e-13)
     for k in range(degree + 1):
@@ -92,7 +90,8 @@ def test_diff_matrix_monomial_action(degree):
 @pytest.mark.parametrize("degree", [1, 2, 3, 8])
 def test_boundary_vectors_are_unit_vectors(degree):
     # LGL nodal sets contain the endpoints
-    left, right = boundary_vectors(build_lgl(degree))
+    elem = build_lgl(degree)
+    left, right = elem.boundary_left, elem.boundary_right
     e_first = np.zeros(degree + 1)
     e_first[0] = 1.0
     e_last = np.zeros(degree + 1)
