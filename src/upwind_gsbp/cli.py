@@ -117,43 +117,44 @@ class _Key(NamedTuple):
         return self.flag[2:].replace("-", "_")
 
 
-def _key(name, attr, default, parse, text, rank, flag, **flag_kw) -> _Key:
-    return _Key(name, attr, default, parse, text, rank, flag, flag_kw)
-
-
 # In ``to_text`` order. A file may also give the single pair as the two keys
 # theta_adv and theta_diff, which have no flag and no field.
 _KEYS = (
-    _key("a", "a", 0.1, _parse_float, repr, 3, "--a", type=float, help="advective velocity"),
-    _key("c", "c", 0.1, _parse_float, repr, 4, "--c", type=float, help="diffusion coefficient"),
-    _key("N", "degrees", (1, 2, 3), _parse_int_list, _join(str), 5,
-         "--N", type=str, help="degrees, comma separated"),
-    _key("K", "cell_counts", (20, 40, 80, 160, 320), _parse_int_list, _join(str), 6,
-         "--K", type=str, help="cell counts, comma separated"),
-    _key("pairs", "pairs", TABLE1_PAIRS, _parse_pairs, _join(_join(repr), ";"), 8,
-         "--pair", type=float, nargs=2, metavar=("THETA_ADV", "THETA_DIFF"),
-         help="flux parameter pair"),
-    _key("theta", "thetas", (0.0, 0.25, 0.5), _parse_float_list, _join(repr), 9,
-         "--theta", type=str, help="thetas for verify"),
-    _key("order", "orders", (1, 2), _parse_int_list, _join(str), 7,
-         "--order", type=str, help="IMEX orders, comma separated"),
-    _key("horizon", "horizon", 100.0, _parse_float, repr, 2,
-         "--horizon", type=float, help="scan horizon T"),
-    _key("T", "t_final", None, _parse_float, repr, 10, "--T", type=float, help="final time"),
-    _key("dt", "dt", None, _parse_float, repr, 11, "--dt", type=float, help="time step"),
-    _key("mu", "mu", None, _parse_float, repr, 12,
-         "--mu", type=float, help="time step rule dt = mu dx"),
-    _key("solution", "solution", "decay", _parse_text, str, 13,
-         "--solution", type=str, choices=("decay", "growth")),
-    _key("tau_lo", "tau_lo", experiments.DEFAULT_TAU_LO, _parse_float, repr, 14,
-         "--tau-lo", type=float, help="scan bracket lower tau"),
-    _key("tau_cap", "tau_cap", experiments.DEFAULT_TAU_CAP, _parse_float, repr, 15,
-         "--tau-cap", type=float, help="scan cap tau"),
-    _key("resolution", "resolution", experiments.DEFAULT_RESOLUTION, _parse_float, repr, 16,
-         "--resolution", type=float, help="scan bisection resolution"),
-    _key("out", "out", "out", _parse_text, str, 0, "--out", type=str, help="output directory"),
-    _key("workers", "workers", 1, _parse_int, str, 1,
-         "--workers", type=int, help="worker pool size"),
+    _Key("a", "a", 0.1, _parse_float, repr, 3,
+         "--a", dict(type=float, help="advective velocity")),
+    _Key("c", "c", 0.1, _parse_float, repr, 4,
+         "--c", dict(type=float, help="diffusion coefficient")),
+    _Key("N", "degrees", (1, 2, 3), _parse_int_list, _join(str), 5,
+         "--N", dict(type=str, help="degrees, comma separated")),
+    _Key("K", "cell_counts", (20, 40, 80, 160, 320), _parse_int_list, _join(str), 6,
+         "--K", dict(type=str, help="cell counts, comma separated")),
+    _Key("pairs", "pairs", TABLE1_PAIRS, _parse_pairs, _join(_join(repr), ";"), 8,
+         "--pair", dict(type=float, nargs=2, metavar=("THETA_ADV", "THETA_DIFF"),
+                        help="flux parameter pair")),
+    _Key("theta", "thetas", (0.0, 0.25, 0.5), _parse_float_list, _join(repr), 9,
+         "--theta", dict(type=str, help="thetas for verify")),
+    _Key("order", "orders", (1, 2), _parse_int_list, _join(str), 7,
+         "--order", dict(type=str, help="IMEX orders, comma separated")),
+    _Key("horizon", "horizon", 100.0, _parse_float, repr, 2,
+         "--horizon", dict(type=float, help="scan horizon T")),
+    _Key("T", "t_final", None, _parse_float, repr, 10,
+         "--T", dict(type=float, help="final time")),
+    _Key("dt", "dt", None, _parse_float, repr, 11,
+         "--dt", dict(type=float, help="time step")),
+    _Key("mu", "mu", None, _parse_float, repr, 12,
+         "--mu", dict(type=float, help="time step rule dt = mu dx")),
+    _Key("solution", "solution", "decay", _parse_text, str, 13,
+         "--solution", dict(type=str, choices=("decay", "growth"))),
+    _Key("tau_lo", "tau_lo", experiments.DEFAULT_TAU_LO, _parse_float, repr, 14,
+         "--tau-lo", dict(type=float, help="scan bracket lower tau")),
+    _Key("tau_cap", "tau_cap", experiments.DEFAULT_TAU_CAP, _parse_float, repr, 15,
+         "--tau-cap", dict(type=float, help="scan cap tau")),
+    _Key("resolution", "resolution", experiments.DEFAULT_RESOLUTION, _parse_float, repr, 16,
+         "--resolution", dict(type=float, help="scan bisection resolution")),
+    _Key("out", "out", "out", _parse_text, str, 0,
+         "--out", dict(type=str, help="output directory")),
+    _Key("workers", "workers", 1, _parse_int, str, 1,
+         "--workers", dict(type=int, help="worker pool size")),
 )
 
 _FILE_KEYS = {"subcommand", "theta_adv", "theta_diff", *(key.name for key in _KEYS)}
