@@ -270,6 +270,9 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
 
     cfg = RunConfig(subcommand, **updates)
 
+    for key in _KEYS:
+        if getattr(cfg, key.attr) == ():
+            raise ConfigError(f"key {key.name!r}: needs at least one value")
     if cfg.a <= 0:
         raise ConfigError(f"key 'a': advective velocity must be > 0, got {cfg.a}")
     if cfg.c <= 0:
@@ -435,10 +438,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     else:
         solution = decay_solution(cfg.a, cfg.c)
         problem = make_split_problem(disc)
-    if cfg.dt is not None:
-        dt = cfg.dt
-    else:
-        dt = (cfg.mu if cfg.mu is not None else 1.0) * disc.dx_max
+    dt = cfg.dt if cfg.dt is not None else cfg.mu * disc.dx_max
     u0 = initial_condition(solution, disc.mesh, disc.elem)
     tableau = tableau_by_name(order)
     u_final, trace = integrate(tableau, problem, u0, dt, t_final)

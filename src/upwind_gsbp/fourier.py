@@ -14,7 +14,15 @@ squared M-norm is sum_k w_k u_hat[k]^H M_loc u_hat[k] / K with w_k = 2 except
 at k = 0 and, for even K, k = K/2 (Parseval), so the M-norm amplification of
 one step is max_k ||M_loc^1/2 S_k M_loc^-1/2||_2.
 
-``FourierEngine`` reads the symbols from assembled matrices once;
+With omega = exp(2 pi i / K) and dx = (x_b - x_a) / K, the interior cell
+blocks A11, A12, A21 of D-(theta) (``operators.cell_blocks``) give
+
+    D-_hat(theta, k) = (2/dx) (A11 + A12 omega^k + A21 omega^-k),
+
+so A_hat[k] = -a D-_hat(theta_adv, k), L_hat[k] = c D-_hat(theta_diff, k)
+D-_hat(-theta_diff, k) since D+(theta) = D-(-theta), and M_loc = (dx/2) w
+(the element-level Fourier analysis of Hu, Hussaini & Rasetarinera, JCP 151,
+1999). ``FourierEngine`` builds the symbols of one problem;
 ``FourierEngine.problem`` builds the step maps of one run and certifies
 them, and the resulting ``FourierProblem`` is what ``imex.integrate`` steps.
 """
@@ -24,46 +32,13 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .imex import SOLVE_RTOL, ImexTableau, SolverFailure
+from .operators import cell_blocks
+from .problems import AdvDiffConfig
+from .ref_element import ReferenceElement
 
 __all__ = ["FourierEngine", "FourierProblem"]
-
-# Largest entry of A - circ(first block row of A), relative to the largest
-# entry of A, that still counts as block-circulant. Assembled products carry
-# roundoff: the rows of D2 = D- D+ differ from its first block row by about
-# 1.5e-16 relative (8.9e-16 on entries of 6.1).
-CIRCULANT_RTOL = 1e-13
-
-
-def _block_symbols(mat, n: int, k_cells: int) -> np.ndarray:
-    """Symbols A_hat[k], k = 0..K//2, of a block-circulant matrix, shape (K//2+1, n, n).
-
-    Raises ValueError when ``mat`` is not block-circulant to CIRCULANT_RTOL.
-    """
-    mat = sp.csr_matrix(mat)
-    if mat.shape != (n * k_cells, n * k_cells):
-        raise ValueError(f"operator of shape {mat.shape}, expected {n * k_cells} square")
-    # blocks[m] = A[0, m], the coupling of cell i to cell i + m
-    blocks = mat[:n].toarray().reshape(n, k_cells, n).transpose(1, 0, 2)
-    cells = np.arange(k_cells)
-    circulant = sp.csr_matrix(mat.shape)
-    for m in np.flatnonzero(np.abs(blocks).max(axis=(1, 2))):
-        shift = sp.csr_matrix(
-            (np.ones(k_cells), (cells, (cells + m) % k_cells)), shape=(k_cells, k_cells)
-        )
-        circulant = circulant + sp.kron(shift, blocks[m], format="csr")
-    scale = float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
-    diff = (mat - circulant).tocsr()
-    off = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-    if off > CIRCULANT_RTOL * scale:
-        raise ValueError(
-            f"operator is not block-circulant: entries differ by {off:.3e} "
-            f"from shifted copies of the first block row (scale {scale:.3e})"
-        )
-    # sum_m A_m exp(+2 pi i k m / K) is the conjugate of the forward transform
-    return np.fft.rfft(blocks, axis=0).conj()
 
 
 def _checked_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -88,33 +63,34 @@ def _checked_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class FourierEngine:
     """Per-wavenumber symbols of one linear split problem and one tableau.
 
-    ``explicit`` and ``implicit`` are the assembled operators A and L of
-    du/dt = A u + L u, ``m_diag`` the diagonal of the norm matrix, all on a
-    uniform periodic mesh of ``n_cells`` cells. A step map is certified when
-    its squared M-norm amplification is at most ``max_growth``.
+    The problem is du/dt = A u + L u with A = -a D-(theta_adv) and
+    L = c D-(theta_diff) D+(theta_diff) on the uniform periodic mesh of
+    ``cfg``, whose LGL element is ``elem``. A step map is certified when its
+    squared M-norm amplification is at most ``max_growth``.
     """
 
     def __init__(
         self,
-        explicit,
-        implicit,
-        m_diag: np.ndarray,
-        n_cells: int,
+        cfg: AdvDiffConfig,
+        elem: ReferenceElement,
         tableau: ImexTableau,
         max_growth: float,
     ):
-        n = m_diag.size // n_cells
-        if n * n_cells != m_diag.size:
-            raise ValueError(f"{m_diag.size} nodes do not split into {n_cells} cells")
-        cell_m = m_diag.reshape(n_cells, n)
-        if np.max(np.abs(cell_m - cell_m[0])) > CIRCULANT_RTOL * np.max(cell_m):
-            raise ValueError("the norm matrix M is not the same on every cell")
+        n_cells = cfg.n_cells
+        dx = (cfg.x_b - cfg.x_a) / n_cells
+        # omega^k for k = 0..K//2
+        phase = np.exp(2j * np.pi * np.arange(n_cells // 2 + 1) / n_cells)[:, None, None]
+
+        def d_minus_hat(theta: float) -> np.ndarray:
+            a11, a12, a21 = cell_blocks(elem, theta)
+            return (2.0 / dx) * (a11 + a12 * phase + a21 * phase.conj())
+
         self.n_cells = n_cells
         self.tableau = tableau
         self.max_growth = max_growth
-        self.a_hat = _block_symbols(explicit, n, n_cells)
-        self.l_hat = _block_symbols(implicit, n, n_cells)
-        self.m_cell = cell_m[0]
+        self.a_hat = -cfg.a * d_minus_hat(cfg.theta_adv)
+        self.l_hat = cfg.c * (d_minus_hat(cfg.theta_diff) @ d_minus_hat(-cfg.theta_diff))
+        self.m_cell = 0.5 * dx * elem.weights
         self._m_half = np.sqrt(self.m_cell)
         # Parseval weights of the rfft coefficients, divided by K, laid out
         # like the (real, imag) pairs of a complex array viewed as float
@@ -159,10 +135,6 @@ class FourierEngine:
             if lu[j] is not None and tb.b_implicit[j] != 0.0:
                 s_map = s_map + h * tb.b_implicit[j] * lu[j]
         return s_map
-
-    def step_map(self, h: float) -> np.ndarray:
-        """The one-step maps S_k(h) of one step size, shape (K//2+1, n, n)."""
-        return self.step_maps([h])[0]
 
     def amplification(self, s_maps: np.ndarray):
         """max_k ||M^1/2 S_k M^-1/2||_2, one value per batched step map."""

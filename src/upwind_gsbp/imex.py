@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -292,35 +291,30 @@ class _StageSolverCache:
 class _StagePieces(NamedTuple):
     """The tau-free parts of the stage systems M - tau M L of one problem.
 
-    ``system(tau)`` is ``m_on - tau * ml_on``: for a dense L the matrices M
-    and M L themselves, for a sparse L their values on the CSC pattern
-    (``indptr``, ``indices``) of M - M L. The pattern is the union of the
-    nonzeros of M and M L, and exact zeros of a filled system are dropped,
-    so the sparse system is bit for bit ``(sp.diags(m) - tau * ml).tocsc()``.
+    ``system(tau)`` fills the CSC pattern (``indptr``, ``indices``) of
+    M - M L with ``m_on - tau * ml_on``, the values of M and M L on it. The
+    pattern is the union of the nonzeros of M and M L, and exact zeros of a
+    filled system are dropped, so the system is bit for bit
+    ``(sp.diags(m) - tau * ml).tocsc()``.
     """
 
-    lmat: sp.csr_matrix | np.ndarray
+    lmat: sp.csr_matrix
     row_norm: float  # max absolute row sum of L
     m_on: np.ndarray
     ml_on: np.ndarray
-    indptr: Optional[np.ndarray]
-    indices: Optional[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    def system(self, tau: float):
+    def system(self, tau: float) -> sp.csc_matrix:
         values = self.m_on - tau * self.ml_on
-        if self.indptr is None:
-            return values
         mat = sp.csc_matrix((values, self.indices, self.indptr), shape=self.lmat.shape, copy=True)
         mat.eliminate_zeros()
         return mat
 
 
 def _stage_pieces(lmat, m_diag: np.ndarray) -> _StagePieces:
-    """The ``_StagePieces`` of L with the norm matrix diag(m_diag)."""
-    if isinstance(lmat, np.ndarray):
-        row_norm = float(np.max(np.sum(np.abs(lmat), axis=1)))
-        return _StagePieces(lmat, row_norm, np.diag(m_diag), m_diag[:, None] * lmat, None, None)
-    lmat = lmat.tocsr()
+    """The ``_StagePieces`` of L, sparse or dense, with the norm matrix diag(m_diag)."""
+    lmat = sp.csr_matrix(lmat) if isinstance(lmat, np.ndarray) else lmat.tocsr()
     m = sp.diags(m_diag)
     ml = m @ lmat
     # |M| + |M L| cannot cancel: its nonzeros are those of M and of M L
@@ -342,12 +336,7 @@ def _build_stage_solver(pieces: _StagePieces, tau: float, m_diag: np.ndarray):
     """
     lmat = pieces.lmat
     try:
-        system = pieces.system(tau)
-        if isinstance(system, np.ndarray):
-            lu = sla.lu_factor(system)
-            base_solve = lambda b: sla.lu_solve(lu, b)
-        else:
-            base_solve = spla.splu(system).solve
+        base_solve = spla.splu(pieces.system(tau)).solve
     except Exception as exc:  # singular system: misassembled operator
         raise SolverFailure(f"stage factorization failed: {exc}") from exc
 

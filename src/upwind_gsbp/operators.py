@@ -37,6 +37,7 @@ __all__ = [
     "SecondDerivativeOperator",
     "CertificationReport",
     "assemble_first_derivative",
+    "cell_blocks",
     "second_derivative",
     "second_derivative_from",
     "verify_axioms",
@@ -92,33 +93,37 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _first_derivative_matrix(
-    elem: ReferenceElement, mesh: Mesh1D, theta: float, topology: str
-) -> sp.csr_matrix:
-    """Assemble D-(theta) from the interface-flux block formulas.
+def cell_blocks(elem: ReferenceElement, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The interface-flux blocks (A11, A12, A21) of an interior cell of D-(theta).
 
-    Per cell i (block row scaled by 2/dx_i):
+    Unscaled by the cell width; block row i of D-(theta) is 2/dx_i times
       diagonal    A11 = D - (1/2-theta) Minv L1 L1^T + (1/2+theta) Minv Lm Lm^T
       right block A12 = (1/2-theta) Minv L1 Lm^T
       left block  A21 = -(1/2+theta) Minv Lm L1^T
-    Bounded end cells drop the flux term on the physical boundary side;
-    periodic assembly wraps A21/A12 around and uses A11 on every cell.
     """
-    n = elem.n_nodes
-    k_cells = mesh.n_cells
-    d_hat = elem.diff
     lm, l1 = elem.boundary_left, elem.boundary_right
     inv_w = 1.0 / elem.weights
-
     a11 = (
-        d_hat
+        elem.diff
         - (0.5 - theta) * np.outer(inv_w * l1, l1)
         + (0.5 + theta) * np.outer(inv_w * lm, lm)
     )
     a12 = (0.5 - theta) * np.outer(inv_w * l1, lm)
     a21 = -(0.5 + theta) * np.outer(inv_w * lm, l1)
-    a_lb = d_hat - (0.5 - theta) * np.outer(inv_w * l1, l1)
-    a_rb = d_hat + (0.5 + theta) * np.outer(inv_w * lm, lm)
+    return a11, a12, a21
+
+
+def _first_derivative_matrix(
+    elem: ReferenceElement, mesh: Mesh1D, theta: float, topology: str
+) -> sp.csr_matrix:
+    """Assemble D-(theta) from the ``cell_blocks`` of each cell.
+
+    Periodic assembly wraps A21/A12 around and uses A11 on every cell;
+    bounded end cells drop the flux term on the physical boundary side.
+    """
+    n = elem.n_nodes
+    k_cells = mesh.n_cells
+    a11, a12, a21 = cell_blocks(elem, theta)
 
     # one block row per cell on the diagonal, then the right and left
     # couplings; for K = 2 periodic a right and a left block share a slot
@@ -127,7 +132,10 @@ def _first_derivative_matrix(
     if topology == "periodic":
         right = left = cells
     else:
-        diag[0], diag[-1] = a_lb, a_rb
+        lm, l1 = elem.boundary_left, elem.boundary_right
+        inv_w = 1.0 / elem.weights
+        diag[0] = elem.diff - (0.5 - theta) * np.outer(inv_w * l1, l1)
+        diag[-1] = elem.diff + (0.5 + theta) * np.outer(inv_w * lm, lm)
         right, left = cells[:-1], cells[1:]
     block_rows = np.concatenate([cells, right, left])
     block_cols = np.concatenate([cells, (right + 1) % k_cells, (left - 1) % k_cells])

@@ -257,6 +257,23 @@ def test_unparsable_integer_in_config_file_is_a_config_error(tmp_path):
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("sub", ["verify", "scan", "converge"])
+@pytest.mark.parametrize("key", ["N", "K", "order", "theta", "pairs"])
+def test_empty_list_key_is_a_config_error(tmp_path, capsys, sub, key):
+    # an empty list would make verify and scan do nothing and converge index past it
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} =\n")
+    assert main([sub, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_list_flag_is_ignored():
+    args = cli._parser().parse_args(["verify", "--N", "", "--K", "4"])
+    cfg = cli._config_from_args(args)
+    assert (cfg.degrees, cfg.cell_counts) == ((1, 2, 3), (4,))
+
+
 def test_seed_key_is_unknown(tmp_path, capsys):
     # no command draws a random number, so there is nothing to seed
     path = tmp_path / "run.cfg"

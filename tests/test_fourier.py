@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from upwind_gsbp import experiments
+from upwind_gsbp import experiments, operators, problems
 from upwind_gsbp.fourier import FourierEngine, FourierProblem
 from upwind_gsbp.imex import (
     SolverFailure,
@@ -13,12 +14,45 @@ from upwind_gsbp.imex import (
     step_times,
     tableau_by_name,
 )
-from upwind_gsbp.mesh import Mesh1D
-from upwind_gsbp.operators import assemble_first_derivative, second_derivative_from
 from upwind_gsbp.problems import AdvDiffConfig, discretize, make_split_problem
 from upwind_gsbp.ref_element import build_lgl
 
 PAIRS = [(0.5, 0.5), (0.0, 0.0), (0.5, 0.0)]
+
+# Largest entry of A - circ(first block row of A), relative to the largest
+# entry of A, that still counts as block-circulant. Assembled products carry
+# roundoff: the rows of D2 = D- D+ differ from its first block row by about
+# 1.5e-16 relative (8.9e-16 on entries of 6.1).
+CIRCULANT_RTOL = 1e-13
+
+
+def _block_symbols(mat, n: int, k_cells: int) -> np.ndarray:
+    """Symbols A_hat[k], k = 0..K//2, of a block-circulant matrix, shape (K//2+1, n, n).
+
+    Raises ValueError when ``mat`` is not block-circulant to CIRCULANT_RTOL.
+    """
+    mat = sp.csr_matrix(mat)
+    if mat.shape != (n * k_cells, n * k_cells):
+        raise ValueError(f"operator of shape {mat.shape}, expected {n * k_cells} square")
+    # blocks[m] = A[0, m], the coupling of cell i to cell i + m
+    blocks = mat[:n].toarray().reshape(n, k_cells, n).transpose(1, 0, 2)
+    cells = np.arange(k_cells)
+    circulant = sp.csr_matrix(mat.shape)
+    for m in np.flatnonzero(np.abs(blocks).max(axis=(1, 2))):
+        shift = sp.csr_matrix(
+            (np.ones(k_cells), (cells, (cells + m) % k_cells)), shape=(k_cells, k_cells)
+        )
+        circulant = circulant + sp.kron(shift, blocks[m], format="csr")
+    scale = float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
+    diff = (mat - circulant).tocsr()
+    off = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+    if off > CIRCULANT_RTOL * scale:
+        raise ValueError(
+            f"operator is not block-circulant: entries differ by {off:.3e} "
+            f"from shifted copies of the first block row (scale {scale:.3e})"
+        )
+    # sum_m A_m exp(+2 pi i k m / K) is the conjugate of the forward transform
+    return np.fft.rfft(blocks, axis=0).conj()
 
 
 def build(order, pair, degree, n_cells, max_growth=np.inf):
@@ -26,15 +60,35 @@ def build(order, pair, degree, n_cells, max_growth=np.inf):
     disc = discretize(cfg)
     problem = make_split_problem(disc)
     tableau = tableau_by_name(order)
-    engine = FourierEngine(
-        -cfg.a * disc.opset_adv.D_minus,
-        problem.l_implicit,
-        disc.m_diag,
-        n_cells,
-        tableau,
-        max_growth,
-    )
+    engine = FourierEngine(cfg, disc.elem, tableau, max_growth)
     return disc, problem, tableau, engine
+
+
+# K = 2: the left and the right neighbour share one block slot
+@pytest.mark.parametrize("n_cells", [2, 3, 7, 8, 20, 80])
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+@pytest.mark.parametrize("pair", PAIRS + [(0.25, 0.25)])
+def test_symbols_match_assembled_operators(pair, degree, n_cells):
+    disc, problem, _, engine = build(1, pair, degree, n_cells)
+    n = degree + 1
+    assembled = ((engine.a_hat, -0.1 * disc.opset_adv.D_minus), (engine.l_hat, problem.l_implicit))
+    for got, mat in assembled:
+        expected = _block_symbols(mat, n, n_cells)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    np.testing.assert_array_equal(np.tile(engine.m_cell, n_cells), disc.m_diag)
+
+
+def test_engine_assembles_no_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Fourier engine assembled a global operator")
+
+    for module in (operators, problems):
+        monkeypatch.setattr(module, "assemble_first_derivative", refuse)
+    monkeypatch.setattr(operators, "_first_derivative_matrix", refuse)
+    cfg = AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 10, 1280)
+    engine = FourierEngine(cfg, build_lgl(10), tableau_by_name(2), np.inf)
+    assert engine.a_hat.shape == (641, 11, 11)
+    assert np.isfinite(engine.amplification(engine.step_maps([0.01])[0]))
 
 
 # K odd and even: the rfft weights differ between them
@@ -67,40 +121,10 @@ def test_amplification_matches_dense_norm(order, pair, n_cells):
     dense = np.column_stack([stepper.advance(e, dt) for e in np.eye(problem.dim)])
     m_half = np.sqrt(disc.m_diag)
     expected = np.linalg.norm(m_half[:, None] * dense / m_half[None, :], 2)
-    assert abs(engine.amplification(engine.step_map(dt)) - expected) <= 1e-12
+    assert abs(engine.amplification(engine.step_maps([dt])[0]) - expected) <= 1e-12
 
 
 # ------------------------------------------------------------------ guards
-
-
-def test_rejects_operator_that_is_not_block_circulant():
-    disc, problem, tableau, _ = build(2, (0.5, 0.5), 2, 6)
-    lmat = problem.l_implicit.tolil()
-    lmat[7, 7] *= 1.0 + 1e-10
-    with pytest.raises(ValueError, match="block-circulant"):
-        FourierEngine(disc.opset_adv.D_minus, lmat.tocsr(), disc.m_diag, 6, tableau, np.inf)
-
-
-def test_accepts_roundoff_in_assembled_products():
-    # rows of D2 = D- D+ differ from its first block row in the last ulps
-    disc, problem, tableau, _ = build(2, (0.0, 0.0), 2, 5)
-    d2 = disc.d2op.D2.toarray()
-    first = d2[:3]
-    shifted = np.vstack([np.roll(first, 3 * i, axis=1) for i in range(5)])
-    assert 0.0 < np.max(np.abs(d2 - shifted)) <= 1e-15 * np.max(np.abs(d2))
-    FourierEngine(disc.opset_adv.D_minus, disc.d2op.D2, disc.m_diag, 5, tableau, np.inf)
-
-
-def test_rejects_non_uniform_norm_matrix():
-    elem = build_lgl(2)
-    widths = np.full(6, 2.0 * np.pi / 6)
-    widths[0] *= 1.2
-    widths[1] = 2.0 * np.pi - widths[0] - widths[2:].sum()
-    mesh = Mesh1D(-np.pi, np.pi, widths)
-    opset = assemble_first_derivative(elem, mesh, 0.5, "periodic")
-    d2 = second_derivative_from(opset).D2
-    with pytest.raises(ValueError, match="norm matrix"):
-        FourierEngine(opset.D_minus, d2, opset.m_diag, 6, tableau_by_name(1), np.inf)
 
 
 def test_singular_block_solve_is_a_solver_failure():
@@ -109,7 +133,7 @@ def test_singular_block_solve_is_a_solver_failure():
     # I - dt L_hat vanishes on every block
     engine.l_hat = np.broadcast_to(np.eye(2) / dt, engine.l_hat.shape).astype(complex)
     with pytest.raises(SolverFailure):
-        engine.step_map(dt)
+        engine.step_maps([dt])[0]
 
 
 def test_inaccurate_block_solve_is_a_solver_failure(monkeypatch):
@@ -117,7 +141,7 @@ def test_inaccurate_block_solve_is_a_solver_failure(monkeypatch):
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda g, b: solve(g, b) * (1.0 + 1e-6))
     with pytest.raises(SolverFailure, match="residual"):
-        engine.step_map(0.5)
+        engine.step_maps([0.5])[0]
 
 
 def test_probe_reports_block_solve_failure():
