@@ -271,8 +271,11 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
     cfg = RunConfig(subcommand, **updates)
 
     for key in _KEYS:
-        if getattr(cfg, key.attr) == ():
+        value = getattr(cfg, key.attr)
+        if value == ():
             raise ConfigError(f"key {key.name!r}: needs at least one value")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"key {key.name!r}: must be finite, got {value}")
     if cfg.a <= 0:
         raise ConfigError(f"key 'a': advective velocity must be > 0, got {cfg.a}")
     if cfg.c <= 0:
@@ -299,8 +302,6 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
         raise ConfigError(f"key 'dt': must be > 0, got {cfg.dt}")
     if cfg.mu is not None and cfg.mu <= 0:
         raise ConfigError(f"key 'mu': must be > 0, got {cfg.mu}")
-    # the bisection stops once hi / lo <= 1 + resolution, which adjacent
-    # floats never reach when resolution <= 0
     if not cfg.tau_lo > 0:
         raise ConfigError(f"key 'tau_lo': must be > 0, got {cfg.tau_lo}")
     if not cfg.tau_cap > cfg.tau_lo:
@@ -319,7 +320,6 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -464,7 +464,6 @@ def _cmd_burgers(cfg: RunConfig) -> int:
         degree=cfg.degrees[0],
         order=cfg.orders[0],
     )
-    out.mkdir(parents=True, exist_ok=True)
     summary = ["K,theta_adv,theta_diff,outcome,time"]
     for res in results:
         tag = f"K{res.n_cells}"
@@ -495,7 +494,11 @@ _COMMANDS = {
 
 
 def dispatch(cfg: RunConfig) -> int:
-    """Run the selected experiment; returns the process exit status."""
+    """Create the output directory, then run the selected experiment; returns the exit status."""
+    try:
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"key 'out': cannot create directory {cfg.out!r}: {exc}") from exc
     return _COMMANDS[cfg.subcommand](cfg)
 
 

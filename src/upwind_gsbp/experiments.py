@@ -236,6 +236,8 @@ def max_stable_dt(
 
     while hi / lo > 1.0 + resolution:
         mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if probe(mid) == STABLE:
             lo = mid
         else:

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .imex import SOLVE_RTOL, ImexTableau, SolverFailure
+from .imex import SOLVE_RTOL, ImexTableau, SolverFailure, run_step_plan
 from .operators import cell_blocks
 from .problems import AdvDiffConfig
 from .ref_element import ReferenceElement
@@ -102,39 +102,18 @@ class FourierEngine:
         self.energy_weights = np.repeat(cell_weights.ravel(), 2)
 
     def step_maps(self, step_sizes: Sequence[float]) -> np.ndarray:
-        """The batched one-step maps S_k(h), shape (len(step_sizes), K//2+1, n, n)."""
-        tb = self.tableau
-        s = tb.n_stages
+        """Maps S_k(h) by the sparse step's plan, shape (len(step_sizes), K//2+1, n, n)."""
         h = np.asarray(step_sizes, dtype=float)[:, None, None, None]
         eye = np.broadcast_to(np.eye(self.m_cell.size), self.a_hat.shape)
-        start = np.broadcast_to(eye, h.shape[:1] + self.a_hat.shape).astype(complex)
-        f = [None] * s
-        lu = [None] * s
-
-        def eval_stage(i: int, u: np.ndarray) -> None:
-            if tb.reads_explicit[i]:
-                f[i] = self.a_hat @ u
-            if tb.reads_implicit[i]:
-                lu[i] = self.l_hat @ u
-
-        eval_stage(0, eye)
-        for i in range(1, s):
-            rhs = start
-            for j in range(i):
-                if f[j] is not None and tb.a_explicit[i, j] != 0.0:
-                    rhs = rhs + h * tb.a_explicit[i, j] * f[j]
-                if lu[j] is not None and tb.a_implicit[i, j] != 0.0:
-                    rhs = rhs + h * tb.a_implicit[i, j] * lu[j]
-            tau = h * tb.a_implicit[i, i]
-            u_i = _checked_solve(eye - tau * self.l_hat, rhs) if tb.a_implicit[i, i] != 0.0 else rhs
-            eval_stage(i, u_i)
-        s_map = start
-        for j in range(s):
-            if f[j] is not None and tb.b_explicit[j] != 0.0:
-                s_map = s_map + h * tb.b_explicit[j] * f[j]
-            if lu[j] is not None and tb.b_implicit[j] != 0.0:
-                s_map = s_map + h * tb.b_implicit[j] * lu[j]
-        return s_map
+        return run_step_plan(
+            self.tableau.step_plans[True, True],
+            eye,
+            h,
+            0.0,
+            lambda t, u: self.a_hat @ u,
+            lambda u: self.l_hat @ u,
+            lambda tau, rhs: (_checked_solve(eye - tau * self.l_hat, rhs), None),
+        )
 
     def amplification(self, s_maps: np.ndarray):
         """max_k ||M^1/2 S_k M^-1/2||_2, one value per batched step map."""

@@ -36,6 +36,7 @@ __all__ = [
     "tableau_imex3",
     "tableau_by_name",
     "solve_implicit_stage",
+    "run_step_plan",
     "step",
     "step_times",
     "integrate",
@@ -384,6 +385,35 @@ def solve_implicit_stage(
     return _build_stage_solver(pieces, tau, m_diag)(np.ascontiguousarray(rhs, dtype=float))[0]
 
 
+def run_step_plan(plan, u_n, dt, t_n, apply_f, apply_l, solve):
+    """One step of a plan from ``ImexTableau.step_plans``, in the caller's algebra.
+
+    ``apply_f(t, u)`` is F at time t, ``apply_l(u)`` is L u and
+    ``solve(tau, rhs)`` returns (x, L x or None) for (I - tau L) x = rhs.
+    ``u_n`` and ``dt`` need only broadcast together: the Fourier engine steps
+    a stack of identity blocks with an array of step sizes. The terms of each
+    combination are added in plan order, which fixes the roundoff.
+    """
+    stages, final = plan
+    s = len(stages)
+    values = [None] * (2 * s)
+    for i, (a_ii, c_i, f_read, l_read, terms) in enumerate(stages):
+        u_i, l_x = _combine(u_n, dt, terms, values), None
+        if a_ii:
+            u_i, l_x = solve(dt * a_ii, u_i)
+        if f_read:
+            values[i] = apply_f(t_n + c_i * dt, u_i)
+        if l_read:
+            values[s + i] = apply_l(u_i) if l_x is None else l_x
+    return _combine(u_n, dt, final, values)
+
+
+def _combine(u, dt, terms, values):
+    for k, coef in terms:
+        u = u + dt * coef * values[k]
+    return u
+
+
 def step(
     tableau: ImexTableau,
     problem: ImexSplitProblem,
@@ -402,25 +432,9 @@ def step(
     if cache is None:
         cache = _StageSolverCache(problem)
     f_explicit, lmat = problem.f_explicit, problem.l_implicit
-    stages, final = tableau.step_plans[f_explicit is not None, lmat is not None]
-    s = tableau.n_stages
-    values = [None] * (2 * s)
-    u_i, l_x = u_n, None
-    for i, (a_ii, c_i, f_read, l_read, terms) in enumerate(stages):
-        if i:
-            u_i = u_n.copy()
-            for k, coef in terms:
-                u_i += dt * coef * values[k]
-            u_i, l_x = cache.solve(dt * a_ii, u_i)
-        if f_read:
-            values[i] = f_explicit(t_n + c_i * dt, u_i)
-        if l_read:
-            values[s + i] = lmat @ u_i if l_x is None else l_x
-
-    u_next = u_n.copy()
-    for k, coef in final:
-        u_next += dt * coef * values[k]
-    return u_next
+    plan = tableau.step_plans[f_explicit is not None, lmat is not None]
+    apply_l = None if lmat is None else lmat.__matmul__
+    return run_step_plan(plan, u_n, dt, t_n, f_explicit, apply_l, cache.solve)
 
 
 class Stepper:

@@ -151,37 +151,19 @@ def _block_csr(
 ) -> sp.csr_matrix:
     """Canonical CSR of the K x K block matrix with block b at (block_rows[b], block_cols[b]).
 
-    Blocks are sorted by (block row, block col); blocks that share a slot are
-    summed in the order given, and exact zeros are dropped, which is what the
-    COO -> CSR conversion followed by ``eliminate_zeros`` produces. Each block
-    row is padded with zero blocks to the same number of blocks, so one
-    transpose lays every node row out in column order and the zero drop
-    removes the padding.
+    The blocks go into a BSR matrix in (block row, block col) order, so blocks
+    that share a slot are summed in the order given; exact zeros are dropped,
+    which is what the COO -> CSR conversion followed by ``eliminate_zeros``
+    produces.
     """
-    n = blocks.shape[1]
+    dim = k_cells * blocks.shape[1]
     order = np.lexsort((block_cols, block_rows))
-    rows, cols, blocks = block_rows[order], block_cols[order], blocks[order]
-    shared = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-    if shared.any():
-        first = np.flatnonzero(np.concatenate(([True], ~shared)))
-        rows, cols, blocks = rows[first], cols[first], np.add.reduceat(blocks, first)
-    per_row = np.bincount(rows, minlength=k_cells)
-    slot = np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]
-    width = int(per_row.max())
-    padded = np.zeros((k_cells, width, n, n))
-    padded[rows, slot] = blocks
-    first_col = np.zeros((k_cells, width), dtype=np.int64)
-    first_col[rows, slot] = cols * n
-    # node row (i, a) holds entry a of each block of block row i in turn
-    dim = k_cells * n
-    data = padded.transpose(0, 2, 1, 3).reshape(dim, width * n)
-    indices = np.broadcast_to(
-        first_col[:, None, :, None] + np.arange(n), (k_cells, n, width, n)
-    ).reshape(dim, width * n)
-    keep = data != 0
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return sp.csr_matrix((data[keep], indices[keep], indptr), shape=(dim, dim))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(block_rows, minlength=k_cells))))
+    mat = sp.bsr_matrix((blocks[order], block_cols[order], indptr), shape=(dim, dim))
+    mat.sum_duplicates()
+    mat = mat.tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def assemble_first_derivative(

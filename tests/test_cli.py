@@ -268,6 +268,44 @@ def test_empty_list_key_is_a_config_error(tmp_path, capsys, sub, key):
     assert not (tmp_path / "out").exists()
 
 
+FINITE_KEYS = ["a", "c", "horizon", "T", "dt", "mu", "tau_lo", "tau_cap", "resolution"]
+
+
+@pytest.mark.parametrize("given_as", ["flag", "file"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key", FINITE_KEYS)
+def test_non_finite_value_is_a_config_error(tmp_path, capsys, key, value, given_as):
+    # an infinite T or horizon ran zero or endless steps; nan passed every range check
+    if given_as == "flag":
+        argv = ["--" + key.replace("_", "-"), value]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        argv = ["--config", str(path)]
+    assert main(["verify", "--N", "1", "--K", "4", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert f"key {key!r}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(cli._COMMANDS, "verify", calls.append)
+    path = tmp_path / "taken"
+    path.write_text("")
+    for out in (path, path / "sub"):
+        assert main(["verify", "--out", str(out)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "key 'out'" in err and "Traceback" not in err
+
+
+def test_scan_ends_at_resolution_below_float_spacing(tmp_path):
+    argv = ["--order", "2", "--N", "1", "--K", "20", "--pair", "0.5", "0.5"]
+    assert main(["scan", *argv, "--resolution", "1e-17", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "stability.csv").read_text().splitlines()
+    assert rows[1].startswith("2,1,20,0.1,0.1,0.5,0.5,2.4")
+
+
 def test_empty_list_flag_is_ignored():
     args = cli._parser().parse_args(["verify", "--N", "", "--K", "4"])
     cfg = cli._config_from_args(args)

@@ -144,6 +144,20 @@ def test_scan_probe_log_is_consistent():
     assert min(unstable) >= res.dt_max
 
 
+def test_bisection_ends_below_float_spacing():
+    # below the float spacing the ratio test never passes: lo and hi end as
+    # adjacent floats and their geometric mean rounds to one of them
+    cfg = scan_cfg(2, 0.5, 0.5)
+    coarse = max_stable_dt(cfg)
+    fine = max_stable_dt(cfg, resolution=1e-17)
+    coarse_unstable = min(dt for dt, s in coarse.probes if s != "stable")
+    assert coarse_unstable / coarse.dt_max <= 1.0 + experiments.DEFAULT_RESOLUTION
+    assert fine.probes[: len(coarse.probes)] == coarse.probes
+    unstable = min(dt for dt, s in fine.probes if s != "stable")
+    assert np.nextafter(fine.dt_max, np.inf) == unstable
+    assert len(fine.probes) < 100
+
+
 def test_scan_determinism():
     a = max_stable_dt(scan_cfg(2, 0.25, 0.25, n_cells=20))
     b = max_stable_dt(scan_cfg(2, 0.25, 0.25, n_cells=20))

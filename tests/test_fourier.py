@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from upwind_gsbp import experiments, operators, problems
-from upwind_gsbp.fourier import FourierEngine, FourierProblem
+from upwind_gsbp.fourier import FourierEngine, FourierProblem, _checked_solve
 from upwind_gsbp.imex import (
     SolverFailure,
     Stepper,
@@ -55,6 +55,42 @@ def _block_symbols(mat, n: int, k_cells: int) -> np.ndarray:
     return np.fft.rfft(blocks, axis=0).conj()
 
 
+def _reference_step_maps(engine, step_sizes) -> np.ndarray:
+    """The step maps of the Fourier engine's own stage loop, before it ran the step plan."""
+    tb = engine.tableau
+    s = tb.n_stages
+    h = np.asarray(step_sizes, dtype=float)[:, None, None, None]
+    eye = np.broadcast_to(np.eye(engine.m_cell.size), engine.a_hat.shape)
+    start = np.broadcast_to(eye, h.shape[:1] + engine.a_hat.shape).astype(complex)
+    f = [None] * s
+    lu = [None] * s
+
+    def eval_stage(i, u):
+        if tb.reads_explicit[i]:
+            f[i] = engine.a_hat @ u
+        if tb.reads_implicit[i]:
+            lu[i] = engine.l_hat @ u
+
+    eval_stage(0, eye)
+    for i in range(1, s):
+        rhs = start
+        for j in range(i):
+            if f[j] is not None and tb.a_explicit[i, j] != 0.0:
+                rhs = rhs + h * tb.a_explicit[i, j] * f[j]
+            if lu[j] is not None and tb.a_implicit[i, j] != 0.0:
+                rhs = rhs + h * tb.a_implicit[i, j] * lu[j]
+        tau = h * tb.a_implicit[i, i]
+        u_i = _checked_solve(eye - tau * engine.l_hat, rhs) if tb.a_implicit[i, i] != 0.0 else rhs
+        eval_stage(i, u_i)
+    s_map = start
+    for j in range(s):
+        if f[j] is not None and tb.b_explicit[j] != 0.0:
+            s_map = s_map + h * tb.b_explicit[j] * f[j]
+        if lu[j] is not None and tb.b_implicit[j] != 0.0:
+            s_map = s_map + h * tb.b_implicit[j] * lu[j]
+    return s_map
+
+
 def build(order, pair, degree, n_cells, max_growth=np.inf):
     cfg = AdvDiffConfig(0.1, 0.1, pair[0], pair[1], degree, n_cells)
     disc = discretize(cfg)
@@ -89,6 +125,20 @@ def test_engine_assembles_no_operator(monkeypatch):
     engine = FourierEngine(cfg, build_lgl(10), tableau_by_name(2), np.inf)
     assert engine.a_hat.shape == (641, 11, 11)
     assert np.isfinite(engine.amplification(engine.step_maps([0.01])[0]))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_step_maps_are_bit_identical_to_reference_loop(order, degree):
+    # a run's step sizes differ in the last ulp; 0.7 is a single step
+    sizes = sorted({t_next - t for t, t_next in step_times(0.37, 100.0)}) + [0.7]
+    assert len(sizes) > 2
+    for n_cells in (2, 3, 7, 8, 20, 80):
+        for pair in PAIRS + [(0.25, 0.25)]:
+            engine = build(order, pair, degree, n_cells)[3]
+            got, expected = engine.step_maps(sizes), _reference_step_maps(engine, sizes)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 # K odd and even: the rfft weights differ between them
