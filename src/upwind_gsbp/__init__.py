@@ -21,7 +21,6 @@ from .operators import (
     SecondDerivativeOperator,
     assemble_first_derivative,
     interface_jumps,
-    second_derivative,
     second_derivative_from,
     verify_axioms,
 )

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 from . import experiments
 from .imex import EnergyTrace, SolverFailure, integrate, tableau_by_name
 from .mesh import uniform_mesh
-from .operators import assemble_first_derivative, verify_axioms
+from .operators import CertificationReport, assemble_first_derivative, verify_axioms
 from .problems import (
     AdvDiffConfig,
     decay_solution,
@@ -58,32 +58,25 @@ def _parse_text(key: str, value: str) -> str:
     return value
 
 
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {value!r} as a number") from exc
+def _key_parser(convert: Callable, what: str) -> Callable:
+    """(key, text) -> ``convert(text)``; a ValueError becomes a ConfigError naming the key."""
+    def parse(key: str, value: str):
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: cannot parse {value!r} as {what}") from exc
+
+    return parse
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {value!r} as an integer") from exc
+def _list_of(convert: Callable) -> Callable:
+    return lambda value: tuple(convert(part) for part in value.split(",") if part.strip())
 
 
-def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in value.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {value!r} as integers") from exc
-
-
-def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in value.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {value!r} as numbers") from exc
+_parse_float = _key_parser(float, "a number")
+_parse_int = _key_parser(int, "an integer")
+_parse_int_list = _key_parser(_list_of(int), "integers")
+_parse_float_list = _key_parser(_list_of(float), "numbers")
 
 
 def _parse_pairs(key: str, value: str) -> tuple[tuple[float, float], ...]:
@@ -224,6 +217,13 @@ def _check_theta(key: str, value: float) -> float:
     return value
 
 
+def _plus_zero(value):
+    """``value`` with each float -0.0 in it, also inside tuples, made 0.0: no "-0" in outputs."""
+    if isinstance(value, tuple):
+        return tuple(_plus_zero(v) for v in value)
+    return value + 0.0 if isinstance(value, float) else value
+
+
 def build_run_config(subcommand: str, file_values: dict[str, str], overrides: dict) -> RunConfig:
     """Merge defaults, config-file values and flag overrides, then validate.
 
@@ -268,7 +268,7 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
         if attr not in updates:
             updates[attr] = value
 
-    cfg = RunConfig(subcommand, **updates)
+    cfg = RunConfig(subcommand, **{attr: _plus_zero(value) for attr, value in updates.items()})
 
     for key in _KEYS:
         value = getattr(cfg, key.attr)
@@ -352,14 +352,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
                     f"{'pass' if combo_ok else 'FAIL'}",
                     flush=True,
                 )
-    header = "N,K,theta,topology,axiom,residual,tolerance,status"
-    lines = [header] + [
-        ",".join(
-            [str(r[0]), str(r[1]), f"{r[2]:g}", r[3], r[4]]
-            + ["" if r[5] is None else f"{r[5]:.6e}", f"{r[6]:g}", r[7]]
-        )
-        for r in rows
-    ]
+    lines = [CertificationReport.CSV_HEADER] + [",".join(row) for row in rows]
     _write_lines(out / "certification.csv", lines)
     _write_lines(out / "certification.txt", ["\n".join(texts)])
     if failed:

@@ -356,8 +356,6 @@ class BurgersRunResult:
     """Outcome of one Burgers run: snapshots, energy trace, blow-up time."""
 
     n_cells: int
-    theta_adv: float
-    theta_diff: float
     blowup_time: Optional[float]
     final_time: float
     nodes: np.ndarray
@@ -384,12 +382,12 @@ def run_burgers_demo(
     Blow-up halts the run and is recorded with its time: energy above
     BURGERS_BLOWUP_FACTOR times the initial energy or non-finite values at
     the step that shows them, a failed stage solve at the end of the failed
-    step. A completed run that took a step keeps its state at t_final.
+    step. A completed run keeps its state at t_final, even when no step ran.
     """
     tableau = tableau_by_name(order)
+    elem = build_lgl(degree)
     results = []
     for n_cells in cell_counts:
-        elem = build_lgl(degree)
         msh = uniform_mesh(-math.pi, math.pi, n_cells)
         problem = burgers_rhs(elem, msh, theta_adv, theta_diff, c)
         nodes = physical_nodes(msh, elem)
@@ -410,16 +408,13 @@ def run_burgers_demo(
             blowup_time = list(step_times(dt, t_final))[len(energy_rows) - 1][1]
         if monitor.grew:
             blowup_time = energy_rows[-1][1]
-        completed = blowup_time is None and len(energy_rows) > 1
         results.append(
             BurgersRunResult(
                 n_cells=n_cells,
-                theta_adv=theta_adv,
-                theta_diff=theta_diff,
                 blowup_time=blowup_time,
                 final_time=energy_rows[-1][1],
                 nodes=nodes,
-                snapshots={t_final: u} if completed else {},
+                snapshots={t_final: u} if blowup_time is None else {},
                 energy=energy_rows,
             )
         )

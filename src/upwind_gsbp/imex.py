@@ -375,14 +375,11 @@ def solve_implicit_stage(
     lmat, tau: float, rhs: np.ndarray, m_diag: np.ndarray | None = None
 ) -> np.ndarray:
     """Solve (I - tau L) x = rhs through the M-symmetrized SPD form."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    if lmat is None or tau == 0.0:
-        return np.asarray(rhs, dtype=float).copy()
+    rhs = np.ascontiguousarray(rhs, dtype=float)
     if m_diag is None:
         m_diag = np.ones(rhs.shape[0])
-    pieces = _stage_pieces(lmat, m_diag)
-    return _build_stage_solver(pieces, tau, m_diag)(np.ascontiguousarray(rhs, dtype=float))[0]
+    problem = ImexSplitProblem(rhs.shape[0], None, lmat, m_diag)
+    return _StageSolverCache(problem).solve(tau, rhs)[0]
 
 
 def run_step_plan(plan, u_n, dt, t_n, apply_f, apply_l, solve):

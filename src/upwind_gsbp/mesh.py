@@ -44,8 +44,6 @@ def uniform_mesh(x_a: float, x_b: float, n_cells: int) -> Mesh1D:
     """Uniform mesh with n_cells equal-width cells on (x_a, x_b)."""
     if not isinstance(n_cells, (int, np.integer)) or n_cells < 2:
         raise ValueError(f"need an integer cell count >= 2, got {n_cells!r}")
-    if not x_a < x_b:
-        raise ValueError(f"need x_a < x_b, got ({x_a}, {x_b})")
     return Mesh1D(x_a, x_b, np.full(int(n_cells), (x_b - x_a) / n_cells))
 
 

@@ -128,22 +128,30 @@ class Discretization:
         return float(np.max(self.mesh.widths))
 
 
+def _periodic_pair(
+    elem: ReferenceElement, mesh: Mesh1D, theta_adv: float, theta_diff: float
+) -> tuple[GlobalOperatorSet, SecondDerivativeOperator]:
+    """The periodic theta_adv operator set and D2(theta_diff), one assembly if they agree."""
+    opset_adv = assemble_first_derivative(elem, mesh, theta_adv, "periodic")
+    if theta_diff == theta_adv:
+        opset_diff = opset_adv
+    else:
+        opset_diff = assemble_first_derivative(elem, mesh, theta_diff, "periodic")
+    return opset_adv, second_derivative_from(opset_diff)
+
+
 def discretize(cfg: AdvDiffConfig) -> Discretization:
     """Assemble periodic operators for the advective and diffusive parts."""
     elem = build_lgl(cfg.degree)
     mesh = uniform_mesh(cfg.x_a, cfg.x_b, cfg.n_cells)
-    opset_adv = assemble_first_derivative(elem, mesh, cfg.theta_adv, "periodic")
-    if cfg.compatible:
-        opset_diff = opset_adv
-    else:
-        opset_diff = assemble_first_derivative(elem, mesh, cfg.theta_diff, "periodic")
+    opset_adv, d2op = _periodic_pair(elem, mesh, cfg.theta_adv, cfg.theta_diff)
     return Discretization(
         cfg=cfg,
         elem=elem,
         mesh=mesh,
         nodes=physical_nodes(mesh, elem),
         opset_adv=opset_adv,
-        d2op=second_derivative_from(opset_diff),
+        d2op=d2op,
     )
 
 
@@ -202,12 +210,7 @@ def burgers_rhs(
     evaluation; theta_adv = 1/2 makes this the global Lax-Friedrichs variant
     and theta_adv = 0 the central one (C = 0). Implicit part: c D2(theta_diff).
     """
-    opset_adv = assemble_first_derivative(elem, mesh, theta_adv, "periodic")
-    if theta_diff == theta_adv:
-        opset_diff = opset_adv
-    else:
-        opset_diff = assemble_first_derivative(elem, mesh, theta_diff, "periodic")
-    d2op = second_derivative_from(opset_diff)
+    opset_adv, d2op = _periodic_pair(elem, mesh, theta_adv, theta_diff)
 
     d_avg = (0.5 * (opset_adv.D_plus + opset_adv.D_minus)).tocsr()
     c_mat = opset_adv.C

@@ -1,4 +1,5 @@
 import argparse
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from upwind_gsbp.cli import (
     parse_config,
     run_config_from_text,
 )
+from upwind_gsbp.mesh import physical_nodes, uniform_mesh
+from upwind_gsbp.ref_element import build_lgl
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -241,7 +244,8 @@ def test_bad_flag_value_exits_with_config_error(tmp_path):
     ],
 )
 def test_scan_bracket_rejected(values, key):
-    # resolution 0 would bisect forever once lo and hi are adjacent floats
+    # out of domain: a resolution <= 0 is rejected, although the bisection
+    # itself would end once lo and hi are adjacent floats
     with pytest.raises(ConfigError, match=f"'{key}'"):
         build_run_config("scan", values, {})
 
@@ -285,6 +289,40 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, key, value, given_
     assert main(["verify", "--N", "1", "--K", "4", *argv, "--out", str(tmp_path / "out")]) == 2
     assert f"key {key!r}: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("given_as", ["flag", "file"])
+def test_negative_zero_is_read_as_zero(tmp_path, capsys, given_as):
+    # a -0 would print as "-0" in file names, summaries and CSVs
+    if given_as == "flag":
+        argv = ["--T", "-0", "--pair", "-0", "-0", "--theta", "-0"]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text("T = -0\npairs = -0,-0\ntheta = -0\n")
+        argv = ["--config", str(path)]
+    cfg = cli._config_from_args(cli._parser().parse_args(["solve", *argv]))
+    assert [math.copysign(1.0, v) for v in (cfg.t_final, *cfg.pairs[0], *cfg.thetas)] == [1.0] * 4
+    assert main(["solve", "--K", "4", *argv, "--out", str(tmp_path / "solve")]) == 0
+    assert (tmp_path / "solve" / "solution_t0.csv").is_file()
+    assert " T=0 " in capsys.readouterr().out
+    assert main(["converge", "--K", "4", *argv, "--out", str(tmp_path / "converge")]) == 0
+    row = (tmp_path / "converge" / "convergence.csv").read_text().splitlines()[1]
+    assert row.split(",")[3:5] == ["0", "0"]
+    assert main(["verify", "--N", "1", "--K", "4", *argv, "--out", str(tmp_path / "verify")]) == 0
+    rows = (tmp_path / "verify" / "certification.csv").read_text().splitlines()[1:]
+    assert {r.split(",")[2] for r in rows} == {"0"}
+    assert "theta=0:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("t_final", ["0", "-0"])
+def test_burgers_at_zero_final_time_writes_initial_data(tmp_path, capsys, t_final):
+    assert main(["burgers", "--K", "4", "--T", t_final, "--out", str(tmp_path)]) == 0
+    assert "completed T=0" in capsys.readouterr().out
+    nodes = physical_nodes(uniform_mesh(-np.pi, np.pi, 4), build_lgl(2))
+    want = ["x,u"] + [f"{x:.12e},{u:.12e}" for x, u in zip(nodes, np.sin(nodes))]
+    assert (tmp_path / "burgers_K4_t0.csv").read_text().splitlines() == want
+    summary = (tmp_path / "burgers_summary.csv").read_text().splitlines()
+    assert summary[1] == "4,0,0,completed,0.000000e+00"
 
 
 def test_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,6 @@ from upwind_gsbp.operators import (
     _max_eig_sym,
     assemble_first_derivative,
     interface_jumps,
-    second_derivative,
     second_derivative_from,
     verify_axioms,
 )
@@ -331,6 +330,11 @@ def test_single_jump_quadratic_form():
 
 
 # ------------------------------------------------------- second derivative
+
+
+def second_derivative(elem, mesh, theta_diff, topology="periodic"):
+    """D2(theta) = D-(theta) D+(theta) from a fresh assembly."""
+    return second_derivative_from(assemble_first_derivative(elem, mesh, theta_diff, topology))
 
 
 def test_d2_annihilates_constants():
