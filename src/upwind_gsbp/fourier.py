@@ -11,8 +11,9 @@ K independent n x n symbols
 and one IMEX step of size h into K independent n x n maps S_k(h). Real data
 need only k = 0..K//2 (``rfft``); the other maps are complex conjugates. The
 squared M-norm is sum_k w_k u_hat[k]^H M_loc u_hat[k] / K with w_k = 2 except
-at k = 0 and, for even K, k = K/2 (Parseval), so the M-norm amplification of
-one step is max_k ||M_loc^1/2 S_k M_loc^-1/2||_2.
+at k = 0 and, for even K, k = K/2 (Parseval): sum_k |v_k|^2 in the
+M-orthonormal coordinates v_k = sqrt(w_k / K) M_loc^1/2 u_hat[k], which a
+step maps to T_k v_k with T_k = M_loc^1/2 S_k M_loc^-1/2.
 
 With omega = exp(2 pi i / K) and dx = (x_b - x_a) / K, the interior cell
 blocks A11, A12, A21 of D-(theta) (``operators.cell_blocks``) give
@@ -23,8 +24,16 @@ so A_hat[k] = -a D-_hat(theta_adv, k), L_hat[k] = c D-_hat(theta_diff, k)
 D-_hat(-theta_diff, k) since D+(theta) = D-(-theta), and M_loc = (dx/2) w
 (the element-level Fourier analysis of Hu, Hussaini & Rasetarinera, JCP 151,
 1999). ``FourierEngine`` builds the symbols of one problem;
-``FourierEngine.problem`` builds the step maps of one run and certifies
-them, and the resulting ``FourierProblem`` is what ``imex.integrate`` steps.
+``FourierEngine.problem`` builds the maps T_k of one run and certifies them,
+and the resulting ``FourierProblem`` is what ``imex.integrate`` steps.
+
+A run is certified when max_k ||T_k||_2^2 <= max_growth at each of its step
+sizes h'; most differ from the largest, h, only in the last ulp. An SVD
+decides only where two bounds cannot: a squared row or column norm of T_k,
+a lower bound, above max_growth + REJECT_MARGIN rejects, and the upper bound
+max_k (||T_k(h)||_2 + ||T_k(h') - T_k(h)||_F)^2 <= max_growth - SIBLING_MARGIN
+certifies. Both margins lie far outside the float64 roundoff of these norms,
+so every decision is the SVD's.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from .problems import AdvDiffConfig
 from .ref_element import ReferenceElement
 
 __all__ = ["FourierEngine", "FourierProblem"]
+
+REJECT_MARGIN, SIBLING_MARGIN = 1e-9, 1e-14
 
 
 def _checked_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -58,6 +69,11 @@ def _checked_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         worst = float(np.nanmax(residual / np.linalg.norm(rhs, axis=axes)))
         raise SolverFailure(f"Fourier stage block residual {worst:.3e} relative")
     return x
+
+
+def _spectral_norms(t_maps: np.ndarray) -> np.ndarray:
+    """||T_k||_2 of each map in the stack, the bits of np.linalg.norm(ord=2)."""
+    return np.linalg.svd(t_maps, compute_uv=False).max(axis=-1)
 
 
 class FourierEngine:
@@ -92,14 +108,10 @@ class FourierEngine:
         self.l_hat = cfg.c * (d_minus_hat(cfg.theta_diff) @ d_minus_hat(-cfg.theta_diff))
         self.m_cell = 0.5 * dx * elem.weights
         self._m_half = np.sqrt(self.m_cell)
-        # Parseval weights of the rfft coefficients, divided by K, laid out
-        # like the (real, imag) pairs of a complex array viewed as float
-        weights = np.full(self.a_hat.shape[0], 2.0)
-        weights[0] = 1.0
-        if n_cells % 2 == 0:
-            weights[-1] = 1.0
-        cell_weights = (weights / n_cells)[:, None] * self.m_cell[None, :]
-        self.energy_weights = np.repeat(cell_weights.ravel(), 2)
+        # v_k = state_scale[k] * u_hat[k] with the Parseval weights w_k
+        k = np.arange(n_cells // 2 + 1)
+        weights = np.where((k == 0) | (2 * k == n_cells), 1.0, 2.0)
+        self.state_scale = np.sqrt(weights / n_cells)[:, None] * self._m_half
 
     def step_maps(self, step_sizes: Sequence[float]) -> np.ndarray:
         """Maps S_k(h) by the sparse step's plan, shape (len(step_sizes), K//2+1, n, n)."""
@@ -115,36 +127,53 @@ class FourierEngine:
             lambda tau, rhs: (_checked_solve(eye - tau * self.l_hat, rhs), None),
         )
 
+    def _orthonormal(self, s_maps: np.ndarray) -> np.ndarray:
+        """T_k = M^1/2 S_k M^-1/2, the maps acting on the state v_k."""
+        return self._m_half[:, None] * s_maps / self._m_half[None, :]
+
     def amplification(self, s_maps: np.ndarray):
         """max_k ||M^1/2 S_k M^-1/2||_2, one value per batched step map."""
-        scaled = self._m_half[:, None] * s_maps / self._m_half[None, :]
-        return np.max(np.linalg.norm(scaled, ord=2, axis=(-2, -1)), axis=-1)
+        return np.max(_spectral_norms(self._orthonormal(s_maps)), axis=-1)
+
+    def _rejects(self, t_maps: np.ndarray) -> bool:
+        """True when a row or column norm, a lower bound on ||T_k||_2, rules a map out."""
+        squares = np.abs(t_maps) ** 2
+        return max(squares.sum(-1).max(), squares.sum(-2).max()) > self.max_growth + REJECT_MARGIN
 
     def problem(self, step_sizes: Iterable[float]) -> "FourierProblem":
-        """Step maps for the given step sizes, certified or not.
+        """Orthonormal step maps for the given step sizes, certified or not.
 
         The largest step's map is built and certified alone first, so an
         uncertified run usually costs one map; the others follow in one batch.
         """
         sizes = sorted(set(step_sizes), reverse=True)
-        maps: dict[float, np.ndarray] = {}
-        for batch in (sizes[:1], sizes[1:]):
-            if not batch:
-                continue
-            s_maps = self.step_maps(batch)
-            if np.any(self.amplification(s_maps) ** 2 > self.max_growth):
-                return FourierProblem(self, {}, False)
-            maps.update(zip(batch, s_maps))
+        if not sizes:
+            return FourierProblem(self, {}, True)
+        uncertified = FourierProblem(self, {}, False)
+        top = self._orthonormal(self.step_maps(sizes[:1]))
+        if self._rejects(top) or np.max(norms := _spectral_norms(top)) ** 2 > self.max_growth:
+            return uncertified
+        maps = {sizes[0]: top[0]}
+        if len(sizes) > 1:
+            siblings = self._orthonormal(self.step_maps(sizes[1:]))
+            if self._rejects(siblings):
+                return uncertified
+            bounds = (norms + np.linalg.norm(siblings - top, axis=(-2, -1))) ** 2
+            open_ = np.max(bounds, axis=-1) > self.max_growth - SIBLING_MARGIN
+            if np.any(open_) and np.max(_spectral_norms(siblings[open_])) ** 2 > self.max_growth:
+                return uncertified
+            maps.update(zip(sizes[1:], siblings))
         return FourierProblem(self, maps, True)
 
 
 class FourierProblem:
-    """The certified step maps of one run on the rfft coefficients.
+    """The certified orthonormal step maps of one run.
 
-    Its state is the (K//2+1, n) array of rfft coefficients over cells. It
-    holds maps only for the step sizes it was built for, and only when every
-    one of them is certified; any other step raises. It is built per run, so
-    it is its own stepping session.
+    Its state is v_k = sqrt(w_k / K) M^1/2 u_hat[k] for k = 0..K//2, stored
+    as a (K//2+1, n, 1) array: a step is v_k <- T_k v_k and the squared M-norm
+    is sum_k |v_k|^2. It holds maps only for the step sizes it was built
+    for, and only when every one of them is certified; any other step
+    raises. It is built per run, so it is its own stepping session.
     """
 
     def __init__(self, engine: FourierEngine, maps: dict[float, np.ndarray], certified: bool):
@@ -161,17 +190,18 @@ class FourierProblem:
 
     def state(self, u0: np.ndarray) -> np.ndarray:
         cells = np.asarray(u0, dtype=float).reshape(self.engine.n_cells, -1)
-        return np.fft.rfft(cells, axis=0)
+        return (self.engine.state_scale * np.fft.rfft(cells, axis=0))[:, :, None]
 
-    def advance(self, u_hat: np.ndarray, dt: float, t: float = 0.0) -> np.ndarray:
-        s_map = self._maps.get(dt)
-        if s_map is None:
+    def advance(self, v: np.ndarray, dt: float, t: float = 0.0) -> np.ndarray:
+        t_map = self._maps.get(dt)
+        if t_map is None:
             raise RuntimeError(f"no certified Fourier step map for step size {dt!r}")
-        return (s_map @ u_hat[:, :, None])[:, :, 0]
+        return t_map @ v
 
-    def energy(self, u_hat: np.ndarray) -> float:
-        pairs = u_hat.view(float).ravel()
-        return float(pairs @ (self.engine.energy_weights * pairs))
+    def energy(self, v: np.ndarray) -> float:
+        pairs = v.view(float).ravel()
+        return float(pairs @ pairs)
 
-    def nodal(self, u_hat: np.ndarray) -> np.ndarray:
+    def nodal(self, v: np.ndarray) -> np.ndarray:
+        u_hat = v[:, :, 0] / self.engine.state_scale
         return np.fft.irfft(u_hat, n=self.engine.n_cells, axis=0).ravel()

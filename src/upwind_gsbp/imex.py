@@ -216,8 +216,9 @@ def _step_plan(tableau: "ImexTableau", has_f: bool, has_l: bool):
 
     A step keeps its stage evaluations in one list: F(u_j) at index j and
     L u_j at index s + j. Each stage is (A2[i,i], c_i, F read, L read,
-    terms) and each term (value index, coefficient), in the order
-    j = 0, 1, ..., F before L; ``final`` holds the terms of u_{n+1}.
+    start, terms) and ``final``, the sum giving u_{n+1}, is (start, terms):
+    the sum adds its terms (value index, coefficient), in the order j = 0,
+    1, ..., F before L, to u_n or to the right-hand side of stage ``start``.
     """
     s = tableau.n_stages
 
@@ -230,17 +231,26 @@ def _step_plan(tableau: "ImexTableau", has_f: bool, has_l: bool):
                 out.append((s + j, float(a_im[j])))
         return tuple(out)
 
+    sums = [terms(tableau.a_explicit[i], tableau.a_implicit[i], i) for i in range(s)]
+    sums += [terms(tableau.b_explicit, tableau.b_implicit, s), ()]  # u_n at index -1
+
+    def shared(m: int) -> tuple[int, tuple]:
+        """(start, terms): sum m continues its longest stage-sum prefix, else u_n."""
+        extended = [j for j in range(min(m, s)) if sums[m][: len(sums[j])] == sums[j]]
+        start = max([-1] + extended, key=lambda j: len(sums[j]))
+        return start, sums[m][len(sums[start]) :]
+
     stages = tuple(
         (
             float(tableau.a_implicit[i, i]),
             float(tableau.c[i]),
             has_f and tableau.reads_explicit[i],
             has_l and tableau.reads_implicit[i],
-            terms(tableau.a_explicit[i], tableau.a_implicit[i], i),
+            *shared(i),
         )
         for i in range(s)
     )
-    return stages, terms(tableau.b_explicit, tableau.b_implicit, s)
+    return stages, shared(s)
 
 
 @dataclass
@@ -275,13 +285,14 @@ class _StageSolverCache:
 
     def __init__(self, problem: ImexSplitProblem):
         self.problem = problem
+        self.apply_l = None if problem.l_implicit is None else problem.l_implicit.__matmul__
         self._solvers: dict[float, Callable] = {}
 
     def solve(self, tau: float, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """(x, L x) for (I - tau L) x = rhs; L x is None when no solve ran."""
         if tau < 0:
             raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
-        if self.problem.l_implicit is None or tau == 0.0:
+        if self.apply_l is None or tau == 0.0:
             return rhs.copy(), None
         if tau not in self._solvers:
             pieces = self.problem.stage_pieces
@@ -364,7 +375,7 @@ def _build_stage_solver(pieces: _StagePieces, tau: float, m_diag: np.ndarray):
             l_x = lmat @ x
             residual = rhs - (x - tau * l_x)
             r_norm = math.sqrt(residual.dot(residual))
-            if r_norm <= max(target, noise_per_x * math.sqrt(x.dot(x))):
+            if r_norm <= target or r_norm <= noise_per_x * math.sqrt(x.dot(x)):
                 return x, l_x
         raise SolverFailure(f"implicit stage residual stalled at {r_norm / b_norm:.3e} relative")
 
@@ -386,23 +397,24 @@ def run_step_plan(plan, u_n, dt, t_n, apply_f, apply_l, solve):
     """One step of a plan from ``ImexTableau.step_plans``, in the caller's algebra.
 
     ``apply_f(t, u)`` is F at time t, ``apply_l(u)`` is L u and
-    ``solve(tau, rhs)`` returns (x, L x or None) for (I - tau L) x = rhs.
-    ``u_n`` and ``dt`` need only broadcast together: the Fourier engine steps
-    a stack of identity blocks with an array of step sizes. The terms of each
-    combination are added in plan order, which fixes the roundoff.
+    ``solve(tau, rhs)`` returns (x, L x or None) for (I - tau L) x = rhs
+    without modifying ``rhs``, from which later sums continue. ``u_n`` and
+    ``dt`` need only broadcast together: the Fourier engine steps a stack of
+    identity blocks with an array of step sizes. The terms of each sum are
+    added in plan order, which fixes the roundoff.
     """
-    stages, final = plan
+    stages, (start, final) = plan
     s = len(stages)
     values = [None] * (2 * s)
-    for i, (a_ii, c_i, f_read, l_read, terms) in enumerate(stages):
-        u_i, l_x = _combine(u_n, dt, terms, values), None
-        if a_ii:
-            u_i, l_x = solve(dt * a_ii, u_i)
+    sums = [None] * s + [u_n]  # stage right-hand sides, then u_n at index -1
+    for i, (a_ii, c_i, f_read, l_read, start_i, terms) in enumerate(stages):
+        u_i = sums[i] = _combine(sums[start_i], dt, terms, values)
+        u_i, l_x = solve(dt * a_ii, u_i) if a_ii else (u_i, None)
         if f_read:
             values[i] = apply_f(t_n + c_i * dt, u_i)
         if l_read:
             values[s + i] = apply_l(u_i) if l_x is None else l_x
-    return _combine(u_n, dt, final, values)
+    return _combine(sums[start], dt, final, values)
 
 
 def _combine(u, dt, terms, values):
@@ -424,13 +436,12 @@ def step(
     F and L are evaluated only at the stage values some tableau coefficient
     reads, and L u_i comes from the stage solve's refinement check.
     """
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
+    if not 0 <= dt < math.inf:
+        raise ValueError(f"dt must be finite and >= 0, got {dt}")
     if cache is None:
         cache = _StageSolverCache(problem)
-    f_explicit, lmat = problem.f_explicit, problem.l_implicit
-    plan = tableau.step_plans[f_explicit is not None, lmat is not None]
-    apply_l = None if lmat is None else lmat.__matmul__
+    f_explicit, apply_l = problem.f_explicit, cache.apply_l
+    plan = tableau.step_plans[f_explicit is not None, apply_l is not None]
     return run_step_plan(plan, u_n, dt, t_n, f_explicit, apply_l, cache.solve)
 
 
@@ -467,9 +478,6 @@ class EnergyTrace:
 
     steps: list[tuple[int, float, float]] = field(default_factory=list)
 
-    def append(self, k: int, t: float, energy: float) -> None:
-        self.steps.append((k, t, energy))
-
     def energies(self) -> np.ndarray:
         return np.array([row[2] for row in self.steps])
 
@@ -489,8 +497,10 @@ def step_times(dt: float, t_final: float):
     Steps land on multiples of dt, and the last one is truncated to land on
     t_final; the step size t_next - t therefore varies in the last ulp.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not 0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     tol = 1e-12 * max(dt, t_final)
     t = 0.0
     k = 0
@@ -516,20 +526,18 @@ def integrate(
     ``problem`` is an ImexSplitProblem or any problem whose ``stepper(tableau)``
     returns a session with the interface of ``Stepper``. The observer is
     called after every step with (step index, time, squared M-norm);
-    returning True halts the integration early.
+    returning True halts the integration early. ``step_times`` rejects a
+    dt or t_final it cannot step with ValueError before the first step.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_final < 0:
-        raise ValueError(f"t_final must be >= 0, got {t_final}")
     stepper = problem.stepper(tableau)
+    advance, energy_of = stepper.advance, stepper.energy
     u = stepper.state(u0)
-    trace = EnergyTrace()
-    trace.append(0, 0.0, stepper.energy(u))
+    trace = EnergyTrace([(0, 0.0, energy_of(u))])
+    append = trace.steps.append
     for k, (t, t_next) in enumerate(step_times(dt, t_final), start=1):
-        u = stepper.advance(u, t_next - t, t)
-        energy = stepper.energy(u)
-        trace.append(k, t_next, energy)
+        u = advance(u, t_next - t, t)
+        energy = energy_of(u)
+        append((k, t_next, energy))
         if observer is not None and observer(k, t_next, energy):
             break
     return stepper.nodal(u), trace

@@ -56,9 +56,9 @@ class AdvDiffConfig:
     x_b: float = math.pi
 
     def __post_init__(self):
-        if self.a <= 0:
+        if not self.a > 0:
             raise ValueError(f"advective velocity a must be > 0, got {self.a}")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError(f"diffusion coefficient c must be > 0, got {self.c}")
         for label, theta in (("theta_adv", self.theta_adv), ("theta_diff", self.theta_diff)):
             if not -0.5 <= theta <= 0.5:

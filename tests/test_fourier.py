@@ -1,5 +1,7 @@
 """Block-Fourier stepping, cross-checked against the sparse engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -172,6 +174,42 @@ def test_amplification_matches_dense_norm(order, pair, n_cells):
     m_half = np.sqrt(disc.m_diag)
     expected = np.linalg.norm(m_half[:, None] * dense / m_half[None, :], 2)
     assert abs(engine.amplification(engine.step_maps([dt])[0]) - expected) <= 1e-12
+
+
+# dt = 0.5 and 100 give one step size over the horizon; the others give
+# several, which differ in the last ulp except for a truncated last step.
+# At dt = 44 the last step is 12, which order 3 does not certify on some
+# meshes that certify 44.
+ROUTING_STEPS = [0.05, 0.37, 0.5, 1.213066, 7.3, 44.0, 100.0]
+
+
+def test_certificate_decides_as_the_svd_of_every_map(monkeypatch):
+    svd = np.linalg.svd
+    svd_maps = [0]
+
+    def counting(a, *args, **kwargs):
+        svd_maps[0] += a.shape[0]  # maps come stacked by step size
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    cases = ["rejection bound", "sibling bound", "svd", "one size", "several sizes", "largest only"]
+    decided = dict.fromkeys(cases, 0)
+    for order, pair, degree, n_cells in itertools.product([1, 2, 3], PAIRS, [1, 3], [5, 8, 20]):
+        engine = build(order, pair, degree, n_cells, 1.0 + experiments.CERTIFIED_GROWTH)[3]
+        for dt in ROUTING_STEPS:
+            sizes = sorted({t_next - t for t, t_next in step_times(dt, 100.0)})
+            svd_maps[0] = 0
+            certified = engine.problem(sizes).certified
+            svd_free = svd_maps[0] == 0
+            svd_free_maps = len(sizes) - svd_maps[0]
+            amplification = engine.amplification(engine.step_maps(sizes))
+            assert certified == all(amplification**2 <= engine.max_growth)
+            decided["rejection bound"] += not certified and svd_free
+            decided["sibling bound"] += certified and svd_free_maps > 0
+            decided["svd"] += not svd_free
+            decided["one size" if len(sizes) == 1 else "several sizes"] += 1
+            decided["largest only"] += not certified and amplification[-1] ** 2 <= engine.max_growth
+    assert all(count > 0 for count in decided.values()), decided
 
 
 # ------------------------------------------------------------------ guards

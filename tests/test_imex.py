@@ -450,6 +450,49 @@ def test_step_is_bit_identical_to_reference_step(factory, case):
 # ------------------------------------------------------------- integrate
 
 
+NON_FINITE = [float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_step_size_is_rejected(bad):
+    problem = ImexSplitProblem(1, lambda t, u: -u, None, np.ones(1))
+    u0 = np.array([1.0])
+    with pytest.raises(ValueError, match="dt must be finite"):
+        integrate(tableau_imex1(), problem, u0, bad, 1.0)
+    with pytest.raises(ValueError, match="dt must be finite"):
+        step(tableau_imex2(), problem, u0, bad)
+    with pytest.raises(ValueError, match="dt must be finite"):
+        next(step_times(bad, 1.0))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_final_time_is_rejected(bad):
+    problem = ImexSplitProblem(1, lambda t, u: -u, None, np.ones(1))
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        integrate(tableau_imex1(), problem, np.array([1.0]), 0.1, bad)
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        next(step_times(0.1, bad))
+
+
+def test_nan_step_on_implicit_problem_is_not_a_solver_failure():
+    problem = ImexSplitProblem(1, lambda t, u: -u, np.array([[-2.0]]), np.ones(1))
+    with pytest.raises(ValueError, match="dt must be finite"):
+        step(tableau_imex2(), problem, np.array([0.7]), float("nan"))
+
+
+@pytest.mark.parametrize(
+    "factory,final_start",
+    [(tableau_imex1, 1), (tableau_imex2, 2), (tableau_imex3, -1)],
+)
+def test_final_sum_continues_a_stage_sum(factory, final_start):
+    # imex1 and imex2 (stiffly accurate, F unread at the last stage) end with
+    # the last stage's right-hand side plus one L term
+    stages, (start, final) = factory().step_plans[True, True]
+    assert start == final_start
+    if start >= 0:
+        assert len(final) == 1 and final[0][0] == len(stages) + start
+
+
 def test_integrate_single_step():
     problem = ImexSplitProblem(1, lambda t, u: -u, None, np.ones(1))
     _, trace = integrate(tableau_imex1(), problem, np.array([1.0]), 0.5, 0.5)

@@ -19,6 +19,14 @@ from upwind_gsbp.ref_element import build_lgl
 # ------------------------------------------------------------- config
 
 
+@pytest.mark.parametrize("field", ["a", "c"])
+def test_config_rejects_nan_coefficient(field):
+    values = dict(a=0.1, c=0.1, theta_adv=0.5, theta_diff=0.5, degree=1, n_cells=4)
+    values[field] = float("nan")
+    with pytest.raises(ValueError, match=f"{field} must be > 0, got nan"):
+        AdvDiffConfig(**values)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AdvDiffConfig(a=0.0, c=0.1, theta_adv=0.5, theta_diff=0.5, degree=1, n_cells=4)
