@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -272,7 +271,13 @@ def scan_many(
     """Run independent scans, merging results in input order."""
     jobs = [(cfg, bracket, resolution, extend_lower) for cfg in scan_cfgs]
     results: list[StabilityScanResult] = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    executor = nullcontext()
+    if workers > 1:
+        # imported here so that single-worker runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=workers)
+    with executor as pool:
         for res in (pool.map if pool else map)(_scan_job, jobs):
             results.append(res)
             if progress is not None:

@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "ImexTableau",
@@ -84,26 +83,6 @@ class ImexTableau:
     def step_plans(self) -> dict[tuple[bool, bool], tuple]:
         """``_step_plan`` for problems with and without F and L, keyed by (has F, has L)."""
         return {(f, l): _step_plan(self, f, l) for f in (False, True) for l in (False, True)}
-
-    def validation_residuals(self) -> dict[str, float]:
-        """Structural residuals: row sums vs c, padding, stiff accuracy."""
-        row_ex = np.max(np.abs(self.a_explicit.sum(axis=1) - self.c))
-        row_im = np.max(np.abs(self.a_implicit.sum(axis=1) - self.c))
-        pad = max(
-            np.max(np.abs(self.a_implicit[0, :])),
-            np.max(np.abs(self.a_implicit[:, 0])),
-        )
-        lower_ex = np.max(np.abs(np.triu(self.a_explicit)))
-        lower_im = np.max(np.abs(np.triu(self.a_implicit, k=1)))
-        stiff = np.max(np.abs(self.a_implicit[-1, 1:] - self.b_implicit[1:]))
-        return {
-            "row_sum_explicit": float(row_ex),
-            "row_sum_implicit": float(row_im),
-            "implicit_padding": float(pad),
-            "explicit_strictly_lower": float(lower_ex),
-            "implicit_lower": float(lower_im),
-            "stiff_accuracy": float(stiff),
-        }
 
 
 def tableau_imex1() -> ImexTableau:
@@ -346,9 +325,13 @@ def _build_stage_solver(pieces: _StagePieces, tau: float, m_diag: np.ndarray):
     failed factorization means a misassembled operator and raises
     ``SolverFailure``.
     """
+    # imported here, not at module level, so that runs which never factorize
+    # (``gsbp verify``, certified scan probes) never load scipy.sparse.linalg
+    from scipy.sparse.linalg import splu
+
     lmat = pieces.lmat
     try:
-        base_solve = spla.splu(pieces.system(tau)).solve
+        base_solve = splu(pieces.system(tau)).solve
     except Exception as exc:  # singular system: misassembled operator
         raise SolverFailure(f"stage factorization failed: {exc}") from exc
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .mesh import Mesh1D, physical_nodes
 from .ref_element import ReferenceElement
@@ -256,6 +255,33 @@ def _max_abs(mat: sp.csr_matrix) -> float:
     return float(np.max(np.abs(mat.data))) if mat.data.size else 0.0
 
 
+def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, labels) of the connected components of the undirected graph on ``dim`` nodes.
+
+    Each node starts labelled by itself. A pass points the label of each edge
+    end at the other end's label where that is smaller, in both directions,
+    then follows the pointers until every node carries a label that points at
+    itself (pointer jumping). Labels only ever point at smaller nodes of the
+    same component, so once a pass moves no label, each node carries the
+    smallest node of its component. Components are numbered in the order of
+    their smallest node, as ``scipy.sparse.csgraph.connected_components``
+    numbers them.
+    """
+    label = np.arange(dim)
+    while True:
+        ends_r, ends_c = label[rows], label[cols]
+        hooked = label.copy()
+        np.minimum.at(hooked, ends_r, ends_c)
+        np.minimum.at(hooked, ends_c, ends_r)
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    roots, labels = np.unique(label, return_inverse=True)
+    return roots.size, labels
+
+
 def _max_eig_sym(mat: sp.csr_matrix, mat_t: sp.csr_matrix | None = None) -> float:
     """Largest eigenvalue of the symmetric part of ``mat``, one component at a time.
 
@@ -267,7 +293,7 @@ def _max_eig_sym(mat: sp.csr_matrix, mat_t: sp.csr_matrix | None = None) -> floa
     components have at most two nodes.
     """
     sym = sp.coo_matrix(0.5 * (mat + (mat.T if mat_t is None else mat_t)))
-    n_comp, labels = csgraph.connected_components(sym, directed=False)
+    n_comp, labels = _components(sym.shape[0], sym.row, sym.col)
     sizes = np.bincount(labels, minlength=n_comp)
     # position of each node within its component, and of each component
     # within the stack of components of its size

@@ -1,5 +1,9 @@
 import argparse
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -463,3 +467,61 @@ def test_config_file_drives_run(tmp_path, capsys):
     lines = (tmp_path / "certification.csv").read_text().splitlines()
     # one (N, K, theta) combination, bounded + periodic reports
     assert len(lines) == 1 + 4 + 2
+
+
+# Run in a fresh interpreter: the test process itself has long loaded
+# scipy.sparse.linalg and multiprocessing. Each step reports its exit status
+# and which of the two modules are loaded after it.
+LAZY_IMPORT_SCRIPT = """
+import contextlib, io, json, sys, tempfile
+
+import numpy as np
+
+from upwind_gsbp.cli import main
+
+def loaded():
+    return ["scipy.sparse.linalg" in sys.modules, "multiprocessing" in sys.modules]
+
+out = tempfile.mkdtemp()
+seen = {"import": [0, *loaded()]}
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["--help"])
+    except SystemExit as exc:
+        seen["help"] = [exc.code, *loaded()]
+    with contextlib.redirect_stderr(io.StringIO()):
+        seen["config_error"] = [main(["scan", "--pair", "0.7", "0", "--out", out]), *loaded()]
+    seen["verify"] = [main(["verify", "--N", "1", "--K", "4", "--theta", "0", "--out", out]), *loaded()]
+
+from upwind_gsbp.imex import integrate, tableau_by_name
+from upwind_gsbp.problems import AdvDiffConfig, discretize, make_split_problem
+
+disc = discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 1, 4))
+u, trace = integrate(tableau_by_name("imex2"), make_split_problem(disc), np.sin(disc.nodes), 0.1, 0.3)
+assert np.isfinite(u).all()
+seen["integrate"] = [trace.steps[-1][0], *loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    scan = ["scan", "--order", "1", "--N", "1", "--K", "4", "--pair", "0", "0", "--horizon", "1"]
+    seen["scan"] = [main([*scan, "--workers", "1", "--out", out]), *loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_runs_load_only_what_they_execute():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    seen = json.loads(run.stdout.splitlines()[-1])
+    # [exit status or steps taken, scipy.sparse.linalg loaded, multiprocessing loaded]
+    assert seen == {
+        "import": [0, False, False],
+        "help": [0, False, False],
+        "config_error": [2, False, False],
+        "verify": [0, False, False],
+        # a sparse run factorizes its stage systems, which loads the solver
+        "integrate": [3, True, False],
+        # one worker starts no process pool
+        "scan": [0, True, False],
+    }

@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from upwind_gsbp.mesh import Mesh1D, physical_nodes, uniform_mesh
 from upwind_gsbp.operators import (
+    _components,
     _max_eig_sym,
     assemble_first_derivative,
     interface_jumps,
@@ -295,6 +297,59 @@ def test_max_eig_single_component_above_old_dense_limit():
         [-1, 0, 1],
     ).tocsr()
     assert _max_eig_sym(mat) == dense_max_eig_sym(mat)
+
+
+def assert_components_match_csgraph(dim, rows, cols):
+    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
+    want_count, want_labels = csgraph.connected_components(graph, directed=False)
+    count, labels = _components(dim, rows, cols)
+    assert count == want_count
+    assert np.array_equal(labels, want_labels)
+
+
+def test_components_match_csgraph_on_random_symmetric_patterns():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        dim = int(rng.integers(1, 80))
+        density = rng.choice([0.0, 0.01, 0.03, 0.1, 0.3])
+        pattern = sp.random(dim, dim, density=density, random_state=rng, format="csr")
+        sym = (pattern + pattern.T).tocoo()
+        assert_components_match_csgraph(dim, sym.row, sym.col)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_components_of_a_long_path(shuffled):
+    # a path is the deepest graph: the smallest label must travel its length
+    dim = 1280
+    nodes = np.random.default_rng(12).permutation(dim) if shuffled else np.arange(dim)
+    rows, cols = nodes[:-1], nodes[1:]
+    assert_components_match_csgraph(dim, np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    # each edge listed in one direction only
+    count, labels = _components(dim, rows, cols)
+    assert count == 1 and not labels.any()
+
+
+def test_components_of_isolated_nodes():
+    none = np.array([], dtype=int)
+    for dim in (1, 50):
+        assert_components_match_csgraph(dim, none, none)
+    count, labels = _components(50, none, none)
+    assert count == 50 and np.array_equal(labels, np.arange(50))
+    assert_components_match_csgraph(1, np.array([0]), np.array([0]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_max_eig_of_shuffled_block_diagonal_symmetric(seed):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for size in rng.integers(1, 7, size=int(rng.integers(1, 40))):
+        block = rng.standard_normal((size, size))
+        blocks.append(block + block.T)
+    dense = sp.block_diag(blocks).toarray()
+    perm = rng.permutation(dense.shape[0])
+    mat = sp.csr_matrix(dense[perm][:, perm])
+    eigs = np.linalg.eigvalsh(mat.toarray())
+    assert abs(_max_eig_sym(mat) - eigs.max()) <= 1e-13 * np.abs(eigs).max()
 
 
 def test_fully_one_sided_flux_certifies_zero_at_large_dim():
