@@ -22,12 +22,11 @@ from .mesh import uniform_mesh
 from .operators import CertificationReport, assemble_first_derivative, verify_axioms
 from .problems import (
     AdvDiffConfig,
-    decay_solution,
     discretize,
-    growth_solution,
     initial_condition,
     l2_error,
     make_split_problem,
+    solution_by_kind,
 )
 from .ref_element import build_lgl
 
@@ -249,12 +248,13 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
     # bare subcommand reproduces a canonical experiment slice
     sub_defaults: dict[str, dict] = {
         "verify": {"cell_counts": (4, 20)},
-        "converge": {"degrees": (1,), "orders": (2,)},
+        "converge": {"degrees": (1,), "orders": (2,), "t_final": 10.0, "mu": 25.0},
         "solve": {
             "degrees": (1,),
             "orders": (2,),
             "cell_counts": (40,),
             "pairs": ((0.5, 0.5),),
+            "t_final": 10.0,
             "mu": 25.0,
         },
         "burgers": {
@@ -262,6 +262,8 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
             "orders": (2,),
             "cell_counts": (50, 100),
             "pairs": ((0.0, 0.0),),
+            "t_final": 2.0,
+            "dt": 0.1,
         },
     }
     for attr, value in sub_defaults.get(subcommand, {}).items():
@@ -388,7 +390,6 @@ def _cmd_scan(cfg: RunConfig) -> int:
         bracket=(cfg.tau_lo * scale, cfg.tau_cap * scale),
         resolution=cfg.resolution,
         workers=cfg.workers,
-        extend_lower=True,
         progress=progress,
     )
     _write_lines(out / "stability.csv", experiments.stability_csv_lines(results))
@@ -398,16 +399,14 @@ def _cmd_scan(cfg: RunConfig) -> int:
 def _cmd_converge(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     order = cfg.orders[0]
-    mu = cfg.mu if cfg.mu is not None else 25.0
-    t_final = cfg.t_final if cfg.t_final is not None else 10.0
     degree = cfg.degrees[0]
     blocks = []
     for theta_adv, theta_diff in cfg.pairs:
         base = AdvDiffConfig(cfg.a, cfg.c, theta_adv, theta_diff, degree, cfg.cell_counts[0])
         rows = experiments.run_convergence(
-            base, order, mu, cfg.cell_counts, t_final, cfg.solution
+            base, order, cfg.mu, cfg.cell_counts, cfg.t_final, cfg.solution
         )
-        blocks.append((base, mu, rows))
+        blocks.append((base, cfg.mu, rows))
         for row in rows:
             print(
                 f"converge pair=({theta_adv:g},{theta_diff:g}) K={row.n_cells}: "
@@ -423,36 +422,29 @@ def _cmd_solve(cfg: RunConfig) -> int:
     order = cfg.orders[0]
     degree = cfg.degrees[0]
     n_cells = cfg.cell_counts[0]
-    t_final = cfg.t_final if cfg.t_final is not None else 10.0
     disc = discretize(AdvDiffConfig(cfg.a, cfg.c, *cfg.pairs[0], degree, n_cells))
-    if cfg.solution == "growth":
-        solution = growth_solution(cfg.c)
-        problem = make_split_problem(disc, solution.source)
-    else:
-        solution = decay_solution(cfg.a, cfg.c)
-        problem = make_split_problem(disc)
+    solution = solution_by_kind(cfg.solution, cfg.a, cfg.c)
+    problem = make_split_problem(disc, solution.source)
     dt = cfg.dt if cfg.dt is not None else cfg.mu * disc.dx_max
     u0 = initial_condition(solution, disc.mesh, disc.elem)
     tableau = tableau_by_name(order)
-    u_final, trace = integrate(tableau, problem, u0, dt, t_final)
-    error = l2_error(u_final, solution, t_final, disc.nodes, disc.m_diag)
-    _write_snapshot(out / f"solution_t{t_final:g}.csv", disc.nodes, u_final)
+    u_final, trace = integrate(tableau, problem, u0, dt, cfg.t_final)
+    error = l2_error(u_final, solution, cfg.t_final, disc.nodes, disc.m_diag)
+    _write_snapshot(out / f"solution_t{cfg.t_final:g}.csv", disc.nodes, u_final)
     trace.to_csv(out / "energy.csv")
-    print(f"solve: K={n_cells} N={degree} dt={dt:g} T={t_final:g} l2_error={error:.6e}")
+    print(f"solve: K={n_cells} N={degree} dt={dt:g} T={cfg.t_final:g} l2_error={error:.6e}")
     return EXIT_OK
 
 
 def _cmd_burgers(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     theta_adv, theta_diff = cfg.pairs[0]
-    dt = cfg.dt if cfg.dt is not None else 0.1
-    t_final = cfg.t_final if cfg.t_final is not None else 2.0
     results = experiments.run_burgers_demo(
         theta_adv,
         theta_diff,
         cfg.cell_counts,
-        dt=dt,
-        t_final=t_final,
+        dt=cfg.dt,
+        t_final=cfg.t_final,
         c=cfg.c,
         degree=cfg.degrees[0],
         order=cfg.orders[0],

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,10 +27,10 @@ from .problems import (
     burgers_rhs,
     decay_solution,
     discretize,
-    growth_solution,
     initial_condition,
     l2_error,
     make_split_problem,
+    solution_by_kind,
 )
 from .ref_element import build_lgl
 
@@ -177,7 +178,7 @@ class _ProbeContext:
         horizon = self.scan_cfg.horizon
         try:
             fourier = self.fourier.problem(t_next - t for t, t_next in step_times(dt, horizon))
-            problem = fourier if fourier.certified else self.problem
+            problem = self.problem if fourier is None else fourier
             integrate(self.tableau, problem, self.u0, dt, horizon, observer=monitor)
         except SolverFailure:
             return SOLVER_FAILURE
@@ -188,22 +189,20 @@ def max_stable_dt(
     scan_cfg: ScanConfig,
     bracket: Optional[tuple[float, float]] = None,
     resolution: float = DEFAULT_RESOLUTION,
-    extend_lower: Optional[bool] = None,
 ) -> StabilityScanResult:
     """Scan for the largest stable time step by doubling plus bisection.
 
     ``bracket`` holds (dt_lo, dt_cap); when omitted, tau in
-    [DEFAULT_TAU_LO, DEFAULT_TAU_CAP] is used. With ``extend_lower`` (the
-    default for the implicit bracket) an unstable lower bound is pushed down
-    by halving before giving up; a strict bracket reports below_bracket
-    instead. A stable cap probe yields the UNBOUNDED outcome.
+    [DEFAULT_TAU_LO, DEFAULT_TAU_CAP] is used. An unstable lower bound is
+    halved until it is stable; one still unstable at tau = TAU_FLOOR is
+    reported as below_bracket. A stable cap probe yields the UNBOUNDED
+    outcome.
     """
     scale = scan_cfg.dt_scale
     if bracket is None:
         dt_lo, dt_cap = DEFAULT_TAU_LO * scale, DEFAULT_TAU_CAP * scale
     else:
         dt_lo, dt_cap = bracket
-    auto_extend = (bracket is None) if extend_lower is None else extend_lower
 
     ctx = _ProbeContext(scan_cfg)
     probes: list[tuple[float, str]] = []
@@ -216,7 +215,7 @@ def max_stable_dt(
     result = StabilityScanResult(scan_cfg, None, None, probes=probes)
 
     while probe(dt_lo) != STABLE:
-        if not auto_extend or dt_lo / scale <= TAU_FLOOR:
+        if dt_lo / scale <= TAU_FLOOR:
             result.below_bracket = True
             return result
         dt_lo /= 2.0
@@ -253,23 +252,15 @@ def max_stable_dt(
     return result
 
 
-def _scan_job(args) -> StabilityScanResult:
-    scan_cfg, bracket, resolution, extend_lower = args
-    return max_stable_dt(
-        scan_cfg, bracket=bracket, resolution=resolution, extend_lower=extend_lower
-    )
-
-
 def scan_many(
     scan_cfgs: Sequence[ScanConfig],
     bracket: Optional[tuple[float, float]] = None,
     resolution: float = DEFAULT_RESOLUTION,
     workers: int = 1,
-    extend_lower: Optional[bool] = None,
     progress=None,
 ) -> list[StabilityScanResult]:
     """Run independent scans, merging results in input order."""
-    jobs = [(cfg, bracket, resolution, extend_lower) for cfg in scan_cfgs]
+    scan = partial(max_stable_dt, bracket=bracket, resolution=resolution)
     results: list[StabilityScanResult] = []
     executor = nullcontext()
     if workers > 1:
@@ -278,10 +269,10 @@ def scan_many(
 
         executor = ProcessPoolExecutor(max_workers=workers)
     with executor as pool:
-        for res in (pool.map if pool else map)(_scan_job, jobs):
+        for res in (pool.map if pool else map)(scan, scan_cfgs):
             results.append(res)
             if progress is not None:
-                progress(len(results), len(jobs), res)
+                progress(len(results), len(scan_cfgs), res)
     return results
 
 
@@ -317,28 +308,21 @@ def run_convergence(
     exceeding BLOWUP_FACTOR times the initial energy.
     """
     tableau = tableau_by_name(order)
-    if solution_kind == "decay":
-        solution = decay_solution(base_cfg.a, base_cfg.c)
-        source = None
-        monitor_for = lambda e0: EnergyMonitor(e0, growth_rtol=ENERGY_GROWTH_RTOL)
-    elif solution_kind == "growth":
-        if base_cfg.a != 1.0:
-            raise ValueError("the growth solution is defined for a = 1")
-        solution = growth_solution(base_cfg.c)
-        source = solution.source
-        monitor_for = lambda e0: EnergyMonitor(max(e0, 1.0), blowup_factor=BLOWUP_FACTOR)
-    else:
-        raise ValueError(f"unknown solution kind {solution_kind!r}")
+    solution = solution_by_kind(solution_kind, base_cfg.a, base_cfg.c)
 
     rows: list[ConvergenceRow] = []
     prev_error: Optional[float] = None
     for n_cells in cell_counts:
         cfg = replace(base_cfg, n_cells=n_cells)
         disc = discretize(cfg)
-        problem = make_split_problem(disc, source)
+        problem = make_split_problem(disc, solution.source)
         u0 = initial_condition(solution, disc.mesh, disc.elem)
         dt = mu * disc.dx_max
-        monitor = monitor_for(problem.energy(u0))
+        e0 = problem.energy(u0)
+        if solution.source is None:
+            monitor = EnergyMonitor(e0, growth_rtol=ENERGY_GROWTH_RTOL)
+        else:
+            monitor = EnergyMonitor(max(e0, 1.0), blowup_factor=BLOWUP_FACTOR)
         try:
             u_final, _ = integrate(tableau, problem, u0, dt, t_final, observer=monitor)
             unstable = monitor.grew

@@ -140,30 +140,29 @@ class FourierEngine:
         squares = np.abs(t_maps) ** 2
         return max(squares.sum(-1).max(), squares.sum(-2).max()) > self.max_growth + REJECT_MARGIN
 
-    def problem(self, step_sizes: Iterable[float]) -> "FourierProblem":
-        """Orthonormal step maps for the given step sizes, certified or not.
+    def problem(self, step_sizes: Iterable[float]) -> "FourierProblem | None":
+        """Orthonormal step maps for the given step sizes; None unless all are certified.
 
         The largest step's map is built and certified alone first, so an
         uncertified run usually costs one map; the others follow in one batch.
         """
         sizes = sorted(set(step_sizes), reverse=True)
         if not sizes:
-            return FourierProblem(self, {}, True)
-        uncertified = FourierProblem(self, {}, False)
+            return FourierProblem(self, {})
         top = self._orthonormal(self.step_maps(sizes[:1]))
         if self._rejects(top) or np.max(norms := _spectral_norms(top)) ** 2 > self.max_growth:
-            return uncertified
+            return None
         maps = {sizes[0]: top[0]}
         if len(sizes) > 1:
             siblings = self._orthonormal(self.step_maps(sizes[1:]))
             if self._rejects(siblings):
-                return uncertified
+                return None
             bounds = (norms + np.linalg.norm(siblings - top, axis=(-2, -1))) ** 2
             open_ = np.max(bounds, axis=-1) > self.max_growth - SIBLING_MARGIN
             if np.any(open_) and np.max(_spectral_norms(siblings[open_])) ** 2 > self.max_growth:
-                return uncertified
+                return None
             maps.update(zip(sizes[1:], siblings))
-        return FourierProblem(self, maps, True)
+        return FourierProblem(self, maps)
 
 
 class FourierProblem:
@@ -172,13 +171,12 @@ class FourierProblem:
     Its state is v_k = sqrt(w_k / K) M^1/2 u_hat[k] for k = 0..K//2, stored
     as a (K//2+1, n, 1) array: a step is v_k <- T_k v_k and the squared M-norm
     is sum_k |v_k|^2. It holds maps only for the step sizes it was built
-    for, and only when every one of them is certified; any other step
-    raises. It is built per run, so it is its own stepping session.
+    for, all of them certified; any other step raises. It is built per run,
+    so it is its own stepping session.
     """
 
-    def __init__(self, engine: FourierEngine, maps: dict[float, np.ndarray], certified: bool):
+    def __init__(self, engine: FourierEngine, maps: dict[float, np.ndarray]):
         self.engine = engine
-        self.certified = certified
         self._maps = maps
 
     def stepper(self, tableau: ImexTableau) -> "FourierProblem":

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -256,30 +256,10 @@ class ImexSplitProblem:
     @cached_property
     def stage_pieces(self) -> "_StagePieces":
         """The tau-free parts of the stage systems, shared by every session."""
-        return _stage_pieces(self.l_implicit, self.m_diag)
+        return _StagePieces(self.l_implicit, self.m_diag)
 
 
-class _StageSolverCache:
-    """Per-session cache of implicit stage factorizations, keyed by tau."""
-
-    def __init__(self, problem: ImexSplitProblem):
-        self.problem = problem
-        self.apply_l = None if problem.l_implicit is None else problem.l_implicit.__matmul__
-        self._solvers: dict[float, Callable] = {}
-
-    def solve(self, tau: float, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """(x, L x) for (I - tau L) x = rhs; L x is None when no solve ran."""
-        if tau < 0:
-            raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
-        if self.apply_l is None or tau == 0.0:
-            return rhs.copy(), None
-        if tau not in self._solvers:
-            pieces = self.problem.stage_pieces
-            self._solvers[tau] = _build_stage_solver(pieces, tau, self.problem.m_diag)
-        return self._solvers[tau](rhs)
-
-
-class _StagePieces(NamedTuple):
+class _StagePieces:
     """The tau-free parts of the stage systems M - tau M L of one problem.
 
     ``system(tau)`` fills the CSC pattern (``indptr``, ``indices``) of
@@ -289,12 +269,20 @@ class _StagePieces(NamedTuple):
     ``(sp.diags(m) - tau * ml).tocsc()``.
     """
 
-    lmat: sp.csr_matrix
-    row_norm: float  # max absolute row sum of L
-    m_on: np.ndarray
-    ml_on: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    def __init__(self, lmat, m_diag: np.ndarray):
+        """The pieces of L, sparse or dense, with the norm matrix diag(m_diag)."""
+        lmat = sp.csr_matrix(lmat) if isinstance(lmat, np.ndarray) else lmat.tocsr()
+        m = sp.diags(m_diag)
+        ml = m @ lmat
+        # |M| + |M L| cannot cancel: its nonzeros are those of M and of M L
+        pattern = (abs(m) + abs(ml)).tocsc()
+        rows = pattern.indices
+        cols = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
+        self.lmat, self.m_diag = lmat, m_diag
+        self.row_norm = float(np.max(np.abs(lmat).sum(axis=1)))  # max absolute row sum of L
+        self.m_on = np.where(rows == cols, m_diag[rows], 0.0)
+        self.ml_on = np.asarray(ml[rows, cols]).ravel()
+        self.indptr, self.indices = pattern.indptr, rows
 
     def system(self, tau: float) -> sp.csc_matrix:
         values = self.m_on - tau * self.ml_on
@@ -302,67 +290,53 @@ class _StagePieces(NamedTuple):
         mat.eliminate_zeros()
         return mat
 
+    def factorize(self, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Factorize the M-symmetrized stage matrix M - tau M L once.
 
-def _stage_pieces(lmat, m_diag: np.ndarray) -> _StagePieces:
-    """The ``_StagePieces`` of L, sparse or dense, with the norm matrix diag(m_diag)."""
-    lmat = sp.csr_matrix(lmat) if isinstance(lmat, np.ndarray) else lmat.tocsr()
-    m = sp.diags(m_diag)
-    ml = m @ lmat
-    # |M| + |M L| cannot cancel: its nonzeros are those of M and of M L
-    pattern = (abs(m) + abs(ml)).tocsc()
-    rows = pattern.indices
-    cols = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
-    m_on = np.where(rows == cols, m_diag[rows], 0.0)
-    ml_on = np.asarray(ml[rows, cols]).ravel()
-    row_norm = float(np.max(np.abs(lmat).sum(axis=1)))
-    return _StagePieces(lmat, row_norm, m_on, ml_on, pattern.indptr, rows)
-
-
-def _build_stage_solver(pieces: _StagePieces, tau: float, m_diag: np.ndarray):
-    """Factorize the M-symmetrized stage matrix M - tau M L once.
-
-    M - tau M L is symmetric positive definite by the SBP identity, so a
-    failed factorization means a misassembled operator and raises
-    ``SolverFailure``.
-    """
-    # imported here, not at module level, so that runs which never factorize
-    # (``gsbp verify``, certified scan probes) never load scipy.sparse.linalg
-    from scipy.sparse.linalg import splu
-
-    lmat = pieces.lmat
-    try:
-        base_solve = splu(pieces.system(tau)).solve
-    except Exception as exc:  # singular system: misassembled operator
-        raise SolverFailure(f"stage factorization failed: {exc}") from exc
-
-    # the residual evaluation itself carries fp noise of order
-    # eps * (1 + tau ||L||) * ||x||; below that the target is unmeasurable
-    noise_per_x = 64.0 * np.finfo(float).eps * (1.0 + tau * pieces.row_norm)
-
-    def solve(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, L x): the refinement check's L x is handed back for reuse.
-
-        Norms are sqrt(v . v), which is what np.linalg.norm computes for a
-        contiguous real vector.
+        M - tau M L is symmetric positive definite by the SBP identity, so a
+        failed factorization means a misassembled operator and raises
+        ``SolverFailure``.
         """
-        b_norm = math.sqrt(rhs.dot(rhs))
-        x = base_solve(m_diag * rhs)
-        if b_norm == 0.0:
-            return x, lmat @ x
-        target = SOLVE_RTOL * b_norm
-        # iterative refinement against the unsymmetrized system (I - tau L):
-        # up to 5 refinements before the residual counts as stalled
-        for refinement in range(6):
-            if refinement:
-                x = x + base_solve(m_diag * residual)
-            l_x = lmat @ x
-            residual = rhs - (x - tau * l_x)
-            r_norm = math.sqrt(residual.dot(residual))
-            if r_norm <= target or r_norm <= noise_per_x * math.sqrt(x.dot(x)):
-                return x, l_x
-        raise SolverFailure(f"implicit stage residual stalled at {r_norm / b_norm:.3e} relative")
+        # imported here, not at module level, so that runs which never factorize
+        # (``gsbp verify``, certified scan probes) never load scipy.sparse.linalg
+        from scipy.sparse.linalg import splu
 
-    return solve
+        lmat, m_diag = self.lmat, self.m_diag
+        try:
+            base_solve = splu(self.system(tau)).solve
+        except Exception as exc:  # singular system: misassembled operator
+            raise SolverFailure(f"stage factorization failed: {exc}") from exc
+
+        # the residual evaluation itself carries fp noise of order
+        # eps * (1 + tau ||L||) * ||x||; below that the target is unmeasurable
+        noise_per_x = 64.0 * np.finfo(float).eps * (1.0 + tau * self.row_norm)
+
+        def solve(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """(x, L x): the refinement check's L x is handed back for reuse.
+
+            Norms are sqrt(v . v), which is what np.linalg.norm computes for a
+            contiguous real vector.
+            """
+            b_norm = math.sqrt(rhs.dot(rhs))
+            x = base_solve(m_diag * rhs)
+            if b_norm == 0.0:
+                return x, lmat @ x
+            target = SOLVE_RTOL * b_norm
+            # iterative refinement against the unsymmetrized system (I - tau L):
+            # up to 5 refinements before the residual counts as stalled
+            for refinement in range(6):
+                if refinement:
+                    x = x + base_solve(m_diag * residual)
+                l_x = lmat @ x
+                residual = rhs - (x - tau * l_x)
+                r_norm = math.sqrt(residual.dot(residual))
+                if r_norm <= target or r_norm <= noise_per_x * math.sqrt(x.dot(x)):
+                    return x, l_x
+            raise SolverFailure(
+                f"implicit stage residual stalled at {r_norm / b_norm:.3e} relative"
+            )
+
+        return solve
 
 
 def solve_implicit_stage(
@@ -373,7 +347,7 @@ def solve_implicit_stage(
     if m_diag is None:
         m_diag = np.ones(rhs.shape[0])
     problem = ImexSplitProblem(rhs.shape[0], None, lmat, m_diag)
-    return _StageSolverCache(problem).solve(tau, rhs)[0]
+    return Stepper(None, problem).solve(tau, rhs)[0]  # a session that only solves
 
 
 def run_step_plan(plan, u_n, dt, t_n, apply_f, apply_l, solve):
@@ -412,24 +386,25 @@ def step(
     u_n: np.ndarray,
     dt: float,
     t_n: float = 0.0,
-    cache: _StageSolverCache | None = None,
+    session: Stepper | None = None,
 ) -> np.ndarray:
     """Advance one step of size dt from (t_n, u_n).
 
     F and L are evaluated only at the stage values some tableau coefficient
-    reads, and L u_i comes from the stage solve's refinement check.
+    reads, and L u_i comes from the stage solve's refinement check. The
+    stage factorizations are the ``session``'s, or a new session's.
     """
     if not 0 <= dt < math.inf:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
-    if cache is None:
-        cache = _StageSolverCache(problem)
-    f_explicit, apply_l = problem.f_explicit, cache.apply_l
+    if session is None:
+        session = Stepper(tableau, problem)
+    f_explicit, apply_l = problem.f_explicit, session.apply_l
     plan = tableau.step_plans[f_explicit is not None, apply_l is not None]
-    return run_step_plan(plan, u_n, dt, t_n, f_explicit, apply_l, cache.solve)
+    return run_step_plan(plan, u_n, dt, t_n, f_explicit, apply_l, session.solve)
 
 
 class Stepper:
-    """Stepping session owning its stage-factorization cache.
+    """Stepping session owning one factorization per stage coefficient tau.
 
     ``integrate`` drives any session with this interface: ``state`` maps the
     nodal initial data to the session's state, ``advance`` takes one step,
@@ -440,13 +415,24 @@ class Stepper:
     def __init__(self, tableau: ImexTableau, problem: ImexSplitProblem):
         self.tableau = tableau
         self.problem = problem
-        self._cache = _StageSolverCache(problem)
+        self.apply_l = None if problem.l_implicit is None else problem.l_implicit.__matmul__
+        self._solvers: dict[float, Callable] = {}
+
+    def solve(self, tau: float, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(x, L x) for (I - tau L) x = rhs; L x is None when no solve ran."""
+        if tau < 0:
+            raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
+        if self.apply_l is None or tau == 0.0:
+            return rhs.copy(), None
+        if tau not in self._solvers:
+            self._solvers[tau] = self.problem.stage_pieces.factorize(tau)
+        return self._solvers[tau](rhs)
 
     def state(self, u0: np.ndarray) -> np.ndarray:
         return np.asarray(u0, dtype=float).copy()
 
     def advance(self, u: np.ndarray, dt: float, t: float = 0.0) -> np.ndarray:
-        return step(self.tableau, self.problem, u, dt, t_n=t, cache=self._cache)
+        return step(self.tableau, self.problem, u, dt, t_n=t, session=self)
 
     def energy(self, u: np.ndarray) -> float:
         return self.problem.energy(u)

@@ -34,6 +34,7 @@ __all__ = [
     "Discretization",
     "decay_solution",
     "growth_solution",
+    "solution_by_kind",
     "discretize",
     "make_split_problem",
     "initial_condition",
@@ -64,17 +65,11 @@ class AdvDiffConfig:
             if not -0.5 <= theta <= 0.5:
                 raise ValueError(f"{label} must lie in [-1/2, 1/2], got {theta}")
 
-    @property
-    def compatible(self) -> bool:
-        """True iff the advective and diffusive operators share theta."""
-        return self.theta_adv == self.theta_diff
-
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
     """Closed-form solution with analytic derivatives and optional source."""
 
-    kind: str
     u: Callable[[np.ndarray, float], np.ndarray]
     u_t: Callable[[np.ndarray, float], np.ndarray]
     u_x: Callable[[np.ndarray, float], np.ndarray]
@@ -85,7 +80,6 @@ class ManufacturedSolution:
 def decay_solution(a: float, c: float) -> ManufacturedSolution:
     """Decaying wave exp(-c t) sin(x - a t); solves the homogeneous equation."""
     return ManufacturedSolution(
-        kind="decay",
         u=lambda x, t: np.exp(-c * t) * np.sin(x - a * t),
         u_t=lambda x, t: np.exp(-c * t) * (-c * np.sin(x - a * t) - a * np.cos(x - a * t)),
         u_x=lambda x, t: np.exp(-c * t) * np.cos(x - a * t),
@@ -99,13 +93,23 @@ def growth_solution(c: float) -> ManufacturedSolution:
     The source g = exp(c t) (2 c sin x + cos x) balances u_t + u_x - c u_xx.
     """
     return ManufacturedSolution(
-        kind="growth",
         u=lambda x, t: np.exp(c * t) * np.sin(x),
         u_t=lambda x, t: c * np.exp(c * t) * np.sin(x),
         u_x=lambda x, t: np.exp(c * t) * np.cos(x),
         u_xx=lambda x, t: -np.exp(c * t) * np.sin(x),
         source=lambda x, t: np.exp(c * t) * (2.0 * c * np.sin(x) + np.cos(x)),
     )
+
+
+def solution_by_kind(kind: str, a: float, c: float) -> ManufacturedSolution:
+    """The closed form a solution kind names: "decay", or "growth" (a = 1 only)."""
+    if kind == "decay":
+        return decay_solution(a, c)
+    if kind == "growth":
+        if a != 1.0:
+            raise ValueError("the growth solution is defined for a = 1")
+        return growth_solution(c)
+    raise ValueError(f"unknown solution kind {kind!r}")
 
 
 @dataclass(frozen=True)

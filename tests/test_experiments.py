@@ -108,16 +108,26 @@ def test_scan_unbounded_at_cap():
     assert res.tau_label == "+"
 
 
-def test_scan_below_bracket():
-    # explicit bracket whose lower bound is already unstable
+def test_scan_below_bracket(monkeypatch):
+    # every probe unstable: the lower bound halves down to TAU_FLOOR, default
+    # and explicit brackets alike, and only then is the scan below_bracket
+    monkeypatch.setattr(experiments._ProbeContext, "probe", lambda self, dt: experiments.UNSTABLE)
     cfg = scan_cfg(1, 0.5, 0.0, n_cells=40)
-    res = max_stable_dt(cfg, bracket=(5.0 * cfg.dt_scale, 100.0 * cfg.dt_scale))
-    assert res.below_bracket
-    assert res.tau is None
-    assert res.tau_label == "below_bracket"
+    scale = cfg.dt_scale
+    for tau_lo in (None, 1.0, 5.0):
+        bracket = None if tau_lo is None else (tau_lo * scale, 100.0 * scale)
+        res = max_stable_dt(cfg, bracket=bracket)
+        assert res.below_bracket
+        assert res.tau is None and res.dt_max is None
+        assert res.tau_label == "below_bracket"
+        dt_lo = (experiments.DEFAULT_TAU_LO if tau_lo is None else tau_lo) * scale
+        assert [dt for dt, _ in res.probes] == [dt_lo / 2.0**k for k in range(len(res.probes))]
+        assert all(status == experiments.UNSTABLE for _, status in res.probes)
+        lowest = [dt / scale for dt, _ in res.probes[-2:]]
+        assert lowest[0] > experiments.TAU_FLOOR >= lowest[1]
 
 
-def test_scan_auto_extends_below_default():
+def test_scan_extends_below_default_tau_lo():
     # threshold sits under the default tau_lo = 0.01: halving must find it
     cfg = scan_cfg(1, 0.5, 0.0, degree=3, n_cells=320)
     res = max_stable_dt(cfg)
@@ -125,13 +135,10 @@ def test_scan_auto_extends_below_default():
     assert res.tau == pytest.approx(6.5e-3, rel=0.3)
 
 
-def test_scan_explicit_bracket_can_opt_into_extension():
+def test_scan_explicit_bracket_extends_below_its_lower_bound():
     cfg = scan_cfg(1, 0.5, 0.0, n_cells=40)
-    strict = max_stable_dt(cfg, bracket=(1.0 * cfg.dt_scale, 10.0 * cfg.dt_scale))
-    assert strict.below_bracket
-    extended = max_stable_dt(
-        cfg, bracket=(1.0 * cfg.dt_scale, 10.0 * cfg.dt_scale), extend_lower=True
-    )
+    extended = max_stable_dt(cfg, bracket=(1.0 * cfg.dt_scale, 10.0 * cfg.dt_scale))
+    assert extended.probes[0] == (1.0 * cfg.dt_scale, experiments.UNSTABLE)
     assert not extended.below_bracket
     assert extended.tau == pytest.approx(0.16, rel=0.25)
 
@@ -177,12 +184,12 @@ def test_scan_many_orders_results_deterministically():
 def record_probes(monkeypatch):
     """Per integrate call of a scan: (tableau, engine, factorized taus, trace times)."""
     runs, built = [], []
-    real_build = imex._build_stage_solver
+    real_factorize = imex._StagePieces.factorize
     real_integrate = experiments.integrate
 
-    def build(pieces, tau, m_diag):
+    def factorize(pieces, tau):
         built.append(tau)
-        return real_build(pieces, tau, m_diag)
+        return real_factorize(pieces, tau)
 
     def recording(tableau, problem, *args, **kwargs):
         built.clear()
@@ -190,7 +197,7 @@ def record_probes(monkeypatch):
         runs.append((tableau, type(problem).__name__, list(built), trace.times()))
         return u, trace
 
-    monkeypatch.setattr(imex, "_build_stage_solver", build)
+    monkeypatch.setattr(imex._StagePieces, "factorize", factorize)
     monkeypatch.setattr(experiments, "integrate", recording)
     return runs
 
@@ -199,8 +206,10 @@ def test_scan_builds_stage_pieces_once(monkeypatch):
     # the tau-free parts of the stage systems belong to the problem, which
     # every probe of a scan shares
     calls = []
-    real_pieces = imex._stage_pieces
-    monkeypatch.setattr(imex, "_stage_pieces", lambda *a: calls.append(a) or real_pieces(*a))
+    real_init = imex._StagePieces.__init__
+    monkeypatch.setattr(
+        imex._StagePieces, "__init__", lambda self, *a: calls.append(a) or real_init(self, *a)
+    )
     runs = record_probes(monkeypatch)
     max_stable_dt(scan_cfg(1, 0.5, 0.0, degree=3, n_cells=20))
     assert sum(engine == "ImexSplitProblem" for _, engine, _, _ in runs) > 1
@@ -287,7 +296,7 @@ def test_burgers_solver_failure_is_blowup_at_failed_step(monkeypatch):
     k, dt, t_final = 7, 0.1, 2.0
     solves_per_step = int(np.count_nonzero(np.diag(imex.tableau_imex2().a_implicit)))
     calls = [0]
-    real_solve = imex._StageSolverCache.solve
+    real_solve = imex.Stepper.solve
 
     def failing(self, tau, rhs):
         calls[0] += 1
@@ -295,7 +304,7 @@ def test_burgers_solver_failure_is_blowup_at_failed_step(monkeypatch):
             raise imex.SolverFailure("injected")
         return real_solve(self, tau, rhs)
 
-    monkeypatch.setattr(imex._StageSolverCache, "solve", failing)
+    monkeypatch.setattr(imex.Stepper, "solve", failing)
     res = run_burgers_demo(0.0, 0.0, [20], dt=dt, t_final=t_final, order=2)[0]
     assert res.blew_up
     assert res.blowup_time == list(imex.step_times(dt, t_final))[k - 1][1]

@@ -199,7 +199,7 @@ def test_certificate_decides_as_the_svd_of_every_map(monkeypatch):
         for dt in ROUTING_STEPS:
             sizes = sorted({t_next - t for t, t_next in step_times(dt, 100.0)})
             svd_maps[0] = 0
-            certified = engine.problem(sizes).certified
+            certified = engine.problem(sizes) is not None
             svd_free = svd_maps[0] == 0
             svd_free_maps = len(sizes) - svd_maps[0]
             amplification = engine.amplification(engine.step_maps(sizes))
@@ -239,21 +239,28 @@ def test_probe_reports_block_solve_failure():
     assert ctx.probe(0.5) == experiments.SOLVER_FAILURE
 
 
-def test_uncertified_step_map_is_never_applied():
-    # incompatible pair far above its threshold: the energy can grow
-    _, problem, tableau, engine = build(1, (0.5, 0.0), 2, 10, 1.0 + experiments.CERTIFIED_GROWTH)
-    u0 = np.sin(np.linspace(-np.pi, np.pi, problem.dim))
-    uncertified = engine.problem([50.0])
-    assert not uncertified.certified
-    with pytest.raises(RuntimeError, match="certified"):
-        integrate(tableau, uncertified, u0, 50.0, 100.0)
+def test_uncertified_step_map_is_never_applied(monkeypatch):
+    # incompatible pair far above its threshold: the energy can grow, so the
+    # engine builds no problem and the probe steps the sparse one
+    engine = build(1, (0.5, 0.0), 2, 10, 1.0 + experiments.CERTIFIED_GROWTH)[3]
+    assert engine.problem([50.0]) is None
+    stepped, real_integrate = [], experiments.integrate
+
+    def recording(tableau, problem, *args, **kwargs):
+        stepped.append(type(problem).__name__)
+        return real_integrate(tableau, problem, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", recording)
+    scan_cfg = experiments.ScanConfig(1, AdvDiffConfig(0.1, 0.1, 0.5, 0.0, 2, 10))
+    experiments._ProbeContext(scan_cfg).probe(50.0)
+    assert stepped == ["ImexSplitProblem"]
 
 
 def test_certified_problem_steps_only_its_own_step_sizes():
     _, problem, tableau, engine = build(2, (0.5, 0.5), 2, 10, 1.0 + experiments.CERTIFIED_GROWTH)
     u0 = np.sin(np.linspace(-np.pi, np.pi, problem.dim))
     certified = engine.problem([0.1])
-    assert certified.certified
+    assert isinstance(certified, FourierProblem)
     with pytest.raises(RuntimeError, match="certified"):
         integrate(tableau, certified, u0, 0.2, 1.0)
     with pytest.raises(ValueError, match="imex2"):
@@ -265,7 +272,7 @@ def test_integrate_fourier_matches_sparse_trajectory():
     u0 = np.sin(disc.nodes)
     dt, t_final = 0.37, 10.0
     fourier = engine.problem(t_next - t for t, t_next in step_times(dt, t_final))
-    assert isinstance(fourier, FourierProblem) and fourier.certified
+    assert isinstance(fourier, FourierProblem)
     u_sparse, trace_sparse = integrate(tableau, problem, u0, dt, t_final)
     u_fourier, trace_fourier = integrate(tableau, fourier, u0, dt, t_final)
     assert trace_fourier.times().tolist() == trace_sparse.times().tolist()

@@ -564,7 +564,7 @@ def test_stepper_session_reuses_cache():
     u = np.sin(disc.nodes)
     for k in range(3):
         u = stepper.advance(u, 0.5, 0.5 * k)
-    assert len(stepper._cache._solvers) == 1  # one tau, factored once
+    assert len(stepper._solvers) == 1  # one tau, factored once
 
 
 # -------------------------------------------------- energy contracts

@@ -12,6 +12,7 @@ from upwind_gsbp.problems import (
     initial_condition,
     l2_error,
     make_split_problem,
+    solution_by_kind,
 )
 from upwind_gsbp.ref_element import build_lgl
 
@@ -34,13 +35,6 @@ def test_config_validation():
         AdvDiffConfig(a=0.1, c=-1.0, theta_adv=0.5, theta_diff=0.5, degree=1, n_cells=4)
     with pytest.raises(ValueError):
         AdvDiffConfig(a=0.1, c=0.1, theta_adv=0.7, theta_diff=0.5, degree=1, n_cells=4)
-
-
-def test_compatibility_flag():
-    cfg = AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 1, 4)
-    assert cfg.compatible
-    cfg = AdvDiffConfig(0.1, 0.1, 0.5, 0.0, 1, 4)
-    assert not cfg.compatible
 
 
 # --------------------------------------------------- manufactured solutions
@@ -88,6 +82,20 @@ def test_derivatives_match_finite_differences():
     np.testing.assert_allclose(sol.u_t(x, t), fd_t, atol=1e-8)
     fd_x = (sol.u(x + h, t) - sol.u(x - h, t)) / (2 * h)
     np.testing.assert_allclose(sol.u_x(x, t), fd_x, atol=1e-8)
+
+
+def test_solution_kind_names_its_closed_form():
+    x, t = np.linspace(-3.0, 3.0, 9), 1.7
+    decay = solution_by_kind("decay", 0.3, 0.05)
+    assert decay.source is None
+    np.testing.assert_array_equal(decay.u(x, t), decay_solution(0.3, 0.05).u(x, t))
+    growth = solution_by_kind("growth", 1.0, 0.05)
+    np.testing.assert_array_equal(growth.u(x, t), growth_solution(0.05).u(x, t))
+    np.testing.assert_array_equal(growth.source(x, t), growth_solution(0.05).source(x, t))
+    with pytest.raises(ValueError, match="the growth solution is defined for a = 1"):
+        solution_by_kind("growth", 0.5, 0.05)
+    with pytest.raises(ValueError, match="unknown solution kind 'wave'"):
+        solution_by_kind("wave", 1.0, 0.05)
 
 
 # ----------------------------------------------------- initial data, error
