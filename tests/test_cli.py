@@ -435,6 +435,17 @@ def test_certification_matches_golden_bytes(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+# Captured before operator sets were built straight into CSR: the residual
+# bits of every (N, K, theta) cell the certify benchmark runs, both topologies.
+def test_certification_grid_matches_golden_bytes(tmp_path):
+    argv = ["verify", "--N", "1,2,3", "--K", "4,20,80,320", "--theta", "0,0.25,0.5"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    for name in ("certification.csv", "certification.txt"):
+        stem, suffix = name.split(".")
+        golden = GOLDEN / f"{stem}_grid.{suffix}"
+        assert (tmp_path / name).read_bytes() == golden.read_bytes()
+
+
 def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
