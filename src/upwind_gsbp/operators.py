@@ -106,61 +106,78 @@ def cell_blocks(elem: ReferenceElement, theta: float) -> tuple[np.ndarray, np.nd
 
 def _first_derivative_matrix(
     elem: ReferenceElement, mesh: Mesh1D, theta: float, topology: str
-) -> sp.csr_matrix:
-    """Assemble D-(theta) from the ``cell_blocks`` of each cell.
+) -> tuple[np.ndarray, np.ndarray]:
+    """D-(theta) from the ``cell_blocks`` of each cell, as (values, cols) of shape (dim, width).
 
-    Periodic assembly wraps A21/A12 around and uses A11 on every cell;
-    bounded end cells drop the flux term on the physical boundary side.
+    Row r of D- has the entries ``values[r]`` at the columns ``cols[r]``, which
+    ascend; exact zeros stand for entries D- does not store. Block row i holds
+    2/dx_i times its left, diagonal and right blocks side by side. Periodic
+    assembly wraps A21/A12 around, so the first and last block rows take their
+    blocks in column order, and for K = 2 the right and the left block share
+    a slot, summed in that order. Bounded end cells drop the flux term on the
+    physical boundary side and pad the missing neighbor with zeros. ``cols``
+    depends only on K, n and the topology.
     """
     n = elem.n_nodes
     k_cells = mesh.n_cells
     a11, a12, a21 = cell_blocks(elem, theta)
 
-    # one block row per cell on the diagonal, then the right and left
-    # couplings; for K = 2 periodic a right and a left block share a slot
-    cells = np.arange(k_cells)
-    diag = np.repeat(a11[None], k_cells, axis=0)
+    # blocks[i, r, s] is row r of the block in slot s of block row i
+    blocks = np.empty((k_cells, n, 3, n))
+    blocks[:] = np.stack([a21, a11, a12], axis=1)
+    block_cols = np.arange(k_cells)[:, None] + np.arange(-1, 2)
     if topology == "periodic":
-        right = left = cells
+        blocks[0], blocks[-1] = blocks[0][:, [1, 2, 0]], blocks[-1][:, [2, 0, 1]]
+        block_cols %= k_cells
+        block_cols[0], block_cols[-1] = block_cols[0, [1, 2, 0]], block_cols[-1, [2, 0, 1]]
     else:
         lm, l1 = elem.boundary_left, elem.boundary_right
         inv_w = 1.0 / elem.weights
-        diag[0] = elem.diff - (0.5 - theta) * np.outer(inv_w * l1, l1)
-        diag[-1] = elem.diff + (0.5 + theta) * np.outer(inv_w * lm, lm)
-        right, left = cells[:-1], cells[1:]
-    block_rows = np.concatenate([cells, right, left])
-    block_cols = np.concatenate([cells, (right + 1) % k_cells, (left - 1) % k_cells])
-    blocks = np.concatenate(
-        [diag, np.broadcast_to(a12, (right.size, n, n)), np.broadcast_to(a21, (left.size, n, n))]
+        blocks[0, :, 1] = elem.diff - (0.5 - theta) * np.outer(inv_w * l1, l1)
+        blocks[-1, :, 1] = elem.diff + (0.5 + theta) * np.outer(inv_w * lm, lm)
+        blocks[0, :, 0] = blocks[-1, :, 2] = 0.0
+        block_cols[0, 0], block_cols[-1, 2] = 0, k_cells - 1
+    blocks *= (2.0 / mesh.widths)[:, None, None, None]
+    if topology == "periodic" and k_cells == 2:
+        blocks = np.array([
+            [blocks[0, :, 0], blocks[0, :, 1] + blocks[0, :, 2]],
+            [blocks[1, :, 0] + blocks[1, :, 1], blocks[1, :, 2]],
+        ]).transpose(0, 2, 1, 3)
+        block_cols = block_cols[:, [0, 2]]
+    dim = k_cells * n
+    cols = np.broadcast_to(
+        (n * block_cols[:, None, :, None] + np.arange(n)).astype(np.int32),
+        (k_cells, n, block_cols.shape[1], n),
     )
-    scaled = (2.0 / mesh.widths)[block_rows, None, None] * blocks
-    return _block_csr(block_rows, block_cols, scaled, k_cells)
+    return blocks.reshape(dim, -1), cols.reshape(dim, -1)
 
 
-def _block_csr(
-    block_rows: np.ndarray, block_cols: np.ndarray, blocks: np.ndarray, k_cells: int
-) -> sp.csr_matrix:
-    """Canonical CSR of the K x K block matrix with block b at (block_rows[b], block_cols[b]).
+def _csr(values: np.ndarray, cols: np.ndarray, keep: np.ndarray) -> sp.csr_matrix:
+    """Square CSR matrix of ``values[keep]`` at ``cols[keep]``, row by row.
 
-    The blocks go into a BSR matrix in (block row, block col) order, so blocks
-    that share a slot are summed in the order given; exact zeros are dropped,
-    which is what the COO -> CSR conversion followed by ``eliminate_zeros``
-    produces.
+    The first axis indexes rows; each row's entries are stored in the
+    row-major order of the remaining axes.
     """
-    dim = k_cells * blocks.shape[1]
-    order = np.lexsort((block_cols, block_rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(block_rows, minlength=k_cells))))
-    mat = sp.bsr_matrix((blocks[order], block_cols[order], indptr), shape=(dim, dim))
-    mat.sum_duplicates()
-    mat = mat.tocsr()
-    mat.eliminate_zeros()
-    return mat
+    dim = values.shape[0]
+    kept = np.flatnonzero(keep)
+    indptr = np.searchsorted(kept, np.arange(0, keep.size + 1, keep.size // dim))
+    return sp.csr_matrix(
+        (values.ravel()[kept], cols.ravel()[kept], indptr.astype(np.int32)), shape=(dim, dim)
+    )
 
 
 def assemble_first_derivative(
     elem: ReferenceElement, mesh: Mesh1D, theta: float, topology: str = "periodic"
 ) -> GlobalOperatorSet:
     """Assemble the dual pair D-/D+, norm matrix M and dissipation matrix C.
+
+    Every matrix is built straight from the block layout of
+    ``_first_derivative_matrix``, entry for entry as the scipy expressions
+    ``diags(m) @ D - 0.5 * B`` would store it. ``csr_matmat`` stores each row
+    of ``diags(m) @ D`` in reverse, so its indices are unsorted (rows of D
+    hold two or more entries) and the bounded ``- 0.5 * B`` is scipy's
+    general binop, which stores each row as the columns B adds, descending,
+    then those of ``M D``, ascending.
 
     Raises:
         ValueError: if theta is outside [-1/2, 1/2] or topology is unknown.
@@ -171,18 +188,12 @@ def assemble_first_derivative(
     if topology not in TOPOLOGIES:
         raise ValueError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
 
-    d_minus = _first_derivative_matrix(elem, mesh, theta, topology)
-    d_plus = _first_derivative_matrix(elem, mesh, -theta, topology)
-
     n = elem.n_nodes
     k_cells = mesh.n_cells
     dim = k_cells * n
     m_diag = np.repeat(0.5 * mesh.widths, n) * np.tile(elem.weights, k_cells)
-    # Q = M D is the same csr_matmat that a DIA M reaches after converting
-    # itself to this CSR matrix
-    m_csr = sp.csr_matrix((m_diag, np.arange(dim), np.arange(dim + 1)), shape=(dim, dim))
-    q_minus = m_csr @ d_minus
-    q_plus = m_csr @ d_plus
+    d_vals, cols = _first_derivative_matrix(elem, mesh, theta, topology)
+    d_plus_vals = _first_derivative_matrix(elem, mesh, -theta, topology)[0]
 
     if topology == "bounded":
         lm, l1 = elem.boundary_left, elem.boundary_right
@@ -190,17 +201,31 @@ def assemble_first_derivative(
         t_alpha[:n] = lm
         t_beta = np.zeros(dim)
         t_beta[-n:] = l1
-        b_glob = _block_csr(
-            np.array([0, k_cells - 1]),
-            np.array([0, k_cells - 1]),
-            np.stack([-np.outer(lm, lm), np.outer(l1, l1)]),
-            k_cells,
-        )
-        q_minus = q_minus - 0.5 * b_glob
-        q_plus = q_plus - 0.5 * b_glob
+        # B sits in the diagonal slot of the end block rows
+        b_vals = np.zeros_like(d_vals)
+        b_vals[:n, n : 2 * n] = -np.outer(lm, lm)
+        b_vals[-n:, n : 2 * n] = np.outer(l1, l1)
+        b_glob = _csr(b_vals, cols, b_vals != 0)
+        b_half = 0.5 * b_vals
     else:
         t_alpha = t_beta = None
         b_glob = None
+
+    ops = []
+    for vals in (d_vals, d_plus_vals):
+        stored = vals != 0
+        ops.append(_csr(vals, cols, stored))
+        q_vals = m_diag[:, None] * vals
+        q_stored = stored & (q_vals != 0)
+        if topology == "periodic":
+            ops.append(_csr(q_vals[:, ::-1], cols[:, ::-1], q_stored[:, ::-1]))
+            continue
+        added = (b_vals != 0) & ~q_stored
+        q_vals = q_vals - b_half
+        q_vals = np.stack([q_vals[:, ::-1], q_vals], axis=1)
+        q_stored = np.stack([added[:, ::-1], q_stored], axis=1) & (q_vals != 0)
+        ops.append(_csr(q_vals, np.stack([cols[:, ::-1], cols], axis=1), q_stored))
+    d_minus, q_minus, d_plus, q_plus = ops
 
     c = 0.5 * (q_plus - q_minus)
     c.eliminate_zeros()
@@ -251,8 +276,37 @@ def second_derivative_from(opset: GlobalOperatorSet) -> SecondDerivativeOperator
     )
 
 
-def _max_abs(mat: sp.csr_matrix) -> float:
-    return float(np.max(np.abs(mat.data))) if mat.data.size else 0.0
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values))) if values.size else 0.0
+
+
+def _entry_sums(a: sp.csr_matrix, b: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, a_sums, bt_sums) over the positions that a or the transpose of b stores.
+
+    A position (i, j) has the key i * n_cols + j; the keys ascend. At each
+    position, ``a_sums`` holds a's entries there summed in storage order,
+    starting from 0.0, and 0.0 where a stores none; ``bt_sums`` does the same
+    for b^T. These are the operands scipy's binop combines, so
+    ``a_sums + bt_sums`` has the bits of the entries of ``a + b.T``. Unsorted
+    indices and duplicate entries are taken as stored.
+    """
+    n_rows, n_cols = a.shape
+    n_a = a.indptr[-1]
+    a_rows = np.repeat(np.arange(n_rows), np.diff(a.indptr))
+    b_rows = np.repeat(np.arange(n_cols), np.diff(b.indptr))
+    keys = np.concatenate([a_rows * n_cols + a.indices, b.indices.astype(np.int64) * n_cols + b_rows])
+    # a stable sort keeps each side's duplicates in storage order, a's first
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    n_keys = int(np.count_nonzero(first))
+    # bin 2k sums a's entries at the k-th position, bin 2k + 1 those of b^T
+    bins = 2 * np.cumsum(first) - 2 + (order >= n_a)
+    sums = np.bincount(bins, np.concatenate([a.data, b.data])[order], 2 * n_keys)
+    sums = sums.reshape(n_keys, 2)
+    return keys[first], sums[:, 0], sums[:, 1]
 
 
 def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
@@ -282,18 +336,28 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.n
     return roots.size, labels
 
 
-def _max_eig_sym(mat: sp.csr_matrix, mat_t: sp.csr_matrix | None = None) -> float:
+def _max_eig_sym(
+    mat: sp.csr_matrix, sums: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+) -> float:
     """Largest eigenvalue of the symmetric part of ``mat``, one component at a time.
 
-    ``mat_t`` is the transpose of ``mat`` in CSR, if the caller has formed it.
-    A symmetric matrix is block diagonal over the connected components of its
+    ``sums`` is ``_entry_sums(mat, mat)``, if the caller has formed it. A
+    symmetric matrix is block diagonal over the connected components of its
     sparsity graph, so its spectrum is the union of the components' spectra.
     The components of each size are stacked into one batched ``eigvalsh``. On
     LGL nodes C couples only the two trace nodes of each interface, so its
-    components have at most two nodes.
+    components have at most two nodes. A symmetric part with a non-finite
+    entry has no spectrum to certify: the result is nan.
     """
-    sym = sp.coo_matrix(0.5 * (mat + (mat.T if mat_t is None else mat_t)))
-    n_comp, labels = _components(sym.shape[0], sym.row, sym.col)
+    keys, entries, entries_t = _entry_sums(mat, mat) if sums is None else sums
+    # the pattern and entries of 0.5 * (mat + mat.T) as scipy stores them
+    total = entries + entries_t
+    if not np.isfinite(total).all():
+        return float("nan")
+    stored = total != 0
+    sym_rows, sym_cols = np.divmod(keys[stored], mat.shape[1])
+    sym_data = 0.5 * total[stored]
+    n_comp, labels = _components(mat.shape[0], sym_rows, sym_cols)
     sizes = np.bincount(labels, minlength=n_comp)
     # position of each node within its component, and of each component
     # within the stack of components of its size
@@ -305,10 +369,10 @@ def _max_eig_sym(mat: sp.csr_matrix, mat_t: sp.csr_matrix | None = None) -> floa
     for size in np.unique(sizes):
         comps = np.flatnonzero(sizes == size)
         slot[comps] = np.arange(comps.size)
-        keep = sizes[labels[sym.row]] == size
-        rows, cols = sym.row[keep], sym.col[keep]
+        keep = sizes[labels[sym_rows]] == size
+        rows, cols = sym_rows[keep], sym_cols[keep]
         stack = np.zeros((comps.size, size, size))
-        stack[slot[labels[rows]], local[rows], local[cols]] = sym.data[keep]
+        stack[slot[labels[rows]], local[rows], local[cols]] = sym_data[keep]
         top = max(top, float(np.linalg.eigvalsh(stack)[:, -1].max()))
     return top
 
@@ -370,7 +434,7 @@ class CertificationReport:
                 "norm_boundary",
                 None
                 if self.boundary_residual_alpha is None
-                else max(self.boundary_residual_alpha, self.boundary_residual_beta),
+                else float(np.max([self.boundary_residual_alpha, self.boundary_residual_beta])),
                 self.axiom_norm_boundary_pass,
             ),
             ("sbp", self.sbp_residual, self.axiom_sbp_pass),
@@ -399,31 +463,26 @@ def verify_axioms(opset: GlobalOperatorSet, tol: float = 1e-10) -> Certification
     acc_pass = nb_pass = None
     if opset.topology == "bounded":
         x = physical_nodes(mesh, elem)
-        accuracy = 0.0
+        # residuals are gathered and reduced with np.max, which keeps a nan
+        accuracy, bnd_alpha, bnd_beta = [], [], []
         for k in range(degree + 1):
             xk = x**k
             dxk = k * x ** (k - 1) if k > 0 else np.zeros_like(x)
             scale = max(1.0, float(np.max(np.abs(xk))))
-            accuracy = max(
-                accuracy,
-                float(np.max(np.abs(opset.D_minus @ xk - dxk))) / scale,
-                float(np.max(np.abs(opset.D_plus @ xk - dxk))) / scale,
-            )
-        bnd_alpha = bnd_beta = 0.0
-        for l in range(degree + 1):
-            xl = x**l
-            scale = max(1.0, abs(mesh.x_a) ** l, abs(mesh.x_b) ** l)
-            bnd_alpha = max(bnd_alpha, abs(opset.t_alpha @ xl - mesh.x_a**l) / scale)
-            bnd_beta = max(bnd_beta, abs(opset.t_beta @ xl - mesh.x_b**l) / scale)
+            for d in (opset.D_minus, opset.D_plus):
+                accuracy.append(float(np.max(np.abs(d @ xk - dxk))) / scale)
+            scale = max(1.0, abs(mesh.x_a) ** k, abs(mesh.x_b) ** k)
+            bnd_alpha.append(abs(opset.t_alpha @ xk - mesh.x_a**k) / scale)
+            bnd_beta.append(abs(opset.t_beta @ xk - mesh.x_b**k) / scale)
+        accuracy, bnd_alpha, bnd_beta = (float(np.max(r)) for r in (accuracy, bnd_alpha, bnd_beta))
         acc_pass = accuracy <= tol
-        nb_pass = bool(np.min(opset.m_diag) > 0.0 and max(bnd_alpha, bnd_beta) <= tol)
+        nb_pass = bool(np.min(opset.m_diag) > 0.0 and bnd_alpha <= tol and bnd_beta <= tol)
 
-    # each transpose once, in CSR: the sparse sums would convert the CSC
-    # views ``.T`` to exactly these matrices on every use
-    c_t = opset.C.T.tocsr()
-    sbp_residual = _max_abs(opset.Q_plus + opset.Q_minus.T.tocsr())
-    c_sym = _max_abs(opset.C - c_t)
-    c_eig = _max_eig_sym(opset.C, c_t)
+    _, q_plus, q_minus_t = _entry_sums(opset.Q_plus, opset.Q_minus)
+    sbp_residual = _max_abs(q_plus + q_minus_t)
+    c_sums = _entry_sums(opset.C, opset.C)
+    c_sym = _max_abs(c_sums[1] - c_sums[2])
+    c_eig = _max_eig_sym(opset.C, c_sums)
 
     return CertificationReport(
         degree=degree,

@@ -150,6 +150,22 @@ def test_assembly_matches_per_cell_reference(n_cells, uniform, theta, topology):
             assert same_bits(got, want)
 
 
+@pytest.mark.parametrize("theta", [-0.5, 0.0, 0.25, 0.5])
+def test_assembly_matches_scipy_when_b_adds_entries(theta):
+    # boundary vectors that are not Lagrange traces: B = -Lm Lm^T then has an
+    # entry where D stores none (diff[1, 1] = 0 at N = 2), so Q = M D - B/2
+    # stores the entries B adds ahead of those of M D
+    elem = dataclasses.replace(build_lgl(2), boundary_left=np.array([0.5, 0.5, 0.0]))
+    mesh = uniform_mesh(-np.pi, np.pi, 5)
+    ops = assemble_first_derivative(elem, mesh, theta, "bounded")
+    m = sp.diags(ops.m_diag)
+    q_minus = m @ reference_first_derivative(elem, mesh, theta, "bounded") - 0.5 * ops.B_glob
+    q_plus = m @ reference_first_derivative(elem, mesh, -theta, "bounded") - 0.5 * ops.B_glob
+    assert ops.D_minus[1, 1] == 0 and ops.Q_minus[1, 1] != 0
+    assert same_bits(ops.Q_minus, q_minus.tocsr())
+    assert same_bits(ops.Q_plus, q_plus.tocsr())
+
+
 @pytest.mark.parametrize("degree,n_cells,theta", [(1, 4, 0.5), (2, 6, 0.25), (3, 5, 0.0)])
 def test_bounded_monomial_exactness(degree, n_cells, theta):
     ops = make_opset(degree, n_cells, theta, "bounded")
@@ -357,6 +373,134 @@ def test_fully_one_sided_flux_certifies_zero_at_large_dim():
     report = verify_axioms(make_opset(1, 320, 0.5, "periodic"))
     assert report.c_max_eigenvalue == 0.0
     assert report.axiom_dissipation_pass
+
+
+def scipy_max_eig_sym(mat):
+    """Largest eigenvalue of 0.5 (mat + mat^T), one csgraph component at a time."""
+    sym = (0.5 * (mat + mat.T.tocsr())).tocsr()
+    _, labels = csgraph.connected_components(sym, directed=False)
+    return max(
+        float(np.linalg.eigvalsh(sym[nodes][:, nodes].toarray())[-1])
+        for nodes in (np.flatnonzero(labels == label) for label in np.unique(labels))
+    )
+
+
+def scipy_certificate(opset):
+    """(sbp, C symmetry, C eigenvalue) residuals from scipy's sparse algebra."""
+    c_t = opset.C.T.tocsr()
+    sums = [opset.Q_plus + opset.Q_minus.T.tocsr(), opset.C - c_t]
+    sbp, c_sym = (float(np.max(np.abs(m.data), initial=0.0)) for m in sums)
+    return sbp, c_sym, scipy_max_eig_sym(opset.C)
+
+
+def certificate(report):
+    return report.sbp_residual, report.c_symmetry_residual, report.c_max_eigenvalue
+
+
+def shuffled_rows(mat, seed):
+    """``mat`` with each row's entries stored in a random order."""
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    order = np.lexsort((rng.random(mat.nnz), rows))
+    return sp.csr_matrix((mat.data[order], mat.indices[order], mat.indptr), shape=mat.shape)
+
+
+def split_entries(mat, seed):
+    """``mat`` with about half its entries stored as two duplicates that sum to them."""
+    rng = np.random.default_rng(seed)
+    coo = mat.tocoo()
+    split = rng.random(coo.nnz) < 0.5
+    part = coo.data[split] * rng.uniform(0.2, 0.8, split.sum())
+    rows = np.concatenate([coo.row, coo.row[split]])
+    cols = np.concatenate([coo.col, coo.col[split]])
+    data = np.concatenate([coo.data, part])
+    data[np.flatnonzero(split)] -= part
+    # CSR with duplicates, each row in a random order
+    order = np.lexsort((rng.random(rows.size), rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=mat.shape[0]))))
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=mat.shape)
+
+
+@pytest.mark.parametrize("topology", ["periodic", "bounded"])
+@pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
+def test_verifier_reads_unsorted_indices(theta, topology):
+    ops = make_opset(2, 6, theta, topology)
+    q_plus = shuffled_rows(ops.Q_plus, 1)
+    assert not q_plus.has_sorted_indices
+    bad = dataclasses.replace(ops, Q_plus=q_plus, C=shuffled_rows(ops.C, 2))
+    assert certificate(verify_axioms(bad)) == scipy_certificate(bad)
+
+
+@pytest.mark.parametrize("topology", ["periodic", "bounded"])
+@pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
+def test_verifier_sums_duplicate_entries(theta, topology):
+    ops = make_opset(2, 6, theta, topology)
+    q_plus, q_minus = split_entries(ops.Q_plus, 3), split_entries(ops.Q_minus, 4)
+    c = 0.5 * (q_plus - q_minus)
+    assert q_plus.nnz > ops.Q_plus.nnz and not q_plus.has_canonical_format
+    bad = dataclasses.replace(ops, Q_plus=q_plus, Q_minus=q_minus, C=split_entries(c, 5))
+    report = verify_axioms(bad)
+    assert certificate(report) == scipy_certificate(bad)
+    # the split moves the sums by roundoff only
+    assert report.axiom_sbp_pass and report.axiom_dissipation_pass
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5])
+def test_verifier_flags_corrupted_bounded_set(theta):
+    ops = make_opset(3, 5, theta, "bounded")
+    q_plus = ops.Q_plus.copy()
+    corner = np.flatnonzero(q_plus.indices[: q_plus.indptr[1]] == 0)[0]
+    q_plus.data[corner] += 1e-3  # the entry of Q+ that B/2 corrects
+    d_minus = ops.D_minus.copy()
+    d_minus.data[-1] *= 1.0 + 1e-6
+    bad = dataclasses.replace(
+        ops, Q_plus=q_plus, D_minus=d_minus, C=0.5 * (q_plus - ops.Q_minus)
+    )
+    report = verify_axioms(bad)
+    assert certificate(report) == scipy_certificate(bad)
+    assert report.sbp_residual == pytest.approx(1e-3, rel=1e-9)
+    assert not report.axiom_accuracy_pass
+    assert report.axiom_norm_boundary_pass
+    assert not report.axiom_sbp_pass and not report.axiom_dissipation_pass
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_c_entry_fails_dissipation(bad):
+    ops = make_opset(2, 4, 0.5, "periodic")
+    c = ops.C.copy()
+    c.data[0] = bad
+    assert np.isnan(_max_eig_sym(c))
+    report = verify_axioms(dataclasses.replace(ops, C=c))
+    assert not np.isfinite(report.c_max_eigenvalue)
+    assert not np.isfinite(report.c_symmetry_residual)
+    assert not report.axiom_dissipation_pass and not report.all_pass
+    assert "c_max_eigenvalue: nan" in report.to_text()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["D_minus", "D_plus", "Q_plus", "Q_minus"])
+def test_non_finite_entry_fails_its_axiom(field, bad):
+    ops = make_opset(2, 4, 0.5, "bounded")
+    mat = getattr(ops, field).copy()
+    mat.data[mat.nnz // 2] = bad
+    report = verify_axioms(dataclasses.replace(ops, **{field: mat}))
+    if field.startswith("D"):
+        assert not np.isfinite(report.accuracy_residual)
+        assert not report.axiom_accuracy_pass
+    else:
+        assert not np.isfinite(report.sbp_residual)
+        assert not report.axiom_sbp_pass
+    assert not report.all_pass
+
+
+def test_non_finite_boundary_vector_fails_its_axiom():
+    ops = make_opset(2, 4, 0.5, "bounded")
+    t_beta = ops.t_beta.copy()
+    t_beta[-1] = np.nan
+    report = verify_axioms(dataclasses.replace(ops, t_beta=t_beta))
+    assert np.isnan(report.boundary_residual_beta)
+    assert not report.axiom_norm_boundary_pass
+    assert ("norm_boundary", "nan") in [(row[4], row[5]) for row in report.csv_rows()]
 
 
 @pytest.mark.parametrize("topology", ["periodic", "bounded"])
