@@ -93,7 +93,7 @@ def _join(fmt: Callable, sep: str = ",") -> Callable:
 
 
 class _Key(NamedTuple):
-    """One config key: its file name, RunConfig field, parser, flag and text form."""
+    """One config key: its file name, RunConfig field, parser, flag, text form and domain."""
 
     name: str  # in config files and in ``to_text``
     attr: str  # the RunConfig field
@@ -103,51 +103,73 @@ class _Key(NamedTuple):
     rank: int  # position of the flag in ``--help``
     flag: str
     flag_kw: dict  # argparse arguments of the flag: type, help, nargs, metavar, choices
+    # (holds, phrase): a value v, or each value of a list, needs holds(v), else the
+    # error reads "key 'name': phrase, got v!r"; a None value is not checked
+    domain: tuple[Callable, str] | None = None
 
     @property
     def dest(self) -> str:
         return self.flag[2:].replace("-", "_")
 
 
-# In ``to_text`` order. A file may also give the single pair as the two keys
-# theta_adv and theta_diff, which have no flag and no field.
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_THETA = (lambda theta: -0.5 <= theta <= 0.5, "theta must lie in [-1/2, 1/2]")
+
+# In ``to_text`` order, which is also the order the domains are checked in. A
+# file may also give the single pair as the two keys theta_adv and theta_diff,
+# which have no flag and no field.
 _KEYS = (
     _Key("a", "a", 0.1, _parse_float, repr, 3,
-         "--a", dict(type=float, help="advective velocity")),
+         "--a", dict(type=float, help="advective velocity"),
+         (lambda a: a > 0, "advective velocity must be > 0")),
     _Key("c", "c", 0.1, _parse_float, repr, 4,
-         "--c", dict(type=float, help="diffusion coefficient")),
+         "--c", dict(type=float, help="diffusion coefficient"),
+         (lambda c: c > 0, "diffusion coefficient must be > 0")),
     _Key("N", "degrees", (1, 2, 3), _parse_int_list, _join(str), 5,
-         "--N", dict(type=str, help="degrees, comma separated")),
+         "--N", dict(type=str, help="degrees, comma separated"),
+         (lambda n: 1 <= n <= 16, "degree must lie in [1, 16]")),
     _Key("K", "cell_counts", (20, 40, 80, 160, 320), _parse_int_list, _join(str), 6,
-         "--K", dict(type=str, help="cell counts, comma separated")),
+         "--K", dict(type=str, help="cell counts, comma separated"),
+         (lambda k: k >= 2, "cell count must be >= 2")),
     _Key("pairs", "pairs", TABLE1_PAIRS, _parse_pairs, _join(_join(repr), ";"), 8,
          "--pair", dict(type=float, nargs=2, metavar=("THETA_ADV", "THETA_DIFF"),
                         help="flux parameter pair")),
     _Key("theta", "thetas", (0.0, 0.25, 0.5), _parse_float_list, _join(repr), 9,
-         "--theta", dict(type=str, help="thetas for verify")),
+         "--theta", dict(type=str, help="thetas for verify"), _THETA),
     _Key("order", "orders", (1, 2), _parse_int_list, _join(str), 7,
-         "--order", dict(type=str, help="IMEX orders, comma separated")),
+         "--order", dict(type=str, help="IMEX orders, comma separated"),
+         (lambda order: order in (1, 2, 3), "order must be 1, 2 or 3")),
     _Key("horizon", "horizon", 100.0, _parse_float, repr, 2,
-         "--horizon", dict(type=float, help="scan horizon T")),
+         "--horizon", dict(type=float, help="scan horizon T"), _POSITIVE),
     _Key("T", "t_final", None, _parse_float, repr, 10,
-         "--T", dict(type=float, help="final time")),
+         "--T", dict(type=float, help="final time"),
+         (lambda t: t >= 0, "must be >= 0")),
     _Key("dt", "dt", None, _parse_float, repr, 11,
-         "--dt", dict(type=float, help="time step")),
+         "--dt", dict(type=float, help="time step"), _POSITIVE),
     _Key("mu", "mu", None, _parse_float, repr, 12,
-         "--mu", dict(type=float, help="time step rule dt = mu dx")),
+         "--mu", dict(type=float, help="time step rule dt = mu dx"), _POSITIVE),
     _Key("solution", "solution", "decay", _parse_text, str, 13,
-         "--solution", dict(type=str, choices=("decay", "growth"))),
+         "--solution", dict(type=str, choices=("decay", "growth")),
+         (lambda kind: kind in ("decay", "growth"), "must be decay or growth")),
     _Key("tau_lo", "tau_lo", experiments.DEFAULT_TAU_LO, _parse_float, repr, 14,
-         "--tau-lo", dict(type=float, help="scan bracket lower tau")),
+         "--tau-lo", dict(type=float, help="scan bracket lower tau"), _POSITIVE),
     _Key("tau_cap", "tau_cap", experiments.DEFAULT_TAU_CAP, _parse_float, repr, 15,
          "--tau-cap", dict(type=float, help="scan cap tau")),
     _Key("resolution", "resolution", experiments.DEFAULT_RESOLUTION, _parse_float, repr, 16,
-         "--resolution", dict(type=float, help="scan bisection resolution")),
+         "--resolution", dict(type=float, help="scan bisection resolution"), _POSITIVE),
     _Key("out", "out", "out", _parse_text, str, 0,
          "--out", dict(type=str, help="output directory")),
     _Key("workers", "workers", 1, _parse_int, str, 1,
-         "--workers", dict(type=int, help="worker pool size")),
+         "--workers", dict(type=int, help="worker pool size"),
+         (lambda workers: workers >= 1, "must be >= 1")),
 )
+
+# the list keys of which a subcommand runs a single value
+_ONE_VALUE = {
+    "converge": ("degrees", "orders"),
+    "solve": ("degrees", "orders", "cell_counts", "pairs"),
+    "burgers": ("degrees", "orders", "pairs"),
+}
 
 _FILE_KEYS = {"subcommand", "theta_adv", "theta_diff", *(key.name for key in _KEYS)}
 
@@ -210,10 +232,10 @@ def parse_config(path: str | Path) -> dict[str, str]:
     return _parse_lines(Path(path).read_text(encoding="utf-8"), path)
 
 
-def _check_theta(key: str, value: float) -> float:
-    if not -0.5 <= value <= 0.5:
-        raise ConfigError(f"key {key!r}: theta must lie in [-1/2, 1/2], got {value}")
-    return value
+def _check(name: str, domain: tuple[Callable, str], value) -> None:
+    holds, phrase = domain
+    if not holds(value):
+        raise ConfigError(f"key {name!r}: {phrase}, got {value!r}")
 
 
 def _plus_zero(value):
@@ -278,42 +300,17 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
             raise ConfigError(f"key {key.name!r}: needs at least one value")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"key {key.name!r}: must be finite, got {value}")
-    if cfg.a <= 0:
-        raise ConfigError(f"key 'a': advective velocity must be > 0, got {cfg.a}")
-    if cfg.c <= 0:
-        raise ConfigError(f"key 'c': diffusion coefficient must be > 0, got {cfg.c}")
-    for n in cfg.degrees:
-        if not 1 <= n <= 16:
-            raise ConfigError(f"key 'N': degree must lie in [1, 16], got {n}")
-    for k in cfg.cell_counts:
-        if k < 2:
-            raise ConfigError(f"key 'K': cell count must be >= 2, got {k}")
-    for order in cfg.orders:
-        if order not in (1, 2, 3):
-            raise ConfigError(f"key 'order': order must be 1, 2 or 3, got {order}")
-    for theta in cfg.thetas:
-        _check_theta("theta", theta)
+        if key.attr in _ONE_VALUE.get(subcommand, ()) and len(value) > 1:
+            got = key.text(value)
+            raise ConfigError(f"key {key.name!r}: {subcommand} takes one value, got {got}")
+        if key.domain is not None and value is not None:
+            for each in value if isinstance(value, tuple) else (value,):
+                _check(key.name, key.domain, each)
     for pair in cfg.pairs:
-        _check_theta("theta_adv", pair[0])
-        _check_theta("theta_diff", pair[1])
-    if cfg.horizon <= 0:
-        raise ConfigError(f"key 'horizon': must be > 0, got {cfg.horizon}")
-    if cfg.t_final is not None and cfg.t_final < 0:
-        raise ConfigError(f"key 'T': must be >= 0, got {cfg.t_final}")
-    if cfg.dt is not None and cfg.dt <= 0:
-        raise ConfigError(f"key 'dt': must be > 0, got {cfg.dt}")
-    if cfg.mu is not None and cfg.mu <= 0:
-        raise ConfigError(f"key 'mu': must be > 0, got {cfg.mu}")
-    if not cfg.tau_lo > 0:
-        raise ConfigError(f"key 'tau_lo': must be > 0, got {cfg.tau_lo}")
+        _check("theta_adv", _THETA, pair[0])
+        _check("theta_diff", _THETA, pair[1])
     if not cfg.tau_cap > cfg.tau_lo:
         raise ConfigError(f"key 'tau_cap': must be > tau_lo = {cfg.tau_lo}, got {cfg.tau_cap}")
-    if not cfg.resolution > 0:
-        raise ConfigError(f"key 'resolution': must be > 0, got {cfg.resolution}")
-    if cfg.workers < 1:
-        raise ConfigError(f"key 'workers': must be >= 1, got {cfg.workers}")
-    if cfg.solution not in ("decay", "growth"):
-        raise ConfigError(f"key 'solution': must be decay or growth, got {cfg.solution!r}")
     if cfg.solution == "growth" and "a" not in updates:
         cfg = replace(cfg, a=1.0)
     elif cfg.solution == "growth" and cfg.a != 1.0:

@@ -55,10 +55,8 @@ class ReferenceElement:
 
 
 def _legendre_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (P_n, P_{n-1}) via the three-term recurrence."""
+    """Evaluate (P_n, P_{n-1}), n >= 1, via the three-term recurrence."""
     p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
     p = x.copy()
     for k in range(1, n):
         p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p

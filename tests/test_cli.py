@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from upwind_gsbp.cli import (
     run_config_from_text,
 )
 from upwind_gsbp.mesh import physical_nodes, uniform_mesh
+from upwind_gsbp.operators import verify_axioms
 from upwind_gsbp.ref_element import build_lgl
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -293,6 +295,108 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, key, value, given_
     assert main(["verify", "--N", "1", "--K", "4", *argv, "--out", str(tmp_path / "out")]) == 2
     assert f"key {key!r}: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# one out-of-domain value per key with a domain, plus the rules that tie keys
+# together: (flags, or a config file's text, and the exact stderr line)
+DOMAIN_VIOLATIONS = {
+    "a": (["--a", "-1"], "key 'a': advective velocity must be > 0, got -1.0"),
+    "c": (["--c", "0"], "key 'c': diffusion coefficient must be > 0, got 0.0"),
+    "N": (["--N", "1,17"], "key 'N': degree must lie in [1, 16], got 17"),
+    "N_zero": (["--N", "0"], "key 'N': degree must lie in [1, 16], got 0"),
+    "K": (["--K", "1"], "key 'K': cell count must be >= 2, got 1"),
+    "pairs_adv": (["--pair", "0.7", "0"], "key 'theta_adv': theta must lie in [-1/2, 1/2], got 0.7"),
+    "pairs_diff": ("pairs = 0,0;0.25,-0.75\n",
+                   "key 'theta_diff': theta must lie in [-1/2, 1/2], got -0.75"),
+    "theta_adv": ("theta_adv = 0.6\ntheta_diff = 0\n",
+                  "key 'theta_adv': theta must lie in [-1/2, 1/2], got 0.6"),
+    "lone_theta_adv": ("theta_adv = 0.25\n", "theta_adv and theta_diff must be given together"),
+    "theta": (["--theta", "0,0.7"], "key 'theta': theta must lie in [-1/2, 1/2], got 0.7"),
+    "order": (["--order", "4"], "key 'order': order must be 1, 2 or 3, got 4"),
+    "horizon": (["--horizon", "0"], "key 'horizon': must be > 0, got 0.0"),
+    "T": (["--T", "-1"], "key 'T': must be >= 0, got -1.0"),
+    "dt": (["--dt", "0"], "key 'dt': must be > 0, got 0.0"),
+    "mu": (["--mu", "-2"], "key 'mu': must be > 0, got -2.0"),
+    "solution": ("solution = steady\n", "key 'solution': must be decay or growth, got 'steady'"),
+    "growth": ("solution = growth\na = 0.5\n", "the growth solution requires a = 1"),
+    "tau_lo": (["--tau-lo", "-1"], "key 'tau_lo': must be > 0, got -1.0"),
+    "tau_cap": (["--tau-lo", "10", "--tau-cap", "1"],
+                "key 'tau_cap': must be > tau_lo = 10.0, got 1.0"),
+    "resolution": (["--resolution", "0"], "key 'resolution': must be > 0, got 0.0"),
+    "workers": (["--workers", "0"], "key 'workers': must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(DOMAIN_VIOLATIONS))
+def test_domain_violation_message(tmp_path, capsys, case):
+    given, message = DOMAIN_VIOLATIONS[case]
+    if isinstance(given, str):
+        path = tmp_path / "run.cfg"
+        path.write_text(given)
+        given = ["--config", str(path)]
+    argv = ["verify", "--N", "1", "--K", "4", "--theta", "0", *given]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# a single-run subcommand runs one value of these keys; a second value is an
+# error, not dropped: (subcommand, flags or config file text, stderr line)
+@pytest.mark.parametrize(
+    "sub,given,message",
+    [
+        ("solve", ["--K", "10,20"], "key 'K': solve takes one value, got 10,20"),
+        ("solve", ["--N", "1,2"], "key 'N': solve takes one value, got 1,2"),
+        ("solve", ["--order", "2,1"], "key 'order': solve takes one value, got 2,1"),
+        ("solve", "pairs = 0.5,0.5;0,0\n",
+         "key 'pairs': solve takes one value, got 0.5,0.5;0.0,0.0"),
+        ("converge", ["--N", "1,2"], "key 'N': converge takes one value, got 1,2"),
+        ("converge", ["--order", "1,2"], "key 'order': converge takes one value, got 1,2"),
+        ("burgers", ["--N", "2,3"], "key 'N': burgers takes one value, got 2,3"),
+        ("burgers", ["--order", "1,2"], "key 'order': burgers takes one value, got 1,2"),
+        ("burgers", "pairs = 0,0;0.5,0\n",
+         "key 'pairs': burgers takes one value, got 0.0,0.0;0.5,0.0"),
+    ],
+    ids=["solve-K", "solve-N", "solve-order", "solve-pairs", "converge-N", "converge-order",
+         "burgers-N", "burgers-order", "burgers-pairs"],
+)
+def test_single_run_rejects_a_second_value(tmp_path, capsys, sub, given, message):
+    if isinstance(given, str):
+        path = tmp_path / "run.cfg"
+        path.write_text(given)
+        given = ["--config", str(path)]
+    assert main([sub, "--T", "0", *given, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    def singular(mat):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    assert main(["solve", "--K", "4", "--T", "0.5", "--out", str(tmp_path)]) == cli.EXIT_SOLVER == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: stage factorization failed: Factor is exactly singular")
+    assert "Traceback" not in err
+
+
+def test_failed_axiom_exits_4(tmp_path, monkeypatch, capsys):
+    def failing(opset):
+        return dataclasses.replace(verify_axioms(opset), axiom_sbp_pass=False)
+
+    monkeypatch.setattr(cli, "verify_axioms", failing)
+    rc = main(["verify", "--N", "1", "--K", "4", "--theta", "0", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CHECK == 4
+    captured = capsys.readouterr()
+    assert captured.out == "verify N=1 K=4 theta=0: FAIL\n"
+    assert captured.err == "certification failed for 2 operator set(s)\n"
+    rows = (tmp_path / "certification.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3:5] for row in rows if row.endswith(",fail")] == [
+        ["bounded", "sbp"], ["periodic", "sbp"]
+    ]
 
 
 @pytest.mark.parametrize("given_as", ["flag", "file"])

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -183,6 +185,47 @@ def test_singular_sparse_stage_system_raises():
     m_diag = np.array([0.3, 0.7, 1.1, 0.2])
     with pytest.raises(SolverFailure, match="factorization"):
         solve_implicit_stage(lmat, 0.5, np.ones(4), m_diag)
+
+
+def _splu_off_by(monkeypatch, rel):
+    """Make scipy's splu, which ``factorize`` imports when it runs, solve ``rel`` too large."""
+    splu = spla.splu
+    calls = []
+
+    def inexact(mat):
+        lu = splu(mat)
+
+        def solve(b):
+            calls.append(b)
+            return (1.0 + rel) * lu.solve(b)
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(spla, "splu", inexact)
+    return calls
+
+
+def test_inexact_stage_solve_is_refined(small_advdiff, monkeypatch):
+    # x0 = (1 + 1e-8) x: one refinement leaves an error of 1e-16 relative
+    _, disc, problem = small_advdiff
+    rhs = np.sin(disc.nodes)
+    exact, _ = problem.stage_pieces.factorize(0.3)(rhs)
+    calls = _splu_off_by(monkeypatch, 1e-8)
+    x, l_x = problem.stage_pieces.factorize(0.3)(rhs)
+    assert len(calls) == 2
+    assert np.linalg.norm(x - exact) <= SOLVE_RTOL * np.linalg.norm(exact)
+    assert np.linalg.norm(rhs - (x - 0.3 * l_x)) <= SOLVE_RTOL * np.linalg.norm(rhs)
+    np.testing.assert_array_equal(l_x, problem.l_implicit @ x)
+
+
+def test_stalled_stage_refinement_raises(small_advdiff, monkeypatch):
+    # x0 = 1.5 x: each refinement only halves the error, so five leave 2^-6
+    _, disc, problem = small_advdiff
+    calls = _splu_off_by(monkeypatch, 0.5)
+    solve = problem.stage_pieces.factorize(0.3)
+    with pytest.raises(SolverFailure, match=r"residual stalled at \S+ relative"):
+        solve(np.sin(disc.nodes))
+    assert len(calls) == 6
 
 
 def test_stage_matrix_smallest_eigenvalue_bound():
