@@ -1,8 +1,9 @@
 """Command-line front end: verify, scan, converge, solve, burgers.
 
-Configuration values come from flat ``key = value`` files overridden by
-command-line flags; every run writes deterministic CSV files into the
-output directory. Unknown config keys are a hard error.
+Every flag is a config line: its text is laid over the ``key = value`` texts
+of a ``--config`` file, and each key's text is parsed by its row of one key
+table. Unknown keys, and keys the subcommand does not read, are a hard
+error. Every run writes deterministic CSV files into the output directory.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "build_run_config",
-    "run_config_from_text",
     "dispatch",
     "main",
 ]
@@ -93,16 +93,16 @@ def _join(fmt: Callable, sep: str = ",") -> Callable:
 
 
 class _Key(NamedTuple):
-    """One config key: its file name, RunConfig field, parser, flag, text form and domain."""
+    """One config key: its name, RunConfig field, parser, flag, text form and domain."""
 
-    name: str  # in config files and in ``to_text``
+    name: str  # in config files, in ``to_text`` and in the subcommand table
     attr: str  # the RunConfig field
     default: object
-    parse: Callable  # (name, file text) -> value; also reads the comma-separated flags
+    parse: Callable  # (name, text) -> value, for a file line and a flag alike
     text: Callable  # value -> its ``to_text`` form; a None value has no line
     rank: int  # position of the flag in ``--help``
     flag: str
-    flag_kw: dict  # argparse arguments of the flag: type, help, nargs, metavar, choices
+    flag_kw: dict  # argparse arguments of the flag: help, nargs, metavar
     # (holds, phrase): a value v, or each value of a list, needs holds(v), else the
     # error reads "key 'name': phrase, got v!r"; a None value is not checked
     domain: tuple[Callable, str] | None = None
@@ -120,62 +120,56 @@ _THETA = (lambda theta: -0.5 <= theta <= 0.5, "theta must lie in [-1/2, 1/2]")
 # which have no flag and no field.
 _KEYS = (
     _Key("a", "a", 0.1, _parse_float, repr, 3,
-         "--a", dict(type=float, help="advective velocity"),
+         "--a", dict(help="advective velocity"),
          (lambda a: a > 0, "advective velocity must be > 0")),
     _Key("c", "c", 0.1, _parse_float, repr, 4,
-         "--c", dict(type=float, help="diffusion coefficient"),
+         "--c", dict(help="diffusion coefficient"),
          (lambda c: c > 0, "diffusion coefficient must be > 0")),
     _Key("N", "degrees", (1, 2, 3), _parse_int_list, _join(str), 5,
-         "--N", dict(type=str, help="degrees, comma separated"),
+         "--N", dict(help="degrees, comma separated"),
          (lambda n: 1 <= n <= 16, "degree must lie in [1, 16]")),
     _Key("K", "cell_counts", (20, 40, 80, 160, 320), _parse_int_list, _join(str), 6,
-         "--K", dict(type=str, help="cell counts, comma separated"),
+         "--K", dict(help="cell counts, comma separated"),
          (lambda k: k >= 2, "cell count must be >= 2")),
     _Key("pairs", "pairs", TABLE1_PAIRS, _parse_pairs, _join(_join(repr), ";"), 8,
-         "--pair", dict(type=float, nargs=2, metavar=("THETA_ADV", "THETA_DIFF"),
+         "--pair", dict(nargs=2, metavar=("THETA_ADV", "THETA_DIFF"),
                         help="flux parameter pair")),
     _Key("theta", "thetas", (0.0, 0.25, 0.5), _parse_float_list, _join(repr), 9,
-         "--theta", dict(type=str, help="thetas for verify"), _THETA),
+         "--theta", dict(help="thetas for verify"), _THETA),
     _Key("order", "orders", (1, 2), _parse_int_list, _join(str), 7,
-         "--order", dict(type=str, help="IMEX orders, comma separated"),
+         "--order", dict(help="IMEX orders, comma separated"),
          (lambda order: order in (1, 2, 3), "order must be 1, 2 or 3")),
-    _Key("horizon", "horizon", 100.0, _parse_float, repr, 2,
-         "--horizon", dict(type=float, help="scan horizon T"), _POSITIVE),
+    _Key("horizon", "horizon", experiments.DEFAULT_HORIZON, _parse_float, repr, 2,
+         "--horizon", dict(help="scan horizon T"), _POSITIVE),
     _Key("T", "t_final", None, _parse_float, repr, 10,
-         "--T", dict(type=float, help="final time"),
+         "--T", dict(help="final time"),
          (lambda t: t >= 0, "must be >= 0")),
     _Key("dt", "dt", None, _parse_float, repr, 11,
-         "--dt", dict(type=float, help="time step"), _POSITIVE),
+         "--dt", dict(help="time step"), _POSITIVE),
     _Key("mu", "mu", None, _parse_float, repr, 12,
-         "--mu", dict(type=float, help="time step rule dt = mu dx"), _POSITIVE),
+         "--mu", dict(help="time step rule dt = mu dx"), _POSITIVE),
     _Key("solution", "solution", "decay", _parse_text, str, 13,
-         "--solution", dict(type=str, choices=("decay", "growth")),
+         "--solution", dict(metavar="{decay,growth}"),
          (lambda kind: kind in ("decay", "growth"), "must be decay or growth")),
     _Key("tau_lo", "tau_lo", experiments.DEFAULT_TAU_LO, _parse_float, repr, 14,
-         "--tau-lo", dict(type=float, help="scan bracket lower tau"), _POSITIVE),
+         "--tau-lo", dict(help="scan bracket lower tau"), _POSITIVE),
     _Key("tau_cap", "tau_cap", experiments.DEFAULT_TAU_CAP, _parse_float, repr, 15,
-         "--tau-cap", dict(type=float, help="scan cap tau")),
+         "--tau-cap", dict(help="scan cap tau")),
     _Key("resolution", "resolution", experiments.DEFAULT_RESOLUTION, _parse_float, repr, 16,
-         "--resolution", dict(type=float, help="scan bisection resolution"), _POSITIVE),
+         "--resolution", dict(help="scan bisection resolution"), _POSITIVE),
     _Key("out", "out", "out", _parse_text, str, 0,
-         "--out", dict(type=str, help="output directory")),
+         "--out", dict(help="output directory")),
     _Key("workers", "workers", 1, _parse_int, str, 1,
-         "--workers", dict(type=int, help="worker pool size"),
+         "--workers", dict(help="worker pool size"),
          (lambda workers: workers >= 1, "must be >= 1")),
 )
 
-# the list keys of which a subcommand runs a single value
-_ONE_VALUE = {
-    "converge": ("degrees", "orders"),
-    "solve": ("degrees", "orders", "cell_counts", "pairs"),
-    "burgers": ("degrees", "orders", "pairs"),
-}
-
-_FILE_KEYS = {"subcommand", "theta_adv", "theta_diff", *(key.name for key in _KEYS)}
+_PAIR_KEYS = ("theta_adv", "theta_diff")
+_FILE_KEYS = {*_PAIR_KEYS, *(key.name for key in _KEYS)}
 
 
 def _to_text(self) -> str:
-    """Flat key = value serialization; reparsing yields this config."""
+    """Flat key = value listing: the subcommand, then every key that has a value."""
     lines = [f"subcommand = {self.subcommand}"]
     for key in _KEYS:
         value = getattr(self, key.attr)
@@ -196,23 +190,11 @@ RunConfig = make_dataclass(
 )
 
 
-def run_config_from_text(text: str) -> RunConfig:
-    """Rebuild a RunConfig from its ``to_text`` serialization."""
-    raw = _parse_lines(text)
-    subcommand = raw.pop("subcommand", None)
-    if subcommand not in _COMMANDS:
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
-    return build_run_config(subcommand, raw, {})
-
-
-def _parse_lines(text: str, source: str | Path | None = None) -> dict[str, str]:
-    """Flat ``key = value`` lines; unknown and duplicate keys are a hard error.
-
-    Messages name ``source:lineno``, or ``line lineno`` for text with no file.
-    """
+def parse_config(path: str | Path) -> dict[str, str]:
+    """Parse a flat key = value file; unknown and duplicate keys are a hard error."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        where = f"line {lineno}" if source is None else f"{source}:{lineno}"
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        where = f"{path}:{lineno}"
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -225,11 +207,6 @@ def _parse_lines(text: str, source: str | Path | None = None) -> dict[str, str]:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         raw[key] = value
     return raw
-
-
-def parse_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat key = value file; unknown and duplicate keys are a hard error."""
-    return _parse_lines(Path(path).read_text(encoding="utf-8"), path)
 
 
 def _check(name: str, domain: tuple[Callable, str], value) -> None:
@@ -245,54 +222,25 @@ def _plus_zero(value):
     return value + 0.0 if isinstance(value, float) else value
 
 
-def build_run_config(subcommand: str, file_values: dict[str, str], overrides: dict) -> RunConfig:
-    """Merge defaults, config-file values and flag overrides, then validate.
+def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
+    """The validated RunConfig of a subcommand's ``key = value`` texts.
 
-    ``overrides`` maps RunConfig fields to flag values; None means unset.
+    Each given key is parsed once by its _KEYS row; a key left unset takes the
+    subcommand's run default, else its row's default. A given key that the
+    subcommand does not read is an error.
     """
-    updates: dict = {}
+    command = _COMMANDS[subcommand]
+    values = dict(command.defaults)
     for key in _KEYS:
-        if overrides.get(key.attr) is not None:
-            updates[key.attr] = overrides[key.attr]
-        elif key.name in file_values:
-            updates[key.attr] = key.parse(key.name, file_values[key.name])
-    if "pairs" not in updates and ("theta_adv" in file_values or "theta_diff" in file_values):
-        if not ("theta_adv" in file_values and "theta_diff" in file_values):
+        if key.name in texts:
+            values[key.name] = key.parse(key.name, texts[key.name])
+    if "pairs" not in texts and any(name in texts for name in _PAIR_KEYS):
+        if not all(name in texts for name in _PAIR_KEYS):
             raise ConfigError("theta_adv and theta_diff must be given together")
-        updates["pairs"] = (
-            (
-                _parse_float("theta_adv", file_values["theta_adv"]),
-                _parse_float("theta_diff", file_values["theta_diff"]),
-            ),
-        )
+        values["pairs"] = (tuple(_parse_float(name, texts[name]) for name in _PAIR_KEYS),)
 
-    # subcommand-specific defaults for fields the user left untouched, so a
-    # bare subcommand reproduces a canonical experiment slice
-    sub_defaults: dict[str, dict] = {
-        "verify": {"cell_counts": (4, 20)},
-        "converge": {"degrees": (1,), "orders": (2,), "t_final": 10.0, "mu": 25.0},
-        "solve": {
-            "degrees": (1,),
-            "orders": (2,),
-            "cell_counts": (40,),
-            "pairs": ((0.5, 0.5),),
-            "t_final": 10.0,
-            "mu": 25.0,
-        },
-        "burgers": {
-            "degrees": (2,),
-            "orders": (2,),
-            "cell_counts": (50, 100),
-            "pairs": ((0.0, 0.0),),
-            "t_final": 2.0,
-            "dt": 0.1,
-        },
-    }
-    for attr, value in sub_defaults.get(subcommand, {}).items():
-        if attr not in updates:
-            updates[attr] = value
-
-    cfg = RunConfig(subcommand, **{attr: _plus_zero(value) for attr, value in updates.items()})
+    fields = {key.attr: _plus_zero(values[key.name]) for key in _KEYS if key.name in values}
+    cfg = RunConfig(subcommand, **fields)
 
     for key in _KEYS:
         value = getattr(cfg, key.attr)
@@ -300,7 +248,7 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
             raise ConfigError(f"key {key.name!r}: needs at least one value")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"key {key.name!r}: must be finite, got {value}")
-        if key.attr in _ONE_VALUE.get(subcommand, ()) and len(value) > 1:
+        if key.name in command.one_value and len(value) > 1:
             got = key.text(value)
             raise ConfigError(f"key {key.name!r}: {subcommand} takes one value, got {got}")
         if key.domain is not None and value is not None:
@@ -311,10 +259,13 @@ def build_run_config(subcommand: str, file_values: dict[str, str], overrides: di
         _check("theta_diff", _THETA, pair[1])
     if not cfg.tau_cap > cfg.tau_lo:
         raise ConfigError(f"key 'tau_cap': must be > tau_lo = {cfg.tau_lo}, got {cfg.tau_cap}")
-    if cfg.solution == "growth" and "a" not in updates:
+    if cfg.solution == "growth" and "a" not in texts:
         cfg = replace(cfg, a=1.0)
     elif cfg.solution == "growth" and cfg.a != 1.0:
         raise ConfigError("the growth solution requires a = 1")
+    for name in texts:
+        if ("pairs" if name in _PAIR_KEYS else name) not in command.reads:
+            raise ConfigError(f"key {name!r}: {subcommand} does not read it")
     return cfg
 
 
@@ -466,12 +417,41 @@ def _cmd_burgers(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Command(NamedTuple):
+    """One subcommand: its runner, help line, read keys, run defaults and single-value keys."""
+
+    run: Callable[[RunConfig], int]
+    help: str
+    reads: tuple[str, ...]  # any other key given by file or flag is an error
+    defaults: dict  # values of unset keys, so that a bare run is a canonical experiment slice
+    one_value: tuple[str, ...]  # the list keys of which it runs a single value
+
+
+# keys by their _KEYS names, as in config files, not by RunConfig fields
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-    "converge": _cmd_converge,
-    "solve": _cmd_solve,
-    "burgers": _cmd_burgers,
+    "verify": _Command(
+        _cmd_verify, "certify operator axioms over an (N, K, theta) grid",
+        reads=("N", "K", "theta", "out"), defaults={"K": (4, 20)}, one_value=()),
+    "scan": _Command(
+        _cmd_scan, "maximum stable time step scans",
+        reads=("a", "c", "N", "K", "pairs", "order", "horizon", "tau_lo", "tau_cap", "resolution",
+               "out", "workers"), defaults={}, one_value=()),
+    "converge": _Command(
+        _cmd_converge, "convergence/EOC study",
+        reads=("a", "c", "N", "K", "pairs", "order", "T", "mu", "solution", "out"),
+        defaults={"N": (1,), "order": (2,), "T": 10.0, "mu": 25.0}, one_value=("N", "order")),
+    "solve": _Command(
+        _cmd_solve, "single run with snapshot output",
+        reads=("a", "c", "N", "K", "pairs", "order", "T", "dt", "mu", "solution", "out"),
+        defaults={"N": (1,), "order": (2,), "K": (40,), "pairs": ((0.5, 0.5),),
+                  "T": 10.0, "mu": 25.0},
+        one_value=("N", "order", "K", "pairs")),
+    "burgers": _Command(
+        _cmd_burgers, "viscous Burgers stability demonstration",
+        reads=("c", "N", "K", "pairs", "order", "T", "dt", "out"),
+        defaults={"N": (2,), "order": (2,), "K": (50, 100), "pairs": ((0.0, 0.0),),
+                  "T": 2.0, "dt": 0.1},
+        one_value=("N", "order", "pairs")),
 }
 
 
@@ -481,23 +461,17 @@ def dispatch(cfg: RunConfig) -> int:
         Path(cfg.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"key 'out': cannot create directory {cfg.out!r}: {exc}") from exc
-    return _COMMANDS[cfg.subcommand](cfg)
-
-
-def _flag_value(key: _Key, value):
-    """The RunConfig value a parsed flag gives, or None when it gives none."""
-    if isinstance(value, list):  # --pair THETA_ADV THETA_DIFF: one pair
-        return (tuple(value),)
-    if isinstance(value, str) and key.parse is not _parse_text:  # a comma-separated list
-        return key.parse(key.name, value) if value else None
-    return value
+    return _COMMANDS[cfg.subcommand].run(cfg)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The RunConfig of parsed arguments: defaults, then ``--config``, then flags."""
-    file_values = parse_config(args.config) if args.config else {}
-    overrides = {key.attr: _flag_value(key, getattr(args, key.dest)) for key in _KEYS}
-    return build_run_config(args.subcommand, file_values, overrides)
+    """The RunConfig of parsed arguments: each given flag's text laid over ``--config``'s."""
+    texts = parse_config(args.config) if args.config else {}
+    for key in _KEYS:
+        value = getattr(args, key.dest)
+        if value is not None:  # --pair A B gives the list [A, B], whose text is "A,B"
+            texts[key.name] = ",".join(value) if isinstance(value, list) else value
+    return build_run_config(args.subcommand, texts)
 
 
 @functools.cache
@@ -510,15 +484,9 @@ def _parser() -> argparse.ArgumentParser:
         "viscous Burgers demonstration.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("verify", "certify operator axioms over an (N, K, theta) grid"),
-        ("scan", "maximum stable time step scans"),
-        ("converge", "convergence/EOC study"),
-        ("solve", "single run with snapshot output"),
-        ("burgers", "viscous Burgers stability demonstration"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None, help="flat key = value file")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", default=None, help="flat key = value file")
         for key in sorted(_KEYS, key=lambda key: key.rank):
             p.add_argument(key.flag, default=None, **key.flag_kw)
     return parser

@@ -16,7 +16,6 @@ from upwind_gsbp.cli import (
     build_run_config,
     main,
     parse_config,
-    run_config_from_text,
 )
 from upwind_gsbp.mesh import physical_nodes, uniform_mesh
 from upwind_gsbp.operators import verify_axioms
@@ -56,17 +55,10 @@ def test_parse_config_duplicate_key(tmp_path):
         parse_config(path)
 
 
-def test_run_config_from_text_duplicate_key():
-    text = build_run_config("scan", {}, {}).to_text() + "a = 0.3\n"
-    lineno = len(text.splitlines())
-    with pytest.raises(ConfigError, match=f"^line {lineno}: duplicate key 'a'"):
-        run_config_from_text(text)
-
-
 def test_empty_file_scan_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("")
-    cfg = build_run_config("scan", parse_config(path), {})
+    cfg = build_run_config("scan", parse_config(path))
     assert cfg.a == 0.1 and cfg.c == 0.1
     assert cfg.degrees == (1, 2, 3)
     assert cfg.cell_counts == (20, 40, 80, 160, 320)
@@ -76,44 +68,30 @@ def test_empty_file_scan_defaults(tmp_path):
 
 def test_theta_range_rejected():
     with pytest.raises(ConfigError, match="theta"):
-        build_run_config("scan", {"theta_adv": "0.7", "theta_diff": "0"}, {})
+        build_run_config("scan", {"theta_adv": "0.7", "theta_diff": "0"})
 
 
 def test_domain_violations_name_the_key():
     with pytest.raises(ConfigError, match="'a'"):
-        build_run_config("scan", {"a": "-1"}, {})
+        build_run_config("scan", {"a": "-1"})
     with pytest.raises(ConfigError, match="'K'"):
-        build_run_config("scan", {"K": "1"}, {})
+        build_run_config("scan", {"K": "1"})
     with pytest.raises(ConfigError, match="'order'"):
-        build_run_config("scan", {"order": "4"}, {})
+        build_run_config("scan", {"order": "4"})
 
 
-def test_flag_overrides_file():
-    cfg = build_run_config("scan", {"K": "20"}, {"cell_counts": (40,)})
-    assert cfg.cell_counts == (40,)
+def test_flag_overrides_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("K = 20\n")
+    args = cli._parser().parse_args(["scan", "--config", str(path), "--K", "40"])
+    assert cli._config_from_args(args).cell_counts == (40,)
 
 
 def test_growth_solution_forces_unit_velocity():
-    cfg = build_run_config("converge", {"solution": "growth"}, {})
+    cfg = build_run_config("converge", {"solution": "growth"})
     assert cfg.a == 1.0
     with pytest.raises(ConfigError):
-        build_run_config("converge", {"solution": "growth", "a": "0.5"}, {})
-
-
-def test_run_config_roundtrip():
-    cfg = build_run_config(
-        "scan",
-        {"a": "0.2", "c": "0.01", "N": "1,2", "K": "20,40", "theta_adv": "0.25", "theta_diff": "0.25"},
-        {},
-    )
-    again = run_config_from_text(cfg.to_text())
-    assert again == cfg
-
-
-def test_run_config_roundtrip_defaults():
-    for sub in ("scan", "converge", "verify", "solve", "burgers"):
-        cfg = build_run_config(sub, {}, {})
-        assert run_config_from_text(cfg.to_text()) == cfg
+        build_run_config("converge", {"solution": "growth", "a": "0.5"})
 
 
 # a non-default value of every config key: (file text, flag arguments)
@@ -142,12 +120,73 @@ KEY_SAMPLES = {
 def test_key_in_file_equals_key_as_flag(tmp_path, key):
     assert set(KEY_SAMPLES) == {k.name for k in cli._KEYS}
     text, values = KEY_SAMPLES[key.name]
+    sub = next(name for name, command in cli._COMMANDS.items() if key.name in command.reads)
     path = tmp_path / "run.cfg"
     path.write_text(f"{key.name} = {text}\n")
-    from_file = cli._config_from_args(cli._parser().parse_args(["scan", "--config", str(path)]))
-    from_flag = cli._config_from_args(cli._parser().parse_args(["scan", key.flag, *values]))
+    from_file = cli._config_from_args(cli._parser().parse_args([sub, "--config", str(path)]))
+    from_flag = cli._config_from_args(cli._parser().parse_args([sub, key.flag, *values]))
     assert from_file == from_flag
     assert getattr(from_file, key.attr) != key.default
+
+
+def test_subcommand_table_names_only_config_keys():
+    names = {key.name for key in cli._KEYS}
+    for command in cli._COMMANDS.values():
+        assert set(command.reads) <= names
+        assert set(command.defaults) | set(command.one_value) <= set(command.reads)
+    # every key is read by some subcommand
+    assert set().union(*(command.reads for command in cli._COMMANDS.values())) == names
+
+
+# a flag's text is parsed by the same _KEYS row as a file line's
+@pytest.mark.parametrize(
+    "key,text,message",
+    [
+        ("a", "x", "key 'a': cannot parse 'x' as a number"),
+        ("workers", "2.5", "key 'workers': cannot parse '2.5' as an integer"),
+        ("solution", "steady", "key 'solution': must be decay or growth, got 'steady'"),
+    ],
+    ids=["a", "workers", "solution"],
+)
+def test_bad_flag_value_reads_as_bad_file_value(tmp_path, capsys, key, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {text}\n")
+    for given in (["--config", str(path)], ["--" + key, text]):
+        assert main(["scan", *given, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_subcommand_key_is_unknown(tmp_path, capsys):
+    # the command line names the subcommand; a file line cannot name another
+    path = tmp_path / "run.cfg"
+    path.write_text("subcommand = scan\n")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}:1: unknown key 'subcommand'\n"
+    assert not (tmp_path / "out").exists()
+
+
+# a key given by flag or file that the subcommand never reads is an error, not
+# dropped; the message names the key as it was given
+@pytest.mark.parametrize(
+    "sub,given,message",
+    [
+        ("verify", ["--dt", "5"], "key 'dt': verify does not read it"),
+        ("scan", ["--T", "1"], "key 'T': scan does not read it"),
+        ("solve", ["--theta", "0"], "key 'theta': solve does not read it"),
+        ("burgers", "a = 0.1\n", "key 'a': burgers does not read it"),
+        ("verify", "theta_adv = 0\ntheta_diff = 0\n", "key 'theta_adv': verify does not read it"),
+    ],
+    ids=["verify-dt", "scan-T", "solve-theta", "burgers-a", "verify-theta_adv"],
+)
+def test_key_the_subcommand_does_not_read_is_a_config_error(tmp_path, capsys, sub, given, message):
+    if isinstance(given, str):
+        path = tmp_path / "run.cfg"
+        path.write_text(given)
+        given = ["--config", str(path)]
+    assert main([sub, *given, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------------- subcommands
@@ -253,7 +292,7 @@ def test_scan_bracket_rejected(values, key):
     # out of domain: a resolution <= 0 is rejected, although the bisection
     # itself would end once lo and hi are adjacent floats
     with pytest.raises(ConfigError, match=f"'{key}'"):
-        build_run_config("scan", values, {})
+        build_run_config("scan", values)
 
 
 def test_scan_bracket_flags_exit_with_config_error(tmp_path):
@@ -401,22 +440,28 @@ def test_failed_axiom_exits_4(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("given_as", ["flag", "file"])
 def test_negative_zero_is_read_as_zero(tmp_path, capsys, given_as):
-    # a -0 would print as "-0" in file names, summaries and CSVs
+    # a -0 would print as "-0" in file names, summaries and CSVs; solve and
+    # converge read T and the pair, verify reads theta
     if given_as == "flag":
-        argv = ["--T", "-0", "--pair", "-0", "-0", "--theta", "-0"]
+        run_argv = ["--T", "-0", "--pair", "-0", "-0"]
+        verify_argv = ["--theta", "-0"]
     else:
-        path = tmp_path / "run.cfg"
-        path.write_text("T = -0\npairs = -0,-0\ntheta = -0\n")
-        argv = ["--config", str(path)]
-    cfg = cli._config_from_args(cli._parser().parse_args(["solve", *argv]))
-    assert [math.copysign(1.0, v) for v in (cfg.t_final, *cfg.pairs[0], *cfg.thetas)] == [1.0] * 4
-    assert main(["solve", "--K", "4", *argv, "--out", str(tmp_path / "solve")]) == 0
+        run_path, verify_path = tmp_path / "run.cfg", tmp_path / "verify.cfg"
+        run_path.write_text("T = -0\npairs = -0,-0\n")
+        verify_path.write_text("theta = -0\n")
+        run_argv, verify_argv = ["--config", str(run_path)], ["--config", str(verify_path)]
+    run_cfg = cli._config_from_args(cli._parser().parse_args(["solve", *run_argv]))
+    verify_cfg = cli._config_from_args(cli._parser().parse_args(["verify", *verify_argv]))
+    zeros = (run_cfg.t_final, *run_cfg.pairs[0], *verify_cfg.thetas)
+    assert [math.copysign(1.0, v) for v in zeros] == [1.0] * 4
+    assert main(["solve", "--K", "4", *run_argv, "--out", str(tmp_path / "solve")]) == 0
     assert (tmp_path / "solve" / "solution_t0.csv").is_file()
     assert " T=0 " in capsys.readouterr().out
-    assert main(["converge", "--K", "4", *argv, "--out", str(tmp_path / "converge")]) == 0
+    assert main(["converge", "--K", "4", *run_argv, "--out", str(tmp_path / "converge")]) == 0
     row = (tmp_path / "converge" / "convergence.csv").read_text().splitlines()[1]
     assert row.split(",")[3:5] == ["0", "0"]
-    assert main(["verify", "--N", "1", "--K", "4", *argv, "--out", str(tmp_path / "verify")]) == 0
+    argv = ["verify", "--N", "1", "--K", "4", *verify_argv, "--out", str(tmp_path / "verify")]
+    assert main(argv) == 0
     rows = (tmp_path / "verify" / "certification.csv").read_text().splitlines()[1:]
     assert {r.split(",")[2] for r in rows} == {"0"}
     assert "theta=0:" in capsys.readouterr().out
@@ -435,7 +480,7 @@ def test_burgers_at_zero_final_time_writes_initial_data(tmp_path, capsys, t_fina
 
 def test_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setitem(cli._COMMANDS, "verify", calls.append)
+    monkeypatch.setitem(cli._COMMANDS, "verify", cli._COMMANDS["verify"]._replace(run=calls.append))
     path = tmp_path / "taken"
     path.write_text("")
     for out in (path, path / "sub"):
@@ -452,10 +497,11 @@ def test_scan_ends_at_resolution_below_float_spacing(tmp_path):
     assert rows[1].startswith("2,1,20,0.1,0.1,0.5,0.5,2.4")
 
 
-def test_empty_list_flag_is_ignored():
-    args = cli._parser().parse_args(["verify", "--N", "", "--K", "4"])
-    cfg = cli._config_from_args(args)
-    assert (cfg.degrees, cfg.cell_counts) == ((1, 2, 3), (4,))
+def test_empty_list_flag_is_a_config_error(tmp_path, capsys):
+    # as the file line "N =" is: an empty list would make verify do nothing
+    assert main(["verify", "--N", "", "--K", "4", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: key 'N': needs at least one value\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_key_is_unknown(tmp_path, capsys):
@@ -471,7 +517,7 @@ def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
     def broken(cfg):
         raise ValueError("numerics went wrong")
 
-    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    monkeypatch.setitem(cli._COMMANDS, "verify", cli._COMMANDS["verify"]._replace(run=broken))
     rc = main(["verify", "--out", str(tmp_path)])
     assert rc == cli.EXIT_INTERNAL == 5
     assert "internal error" in capsys.readouterr().err
@@ -525,7 +571,7 @@ def test_help_matches_golden_bytes(monkeypatch, capsys, sub):
 
 @pytest.mark.parametrize("sub", list(cli._COMMANDS))
 def test_bare_config_text_matches_golden_bytes(sub):
-    text = build_run_config(sub, {}, {}).to_text()
+    text = build_run_config(sub, {}).to_text()
     assert text.encode() == (GOLDEN / f"to_text_{sub}.txt").read_bytes()
 
 

@@ -261,6 +261,26 @@ def test_convergence_unstable_rows_are_dashes():
     assert all(row.error_label() == "-" for row in rows)
 
 
+def test_convergence_solver_failure_is_a_dash_row(monkeypatch):
+    # a failed stage solve marks its level unstable, and the next level has
+    # no previous error to take an EOC from
+    real_integrate = experiments.integrate
+    calls = []
+
+    def failing_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise imex.SolverFailure("injected")
+        return real_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", failing_second)
+    base = AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 1, 20)
+    rows = run_convergence(base, order=2, mu=25.0, cell_counts=[20, 40, 80], t_final=1.0)
+    assert [row.unstable for row in rows] == [False, True, False]
+    assert (rows[1].error_label(), rows[1].eoc_label()) == ("-", "-")
+    assert rows[2].error is not None and rows[2].eoc is None
+
+
 def test_convergence_growth_solution_requires_unit_velocity():
     base = AdvDiffConfig(0.5, 0.1, 0.0, 0.0, 1, 20)
     with pytest.raises(ValueError):

@@ -267,6 +267,18 @@ def test_certified_problem_steps_only_its_own_step_sizes():
         integrate(tableau_by_name(1), certified, u0, 0.1, 1.0)
 
 
+def test_run_with_no_steps_is_certified_and_holds_no_map():
+    _, problem, tableau, engine = build(2, (0.5, 0.5), 2, 10, 1.0 + experiments.CERTIFIED_GROWTH)
+    u0 = np.sin(np.linspace(-np.pi, np.pi, problem.dim))
+    empty = engine.problem([])
+    assert isinstance(empty, FourierProblem)
+    u_final, trace = integrate(tableau, empty, u0, 0.1, 0.0)
+    np.testing.assert_allclose(u_final, u0, rtol=0, atol=1e-15)
+    assert len(trace.steps) == 1
+    with pytest.raises(RuntimeError, match="certified"):
+        empty.advance(empty.state(u0), 0.1)
+
+
 def test_integrate_fourier_matches_sparse_trajectory():
     disc, problem, tableau, engine = build(2, (0.5, 0.5), 3, 20, 1.0 + experiments.CERTIFIED_GROWTH)
     u0 = np.sin(disc.nodes)

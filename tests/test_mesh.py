@@ -78,3 +78,8 @@ def test_widths_must_sum_to_interval():
         Mesh1D(0.0, 1.0, np.array([0.3, 0.3]))
     with pytest.raises(ValueError):
         Mesh1D(0.0, 1.0, np.array([0.5, -0.5, 1.0]))
+
+
+def test_one_cell_mesh_is_rejected():
+    with pytest.raises(ValueError, match="at least K = 2 cells"):
+        Mesh1D(0.0, 1.0, np.array([1.0]))
