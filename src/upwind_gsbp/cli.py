@@ -116,8 +116,8 @@ _POSITIVE = (lambda v: v > 0, "must be > 0")
 _THETA = (lambda theta: -0.5 <= theta <= 0.5, "theta must lie in [-1/2, 1/2]")
 
 # In ``to_text`` order, which is also the order the domains are checked in. A
-# file may also give the single pair as the two keys theta_adv and theta_diff,
-# which have no flag and no field.
+# file may give the single pair as the two keys theta_adv and theta_diff
+# instead of pairs; they have no flag and no field.
 _KEYS = (
     _Key("a", "a", 0.1, _parse_float, repr, 3,
          "--a", dict(help="advective velocity"),
@@ -191,9 +191,13 @@ RunConfig = make_dataclass(
 
 
 def parse_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat key = value file; unknown and duplicate keys are a hard error."""
+    """Parse a flat key = value file; an unreadable file, unknown and duplicate keys are errors."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:  # missing, a directory (the empty path is "."), unreadable
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         where = f"{path}:{lineno}"
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -226,15 +230,20 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
     """The validated RunConfig of a subcommand's ``key = value`` texts.
 
     Each given key is parsed once by its _KEYS row; a key left unset takes the
-    subcommand's run default, else its row's default. A given key that the
-    subcommand does not read is an error.
+    subcommand's run default, else its row's default; a given dt drops mu's run
+    default. A given key that the subcommand does not read is an error, and so
+    are dt given with mu and pairs given with theta_adv and theta_diff.
     """
     command = _COMMANDS[subcommand]
     values = dict(command.defaults)
+    if "dt" in texts:  # mu's run default is the step rule of a run given no dt
+        values.pop("mu", None)
     for key in _KEYS:
         if key.name in texts:
             values[key.name] = key.parse(key.name, texts[key.name])
-    if "pairs" not in texts and any(name in texts for name in _PAIR_KEYS):
+    if any(name in texts for name in _PAIR_KEYS):
+        if "pairs" in texts:
+            raise ConfigError("give pairs or theta_adv and theta_diff, not both")
         if not all(name in texts for name in _PAIR_KEYS):
             raise ConfigError("theta_adv and theta_diff must be given together")
         values["pairs"] = (tuple(_parse_float(name, texts[name]) for name in _PAIR_KEYS),)
@@ -266,6 +275,8 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
     for name in texts:
         if ("pairs" if name in _PAIR_KEYS else name) not in command.reads:
             raise ConfigError(f"key {name!r}: {subcommand} does not read it")
+    if "dt" in texts and "mu" in texts:
+        raise ConfigError("keys 'dt' and 'mu' are exclusive: give the time step or its rule")
     return cfg
 
 
@@ -466,7 +477,9 @@ def dispatch(cfg: RunConfig) -> int:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The RunConfig of parsed arguments: each given flag's text laid over ``--config``'s."""
-    texts = parse_config(args.config) if args.config else {}
+    texts = parse_config(args.config) if args.config is not None else {}
+    if args.pair is not None:  # the flag replaces the file's pair in either form
+        texts = {name: text for name, text in texts.items() if name not in _PAIR_KEYS}
     for key in _KEYS:
         value = getattr(args, key.dest)
         if value is not None:  # --pair A B gives the list [A, B], whose text is "A,B"

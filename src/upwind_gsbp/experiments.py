@@ -3,8 +3,12 @@
 A stability scan finds the largest time step for which the discrete energy
 (u, u)_M stays non-increasing over the whole run, reported as the normalized
 value tau = a^2 dt_max / c. Scans double geometrically from a stable lower
-bound, then bisect; hitting the cap tau = 1e4 while still stable is reported
-as UNBOUNDED (the "+" outcome). Convergence studies integrate a closed-form
+bound, then bisect; a scan still stable at the cap tau = 1e4 is reported as
+UNBOUNDED (the "+" outcome). A run's last step is truncated to the horizon
+(``step_times``), so every dt >= horizon is one run, a single step of size
+horizon: every probe from tau = horizon a^2 / c (10 for the bare table) up to
+the cap repeats it. "+" therefore means stable at every step the scan took,
+not stable up to tau = 1e4. Convergence studies integrate a closed-form
 solution with dt = mu * dx over a cell-doubling sequence and report discrete
 L2 errors and experimental orders.
 """
@@ -51,8 +55,8 @@ __all__ = [
 # per-step slack on the squared energy before declaring growth
 ENERGY_GROWTH_RTOL = 1e-12
 # A probe steps in Fourier space only when every step map it applies has
-# squared M-norm amplification at most 1 + CERTIFIED_GROWTH, decided as an SVD
-# decides it (see fourier.py). Then no state gains more than that factor of
+# squared M-norm amplification at most 1 + CERTIFIED_GROWTH, decided by an SVD
+# of every map (see fourier.py). Then no state gains more than that factor of
 # energy in one exact step, and the remaining 8e-13 of the slack (about 3600
 # ulps) covers the roundoff of one computed step and of the two energies
 # compared: on the 114 certified probes of the benchmark's scan workload, a

@@ -28,12 +28,10 @@ D-_hat(-theta_diff, k) since D+(theta) = D-(-theta), and M_loc = (dx/2) w
 and the resulting ``FourierProblem`` is what ``imex.integrate`` steps.
 
 A run is certified when max_k ||T_k||_2^2 <= max_growth at each of its step
-sizes h'; most differ from the largest, h, only in the last ulp. An SVD
-decides only where two bounds cannot: a squared row or column norm of T_k,
-a lower bound, above max_growth + REJECT_MARGIN rejects, and the upper bound
-max_k (||T_k(h)||_2 + ||T_k(h') - T_k(h)||_F)^2 <= max_growth - SIBLING_MARGIN
-certifies. Both margins lie far outside the float64 roundoff of these norms,
-so every decision is the SVD's.
+sizes: an SVD of every map decides (``amplification``). The largest step
+size's maps are built and decided first, so an uncertified run usually costs
+one size's maps; the other sizes, most of which differ from the largest only
+in the last ulp, follow in one batch.
 """
 
 from __future__ import annotations
@@ -48,8 +46,6 @@ from .problems import AdvDiffConfig
 from .ref_element import ReferenceElement
 
 __all__ = ["FourierEngine", "FourierProblem"]
-
-REJECT_MARGIN, SIBLING_MARGIN = 1e-9, 1e-14
 
 
 def _checked_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -71,9 +67,12 @@ def _checked_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _spectral_norms(t_maps: np.ndarray) -> np.ndarray:
-    """||T_k||_2 of each map in the stack, the bits of np.linalg.norm(ord=2)."""
-    return np.linalg.svd(t_maps, compute_uv=False).max(axis=-1)
+def amplification(t_maps: np.ndarray) -> np.ndarray:
+    """max_k ||T_k||_2 of maps stacked (step size, k, n, n), one value per step size.
+
+    Each ||T_k||_2 has the bits of np.linalg.norm(T_k, 2): the largest singular value.
+    """
+    return np.linalg.svd(t_maps, compute_uv=False).max(axis=(-2, -1))
 
 
 class FourierEngine:
@@ -127,41 +126,23 @@ class FourierEngine:
             lambda tau, rhs: (_checked_solve(eye - tau * self.l_hat, rhs), None),
         )
 
-    def _orthonormal(self, s_maps: np.ndarray) -> np.ndarray:
-        """T_k = M^1/2 S_k M^-1/2, the maps acting on the state v_k."""
-        return self._m_half[:, None] * s_maps / self._m_half[None, :]
-
-    def amplification(self, s_maps: np.ndarray):
-        """max_k ||M^1/2 S_k M^-1/2||_2, one value per batched step map."""
-        return np.max(_spectral_norms(self._orthonormal(s_maps)), axis=-1)
-
-    def _rejects(self, t_maps: np.ndarray) -> bool:
-        """True when a row or column norm, a lower bound on ||T_k||_2, rules a map out."""
-        squares = np.abs(t_maps) ** 2
-        return max(squares.sum(-1).max(), squares.sum(-2).max()) > self.max_growth + REJECT_MARGIN
+    def orthonormal_maps(self, step_sizes: Sequence[float]) -> np.ndarray:
+        """T_k = M^1/2 S_k M^-1/2, the maps acting on the state v_k, shaped as step_maps."""
+        return self._m_half[:, None] * self.step_maps(step_sizes) / self._m_half[None, :]
 
     def problem(self, step_sizes: Iterable[float]) -> "FourierProblem | None":
         """Orthonormal step maps for the given step sizes; None unless all are certified.
 
-        The largest step's map is built and certified alone first, so an
-        uncertified run usually costs one map; the others follow in one batch.
+        The largest size is decided alone, then the others in one batch.
         """
         sizes = sorted(set(step_sizes), reverse=True)
-        if not sizes:
-            return FourierProblem(self, {})
-        top = self._orthonormal(self.step_maps(sizes[:1]))
-        if self._rejects(top) or np.max(norms := _spectral_norms(top)) ** 2 > self.max_growth:
-            return None
-        maps = {sizes[0]: top[0]}
-        if len(sizes) > 1:
-            siblings = self._orthonormal(self.step_maps(sizes[1:]))
-            if self._rejects(siblings):
-                return None
-            bounds = (norms + np.linalg.norm(siblings - top, axis=(-2, -1))) ** 2
-            open_ = np.max(bounds, axis=-1) > self.max_growth - SIBLING_MARGIN
-            if np.any(open_) and np.max(_spectral_norms(siblings[open_])) ** 2 > self.max_growth:
-                return None
-            maps.update(zip(sizes[1:], siblings))
+        maps = {}
+        for batch in (sizes[:1], sizes[1:]):
+            if batch:
+                t_maps = self.orthonormal_maps(batch)
+                if np.max(amplification(t_maps)) ** 2 > self.max_growth:
+                    return None
+                maps.update(zip(batch, t_maps))
         return FourierProblem(self, maps)
 
 

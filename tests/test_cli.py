@@ -157,6 +157,54 @@ def test_bad_flag_value_reads_as_bad_file_value(tmp_path, capsys, key, text, mes
     assert not (tmp_path / "out").exists()
 
 
+# a --config path that cannot be read is a config error, not a traceback
+@pytest.mark.parametrize("config", ["missing.cfg", "a-directory", ""])
+def test_unreadable_config_is_a_config_error(tmp_path, monkeypatch, capsys, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-directory").mkdir()
+    assert main(["verify", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {config!r}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pairs_with_theta_keys_is_a_config_error(tmp_path, capsys):
+    texts = {"pairs": "0,0", "theta_adv": "0.5", "theta_diff": "0.5"}
+    with pytest.raises(ConfigError, match="not both"):
+        build_run_config("solve", texts)
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in texts.items()))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: give pairs or theta_adv and theta_diff, not both\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_pair_flag_replaces_theta_keys_of_the_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("theta_adv = 0.5\ntheta_diff = 0.5\n")
+    args = cli._parser().parse_args(["solve", "--config", str(path), "--pair", "0", "0.25"])
+    assert cli._config_from_args(args).pairs == ((0.0, 0.25),)
+
+
+def test_solve_takes_dt_or_mu_not_both(tmp_path, capsys):
+    assert build_run_config("solve", {}).mu == 25.0
+    given_dt = build_run_config("solve", {"dt": "0.5"})
+    assert given_dt.dt == 0.5 and given_dt.mu is None
+    assert "mu =" not in given_dt.to_text()
+    assert build_run_config("solve", {"mu": "3"}).dt is None
+    path = tmp_path / "run.cfg"
+    path.write_text("dt = 0.5\n")
+    for given in (["--dt", "0.5", "--mu", "3"], ["--config", str(path), "--mu", "3"]):
+        assert main(["solve", *given, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: keys 'dt' and 'mu' are exclusive: give the time step or its rule\n"
+        )
+    assert not (tmp_path / "out").exists()
+
+
 def test_subcommand_key_is_unknown(tmp_path, capsys):
     # the command line names the subcommand; a file line cannot name another
     path = tmp_path / "run.cfg"

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from upwind_gsbp import experiments, operators, problems
-from upwind_gsbp.fourier import FourierEngine, FourierProblem, _checked_solve
+from upwind_gsbp.fourier import FourierEngine, FourierProblem, _checked_solve, amplification
 from upwind_gsbp.imex import (
     SolverFailure,
     Stepper,
@@ -126,7 +126,7 @@ def test_engine_assembles_no_operator(monkeypatch):
     cfg = AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 10, 1280)
     engine = FourierEngine(cfg, build_lgl(10), tableau_by_name(2), np.inf)
     assert engine.a_hat.shape == (641, 11, 11)
-    assert np.isfinite(engine.amplification(engine.step_maps([0.01])[0]))
+    assert np.isfinite(amplification(engine.orthonormal_maps([0.01])))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])
@@ -173,7 +173,7 @@ def test_amplification_matches_dense_norm(order, pair, n_cells):
     dense = np.column_stack([stepper.advance(e, dt) for e in np.eye(problem.dim)])
     m_half = np.sqrt(disc.m_diag)
     expected = np.linalg.norm(m_half[:, None] * dense / m_half[None, :], 2)
-    assert abs(engine.amplification(engine.step_maps([dt])[0]) - expected) <= 1e-12
+    assert abs(amplification(engine.orthonormal_maps([dt]))[0] - expected) <= 1e-12
 
 
 # dt = 0.5 and 100 give one step size over the horizon; the others give
@@ -192,7 +192,7 @@ def test_certificate_decides_as_the_svd_of_every_map(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    cases = ["rejection bound", "sibling bound", "svd", "one size", "several sizes", "largest only"]
+    cases = ["svd", "one size", "several sizes", "largest only"]
     decided = dict.fromkeys(cases, 0)
     for order, pair, degree, n_cells in itertools.product([1, 2, 3], PAIRS, [1, 3], [5, 8, 20]):
         engine = build(order, pair, degree, n_cells, 1.0 + experiments.CERTIFIED_GROWTH)[3]
@@ -200,15 +200,11 @@ def test_certificate_decides_as_the_svd_of_every_map(monkeypatch):
             sizes = sorted({t_next - t for t, t_next in step_times(dt, 100.0)})
             svd_maps[0] = 0
             certified = engine.problem(sizes) is not None
-            svd_free = svd_maps[0] == 0
-            svd_free_maps = len(sizes) - svd_maps[0]
-            amplification = engine.amplification(engine.step_maps(sizes))
-            assert certified == all(amplification**2 <= engine.max_growth)
-            decided["rejection bound"] += not certified and svd_free
-            decided["sibling bound"] += certified and svd_free_maps > 0
-            decided["svd"] += not svd_free
+            norms = amplification(engine.orthonormal_maps(sizes))
+            assert certified == all(norms**2 <= engine.max_growth)
+            decided["svd"] += svd_maps[0] > 0
             decided["one size" if len(sizes) == 1 else "several sizes"] += 1
-            decided["largest only"] += not certified and amplification[-1] ** 2 <= engine.max_growth
+            decided["largest only"] += not certified and norms[-1] ** 2 <= engine.max_growth
     assert all(count > 0 for count in decided.values()), decided
 
 
