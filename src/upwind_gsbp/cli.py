@@ -114,6 +114,10 @@ class _Key(NamedTuple):
 
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _THETA = (lambda theta: -0.5 <= theta <= 0.5, "theta must lie in [-1/2, 1/2]")
+_SCAN_THETA_ADV = (
+    lambda theta: 0 <= theta <= 0.5,
+    "a scan needs theta_adv in [0, 1/2]: D-(theta_adv) fails the dissipation axiom below 0",
+)
 
 # In ``to_text`` order, which is also the order the domains are checked in. A
 # file may give the single pair as the two keys theta_adv and theta_diff
@@ -264,7 +268,7 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
             for each in value if isinstance(value, tuple) else (value,):
                 _check(key.name, key.domain, each)
     for pair in cfg.pairs:
-        _check("theta_adv", _THETA, pair[0])
+        _check("theta_adv", _SCAN_THETA_ADV if subcommand == "scan" else _THETA, pair[0])
         _check("theta_diff", _THETA, pair[1])
     if not cfg.tau_cap > cfg.tau_lo:
         raise ConfigError(f"key 'tau_cap': must be > tau_lo = {cfg.tau_lo}, got {cfg.tau_cap}")

@@ -143,7 +143,6 @@ class StabilityScanResult:
     """Outcome of one maximum-stable-step scan."""
 
     config: ScanConfig
-    dt_max: Optional[float]
     tau: Optional[float]
     unbounded: bool = False
     below_bracket: bool = False
@@ -201,7 +200,16 @@ def max_stable_dt(
     halved until it is stable; one still unstable at tau = TAU_FLOOR is
     reported as below_bracket. A stable cap probe yields the UNBOUNDED
     outcome.
+
+    Raises:
+        ValueError: if theta_adv < 0: D-(theta_adv) then fails the dissipation
+            axiom, and halving toward TAU_FLOOR can double a probe's steps 20 times.
     """
+    if scan_cfg.cfg.theta_adv < 0:
+        raise ValueError(
+            f"a scan needs theta_adv >= 0, got {scan_cfg.cfg.theta_adv}: "
+            "D-(theta_adv) fails the dissipation axiom below 0"
+        )
     scale = scan_cfg.dt_scale
     if bracket is None:
         dt_lo, dt_cap = DEFAULT_TAU_LO * scale, DEFAULT_TAU_CAP * scale
@@ -216,7 +224,7 @@ def max_stable_dt(
         probes.append((dt, status))
         return status
 
-    result = StabilityScanResult(scan_cfg, None, None, probes=probes)
+    result = StabilityScanResult(scan_cfg, None, probes=probes)
 
     while probe(dt_lo) != STABLE:
         if dt_lo / scale <= TAU_FLOOR:
@@ -231,7 +239,6 @@ def max_stable_dt(
         if probe(nxt) == STABLE:
             if nxt >= dt_cap:
                 result.unbounded = True
-                result.dt_max = dt_cap
                 result.tau = dt_cap / scale
                 return result
             lo = nxt
@@ -247,7 +254,6 @@ def max_stable_dt(
         else:
             hi = mid
 
-    result.dt_max = lo
     result.tau = lo / scale
     stable_dts = [dt for dt, s in probes if s == STABLE]
     unstable_dts = [dt for dt, s in probes if s != STABLE]

@@ -447,12 +447,6 @@ class EnergyTrace:
 
     steps: list[tuple[int, float, float]] = field(default_factory=list)
 
-    def energies(self) -> np.ndarray:
-        return np.array([row[2] for row in self.steps])
-
-    def times(self) -> np.ndarray:
-        return np.array([row[1] for row in self.steps])
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("step,t,energy\n")

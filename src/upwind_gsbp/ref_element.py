@@ -1,8 +1,8 @@
 """Single-cell nodal machinery on the reference interval (-1, 1).
 
-Provides Legendre-Gauss-Lobatto (LGL) quadrature, the diagonal mass matrix
-M = diag(w), the Lagrange differentiation matrix D with D[j, k] = L_k'(xi_j),
-and the boundary interpolation vectors L(-1), L(1).
+Provides Legendre-Gauss-Lobatto (LGL) quadrature, whose weights w make up
+the diagonal mass matrix M = diag(w), the Lagrange differentiation matrix D
+with D[j, k] = L_k'(xi_j), and the boundary interpolation vectors L(-1), L(1).
 
 The cell-level SBP identity
 
@@ -23,7 +23,6 @@ MAX_DEGREE = 16
 __all__ = [
     "ReferenceElement",
     "build_lgl",
-    "lagrange_basis_at",
 ]
 
 
@@ -35,16 +34,14 @@ class ReferenceElement:
         degree: polynomial degree N (N+1 nodes).
         nodes: quadrature nodes in [-1, 1], strictly increasing.
         weights: positive quadrature weights, summing to 2.
-        mass: diagonal mass matrix diag(weights).
         diff: differentiation matrix, diff[j, k] = L_k'(nodes[j]).
-        boundary_left: Lagrange basis evaluated at -1.
-        boundary_right: Lagrange basis evaluated at +1.
+        boundary_left: Lagrange basis evaluated at -1, the unit vector e_0.
+        boundary_right: Lagrange basis evaluated at +1, the unit vector e_N.
     """
 
     degree: int
     nodes: np.ndarray
     weights: np.ndarray
-    mass: np.ndarray
     diff: np.ndarray
     boundary_left: np.ndarray
     boundary_right: np.ndarray
@@ -108,18 +105,6 @@ def _diff_matrix(nodes: np.ndarray) -> np.ndarray:
     return d
 
 
-def lagrange_basis_at(nodes: np.ndarray, x: float) -> np.ndarray:
-    """Evaluate all Lagrange basis polynomials of the nodal set at x."""
-    hit = np.flatnonzero(np.abs(nodes - x) == 0.0)
-    if hit.size:
-        e = np.zeros_like(nodes)
-        e[hit[0]] = 1.0
-        return e
-    w = _barycentric_weights(nodes)
-    r = w / (x - nodes)
-    return r / np.sum(r)
-
-
 def build_lgl(degree: int) -> ReferenceElement:
     """Build the LGL reference element of the given polynomial degree.
 
@@ -129,13 +114,13 @@ def build_lgl(degree: int) -> ReferenceElement:
     if not isinstance(degree, (int, np.integer)) or not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be an integer in [1, {MAX_DEGREE}], got {degree!r}")
     nodes, weights = _lgl_nodes_weights(int(degree))
-    d = _diff_matrix(nodes)
+    # -1 and +1 are the first and last nodes, pinned exactly
+    unit = np.eye(nodes.size)
     return ReferenceElement(
         degree=int(degree),
         nodes=nodes,
         weights=weights,
-        mass=np.diag(weights),
-        diff=d,
-        boundary_left=lagrange_basis_at(nodes, -1.0),
-        boundary_right=lagrange_basis_at(nodes, 1.0),
+        diff=_diff_matrix(nodes),
+        boundary_left=unit[0],
+        boundary_right=unit[-1],
     )

@@ -71,6 +71,24 @@ def test_theta_range_rejected():
         build_run_config("scan", {"theta_adv": "0.7", "theta_diff": "0"})
 
 
+def test_scan_rejects_a_downwind_advection_pair(tmp_path, capsys):
+    # below theta_adv = 0, D-(theta_adv) fails the dissipation axiom and probe
+    # energies can grow at every step size, so the scan would halve tau toward
+    # TAU_FLOOR with ever longer probes; it is refused before any work
+    with pytest.raises(ConfigError, match="theta_adv.*dissipation axiom"):
+        build_run_config("scan", {"pairs": "-0.5,0"})
+    argv = ["scan", "--K", "4", "--N", "1", "--order", "1", "--pair", "-0.5", "0"]
+    assert main([*argv, "--workers", "1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: key 'theta_adv': a scan needs theta_adv in [0, 1/2]: "
+        "D-(theta_adv) fails the dissipation axiom below 0, got -0.5\n"
+    )
+    assert not (tmp_path / "out").exists()
+    # a negative theta_diff stays allowed, and so does theta_adv < 0 elsewhere
+    assert build_run_config("scan", {"pairs": "0,-0.5"}).pairs == ((0.0, -0.5),)
+    assert build_run_config("solve", {"pairs": "-0.5,0"}).pairs == ((-0.5, 0.0),)
+
+
 def test_domain_violations_name_the_key():
     with pytest.raises(ConfigError, match="'a'"):
         build_run_config("scan", {"a": "-1"})

@@ -99,7 +99,6 @@ def test_scan_finds_incompatible_threshold():
     assert not res.unbounded and not res.below_bracket
     assert res.tau == pytest.approx(0.16, rel=0.25)
     assert not res.non_monotone
-    assert res.dt_max == pytest.approx(res.tau * res.config.dt_scale, rel=1e-12)
 
 
 def test_scan_unbounded_at_cap():
@@ -118,13 +117,22 @@ def test_scan_below_bracket(monkeypatch):
         bracket = None if tau_lo is None else (tau_lo * scale, 100.0 * scale)
         res = max_stable_dt(cfg, bracket=bracket)
         assert res.below_bracket
-        assert res.tau is None and res.dt_max is None
+        assert res.tau is None
         assert res.tau_label == "below_bracket"
         dt_lo = (experiments.DEFAULT_TAU_LO if tau_lo is None else tau_lo) * scale
         assert [dt for dt, _ in res.probes] == [dt_lo / 2.0**k for k in range(len(res.probes))]
         assert all(status == experiments.UNSTABLE for _, status in res.probes)
         lowest = [dt / scale for dt, _ in res.probes[-2:]]
         assert lowest[0] > experiments.TAU_FLOOR >= lowest[1]
+
+
+def test_scan_rejects_a_downwind_advection_pair():
+    # raised before any probe: at horizon 1 the probes of this pair would
+    # all be stable, and at the default horizon halving toward TAU_FLOOR
+    # would take about 2e8 steps
+    with pytest.raises(ValueError, match="theta_adv.*dissipation axiom"):
+        max_stable_dt(scan_cfg(1, -0.5, 0.0, n_cells=4, horizon=1.0))
+    assert max_stable_dt(scan_cfg(1, 0.0, -0.5, n_cells=4, horizon=1.0)).unbounded
 
 
 def test_scan_extends_below_default_tau_lo():
@@ -143,12 +151,19 @@ def test_scan_explicit_bracket_extends_below_its_lower_bound():
     assert extended.tau == pytest.approx(0.16, rel=0.25)
 
 
+def probe_bracket(res):
+    """(largest stable, smallest unstable) step size a scan probed."""
+    return (
+        max(dt for dt, s in res.probes if s == "stable"),
+        min(dt for dt, s in res.probes if s != "stable"),
+    )
+
+
 def test_scan_probe_log_is_consistent():
     res = max_stable_dt(scan_cfg(1, 0.5, 0.0, n_cells=40))
-    stable = [dt for dt, s in res.probes if s == "stable"]
-    unstable = [dt for dt, s in res.probes if s != "stable"]
-    assert max(stable) == res.dt_max
-    assert min(unstable) >= res.dt_max
+    lo, hi = probe_bracket(res)
+    assert lo / res.config.dt_scale == res.tau
+    assert hi >= lo
 
 
 def test_bisection_ends_below_float_spacing():
@@ -157,25 +172,27 @@ def test_bisection_ends_below_float_spacing():
     cfg = scan_cfg(2, 0.5, 0.5)
     coarse = max_stable_dt(cfg)
     fine = max_stable_dt(cfg, resolution=1e-17)
-    coarse_unstable = min(dt for dt, s in coarse.probes if s != "stable")
-    assert coarse_unstable / coarse.dt_max <= 1.0 + experiments.DEFAULT_RESOLUTION
+    coarse_lo, coarse_hi = probe_bracket(coarse)
+    assert coarse_lo / cfg.dt_scale == coarse.tau
+    assert coarse_hi / coarse_lo <= 1.0 + experiments.DEFAULT_RESOLUTION
     assert fine.probes[: len(coarse.probes)] == coarse.probes
-    unstable = min(dt for dt, s in fine.probes if s != "stable")
-    assert np.nextafter(fine.dt_max, np.inf) == unstable
+    lo, hi = probe_bracket(fine)
+    assert lo / cfg.dt_scale == fine.tau
+    assert np.nextafter(lo, np.inf) == hi
     assert len(fine.probes) < 100
 
 
 def test_scan_determinism():
     a = max_stable_dt(scan_cfg(2, 0.25, 0.25, n_cells=20))
     b = max_stable_dt(scan_cfg(2, 0.25, 0.25, n_cells=20))
-    assert a.dt_max == b.dt_max and a.probes == b.probes
+    assert a.tau == b.tau and a.probes == b.probes
 
 
 def test_scan_many_orders_results_deterministically():
     cfgs = [scan_cfg(1, 0.5, 0.0, n_cells=k) for k in (20, 40)]
     serial = scan_many(cfgs, workers=1)
     parallel = scan_many(cfgs, workers=2)
-    assert [r.dt_max for r in serial] == [r.dt_max for r in parallel]
+    assert [r.tau for r in serial] == [r.tau for r in parallel]
     lines = stability_csv_lines(serial)
     assert lines[0].startswith("order,N,K")
     assert len(lines) == 3
@@ -194,7 +211,7 @@ def record_probes(monkeypatch):
     def recording(tableau, problem, *args, **kwargs):
         built.clear()
         u, trace = real_integrate(tableau, problem, *args, **kwargs)
-        runs.append((tableau, type(problem).__name__, list(built), trace.times()))
+        runs.append((tableau, type(problem).__name__, list(built), [t for _, t, _ in trace.steps]))
         return u, trace
 
     monkeypatch.setattr(imex._StagePieces, "factorize", factorize)

@@ -283,8 +283,9 @@ def test_integrate_fourier_matches_sparse_trajectory():
     assert isinstance(fourier, FourierProblem)
     u_sparse, trace_sparse = integrate(tableau, problem, u0, dt, t_final)
     u_fourier, trace_fourier = integrate(tableau, fourier, u0, dt, t_final)
-    assert trace_fourier.times().tolist() == trace_sparse.times().tolist()
-    np.testing.assert_allclose(trace_fourier.energies(), trace_sparse.energies(), rtol=1e-12)
+    rows_fourier, rows_sparse = np.array(trace_fourier.steps), np.array(trace_sparse.steps)
+    assert rows_fourier[:, :2].tolist() == rows_sparse[:, :2].tolist()
+    np.testing.assert_allclose(rows_fourier[:, 2], rows_sparse[:, 2], rtol=1e-12)
     np.testing.assert_allclose(u_fourier, u_sparse, rtol=0, atol=1e-12)
 
 

@@ -559,7 +559,7 @@ def test_integrate_single_step():
 def test_integrate_truncates_final_step():
     problem = ImexSplitProblem(1, lambda t, u: -u, None, np.ones(1))
     _, trace = integrate(tableau_imex1(), problem, np.array([1.0]), 0.4, 1.0)
-    times = trace.times()
+    times = np.array(trace.steps)[:, 1]
     np.testing.assert_allclose(times, [0.0, 0.4, 0.8, 1.0], atol=1e-15)
     assert times[-1] == 1.0
 
@@ -585,7 +585,7 @@ def test_pure_diffusion_energy_decay():
     )
     u0 = np.sin(disc.nodes)
     _, trace = integrate(tableau_imex2(), problem, u0, 0.5, 10.0)
-    energies = trace.energies()
+    energies = np.array(trace.steps)[:, 2]
     assert np.all(np.diff(energies) < 0)
 
 
@@ -623,6 +623,6 @@ def test_guaranteed_step_bounds_keep_energy_monotone(theta, a, c):
     u0 = np.sin(disc.nodes)
     for tb, dt in ((tableau_imex1(), 2 * c / a**2), (tableau_imex2(), c / (11 * a**2))):
         _, trace = integrate(tb, problem, u0, dt, 50.0)
-        energies = trace.energies()
+        energies = np.array(trace.steps)[:, 2]
         growth = np.diff(energies) / energies[:-1]
         assert np.max(growth) <= 1e-12

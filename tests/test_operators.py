@@ -112,6 +112,15 @@ def reference_first_derivative(elem, mesh, theta, topology):
     return mat
 
 
+def reference_boundary_operator(elem, dim):
+    """B = -Lm Lm^T in the first and Lb Lb^T in the last diagonal block, built in lil."""
+    n = elem.n_nodes
+    b = sp.lil_matrix((dim, dim))
+    b[:n, :n] = -np.outer(elem.boundary_left, elem.boundary_left)
+    b[-n:, -n:] = np.outer(elem.boundary_right, elem.boundary_right)
+    return b.tocsr()
+
+
 def same_bits(a, b):
     return all(
         getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("data", "indices", "indptr")
@@ -136,7 +145,8 @@ def test_assembly_matches_per_cell_reference(n_cells, uniform, theta, topology):
         m = sp.diags(ops.m_diag)
         q_minus, q_plus = m @ d_minus, m @ d_plus
         if topology == "bounded":
-            q_minus, q_plus = q_minus - 0.5 * ops.B_glob, q_plus - 0.5 * ops.B_glob
+            b = reference_boundary_operator(elem, ops.dim)
+            q_minus, q_plus = q_minus - 0.5 * b, q_plus - 0.5 * b
         q_minus, q_plus = q_minus.tocsr(), q_plus.tocsr()
         c = (0.5 * (q_plus - q_minus)).tocsr()
         c.eliminate_zeros()
@@ -158,12 +168,33 @@ def test_assembly_matches_scipy_when_b_adds_entries(theta):
     elem = dataclasses.replace(build_lgl(2), boundary_left=np.array([0.5, 0.5, 0.0]))
     mesh = uniform_mesh(-np.pi, np.pi, 5)
     ops = assemble_first_derivative(elem, mesh, theta, "bounded")
-    m = sp.diags(ops.m_diag)
-    q_minus = m @ reference_first_derivative(elem, mesh, theta, "bounded") - 0.5 * ops.B_glob
-    q_plus = m @ reference_first_derivative(elem, mesh, -theta, "bounded") - 0.5 * ops.B_glob
+    m, b = sp.diags(ops.m_diag), reference_boundary_operator(elem, ops.dim)
+    q_minus = m @ reference_first_derivative(elem, mesh, theta, "bounded") - 0.5 * b
+    q_plus = m @ reference_first_derivative(elem, mesh, -theta, "bounded") - 0.5 * b
     assert ops.D_minus[1, 1] == 0 and ops.Q_minus[1, 1] != 0
     assert same_bits(ops.Q_minus, q_minus.tocsr())
     assert same_bits(ops.Q_plus, q_plus.tocsr())
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+@pytest.mark.parametrize("theta", [-0.5, 0.0, 0.25])
+def test_accuracy_residual_keeps_the_bits_of_each_monomial_product(degree, theta):
+    # verify_axioms applies each operator to all monomials x^0..x^N at once;
+    # on a non-uniform mesh the residual is still that of the products D @ x^k
+    widths = np.random.default_rng(degree).uniform(0.5, 1.5, 7)
+    mesh = Mesh1D(0.0, float(np.sum(widths)), widths)
+    ops = assemble_first_derivative(build_lgl(degree), mesh, theta, "bounded")
+    x = physical_nodes(mesh, ops.elem)
+    want = 0.0
+    for k in range(degree + 1):
+        xk = x**k
+        dxk = k * x ** (k - 1) if k > 0 else np.zeros_like(x)
+        scale = max(1.0, float(np.max(np.abs(xk))))
+        for d in (ops.D_minus, ops.D_plus):
+            want = max(want, float(np.max(np.abs(d @ xk - dxk))) / scale)
+    report = verify_axioms(ops)
+    assert report.accuracy_residual == want
+    assert report.axiom_accuracy_pass
 
 
 @pytest.mark.parametrize("degree,n_cells,theta", [(1, 4, 0.5), (2, 6, 0.25), (3, 5, 0.0)])
@@ -204,37 +235,28 @@ def test_periodic_norm_duality(theta):
 
 
 def test_boundary_operator_structure():
+    # Q = M D - B/2, so M D - Q is B/2: -Lm Lm^T / 2 in the first diagonal
+    # block, Lb Lb^T / 2 in the last, zero elsewhere
     ops = make_opset(2, 4, 0.5, "bounded")
     n = ops.elem.n_nodes
-    b = ops.B_glob.toarray()
-    np.testing.assert_allclose(
-        b[:n, :n], -np.outer(ops.elem.boundary_left, ops.elem.boundary_left)
-    )
-    np.testing.assert_allclose(
-        b[-n:, -n:], np.outer(ops.elem.boundary_right, ops.elem.boundary_right)
-    )
-    interior = b[n:-n, :]
-    assert np.all(interior == 0)
-    # Q = M D - B/2 reconstructs D
+    lm, l1 = ops.elem.boundary_left, ops.elem.boundary_right
     m = sp.diags(ops.m_diag)
-    lhs = m @ ops.D_minus
-    rhs = ops.Q_minus + 0.5 * ops.B_glob
-    assert abs(lhs - rhs).max() <= 1e-14
+    for d, q in ((ops.D_minus, ops.Q_minus), (ops.D_plus, ops.Q_plus)):
+        half_b = (m @ d - q).toarray()
+        np.testing.assert_allclose(half_b[:n, :n], -0.5 * np.outer(lm, lm), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(half_b[-n:, -n:], 0.5 * np.outer(l1, l1), rtol=0, atol=1e-14)
+        half_b[:n, :n] = half_b[-n:, -n:] = 0.0
+        assert np.abs(half_b).max() <= 1e-14
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])
 @pytest.mark.parametrize("n_cells", [2, 3, 20])
 def test_boundary_operator_matches_lil_reference(degree, n_cells):
+    # the B that Q+/- fold in is the lil-built one, bit for bit
     ops = make_opset(degree, n_cells, 0.25, "bounded")
-    n, dim = ops.elem.n_nodes, ops.dim
-    lm, l1 = ops.elem.boundary_left, ops.elem.boundary_right
-    want = sp.lil_matrix((dim, dim))
-    want[:n, :n] = -np.outer(lm, lm)
-    want[-n:, -n:] = np.outer(l1, l1)
-    want = want.tocsr()
-    assert same_bits(ops.B_glob, want)
-    assert ops.B_glob.indices.dtype == want.indices.dtype
-    assert ops.B_glob.indptr.dtype == want.indptr.dtype
+    m, b = sp.diags(ops.m_diag), reference_boundary_operator(ops.elem, ops.dim)
+    assert same_bits(ops.Q_minus, (m @ ops.D_minus - 0.5 * b).tocsr())
+    assert same_bits(ops.Q_plus, (m @ ops.D_plus - 0.5 * b).tocsr())
 
 
 # ---------------------------------------------------------------- C matrix

@@ -249,4 +249,4 @@ def test_burgers_short_integration_is_finite(burgers_problem):
     u0 = np.sin(nodes)
     u, trace = integrate(tableau_imex2(), problem, u0, 0.1, 0.5)
     assert np.all(np.isfinite(u))
-    assert trace.energies()[-1] <= trace.energies()[0]
+    assert trace.steps[-1][2] <= trace.steps[0][2]
