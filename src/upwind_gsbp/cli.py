@@ -102,7 +102,7 @@ class _Key(NamedTuple):
     text: Callable  # value -> its ``to_text`` form; a None value has no line
     rank: int  # position of the flag in ``--help``
     flag: str
-    flag_kw: dict  # argparse arguments of the flag: help, nargs, metavar
+    flag_kw: dict  # argparse arguments of the flag: help, metavar (a word per value token)
     # (holds, phrase): a value v, or each value of a list, needs holds(v), else the
     # error reads "key 'name': phrase, got v!r"; a None value is not checked
     domain: tuple[Callable, str] | None = None
@@ -136,8 +136,7 @@ _KEYS = (
          "--K", dict(help="cell counts, comma separated"),
          (lambda k: k >= 2, "cell count must be >= 2")),
     _Key("pairs", "pairs", TABLE1_PAIRS, _parse_pairs, _join(_join(repr), ";"), 8,
-         "--pair", dict(nargs=2, metavar=("THETA_ADV", "THETA_DIFF"),
-                        help="flux parameter pair")),
+         "--pair", dict(metavar="THETA_ADV THETA_DIFF", help="flux parameter pair")),
     _Key("theta", "thetas", (0.0, 0.25, 0.5), _parse_float_list, _join(repr), 9,
          "--theta", dict(help="thetas for verify"), _THETA),
     _Key("order", "orders", (1, 2), _parse_int_list, _join(str), 7,
@@ -170,6 +169,11 @@ _KEYS = (
 
 _PAIR_KEYS = ("theta_adv", "theta_diff")
 _FILE_KEYS = {*_PAIR_KEYS, *(key.name for key in _KEYS)}
+# the number of value tokens each flag takes: --pair two, every other flag one
+_FLAG_WIDTHS = {
+    "--config": 1,
+    **{key.flag: len(key.flag_kw.get("metavar", "VALUE").split()) for key in _KEYS},
+}
 
 
 def _to_text(self) -> str:
@@ -486,15 +490,40 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         texts = {name: text for name, text in texts.items() if name not in _PAIR_KEYS}
     for key in _KEYS:
         value = getattr(args, key.dest)
-        if value is not None:  # --pair A B gives the list [A, B], whose text is "A,B"
-            texts[key.name] = ",".join(value) if isinstance(value, list) else value
+        if value is not None:
+            texts[key.name] = value
     return build_run_config(args.subcommand, texts)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads the tokens after a value flag as its value.
+
+    argparse takes a token that starts with "-" for a flag unless it reads as
+    a plain negative number like -0.5, so ``--theta -0.25,0.25`` or
+    ``--a -1e-3`` would stop with a usage error. Each flag is joined to the
+    tokens it takes as ``--flag=v1,v2``, a form argparse reads as given. A
+    missing value, or a flag in its place, is left for argparse to report.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = list(sys.argv[1:] if args is None else args)
+        flags = {"-h", "--help", *_FLAG_WIDTHS}
+        joined = []
+        while tokens:
+            token = tokens.pop(0)
+            width = _FLAG_WIDTHS.get(token, 0)
+            values = tokens[:width]
+            if width and len(values) == width and not flags & {v.split("=")[0] for v in values}:
+                token = f"{token}={','.join(values)}"
+                del tokens[:width]
+            joined.append(token)
+        return super().parse_known_args(joined, namespace)
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing keeps no state in it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsbp",
         description="Upwind-pair derivative operators with IMEX time integration: "
         "operator certification, stability scans, convergence studies and the "

@@ -117,7 +117,7 @@ class FourierEngine:
         h = np.asarray(step_sizes, dtype=float)[:, None, None, None]
         eye = np.broadcast_to(np.eye(self.m_cell.size), self.a_hat.shape)
         return run_step_plan(
-            self.tableau.step_plans[True, True],
+            self.tableau.step_plan,
             eye,
             h,
             0.0,

@@ -65,24 +65,9 @@ class ImexTableau:
         return self.c.size
 
     @cached_property
-    def reads_explicit(self) -> tuple[bool, ...]:
-        """Per stage: True iff some coefficient reads F at that stage value."""
-        reads = (self.a_explicit != 0.0).any(axis=0) | (self.b_explicit != 0.0)
-        return tuple(bool(r) for r in reads)
-
-    @cached_property
-    def reads_implicit(self) -> tuple[bool, ...]:
-        """Per stage: True iff some coefficient reads L at that stage value.
-
-        The diagonal A2[i,i] is the stage solve itself, not a read.
-        """
-        reads = (np.tril(self.a_implicit, -1) != 0.0).any(axis=0) | (self.b_implicit != 0.0)
-        return tuple(bool(r) for r in reads)
-
-    @cached_property
-    def step_plans(self) -> dict[tuple[bool, bool], tuple]:
-        """``_step_plan`` for problems with and without F and L, keyed by (has F, has L)."""
-        return {(f, l): _step_plan(self, f, l) for f in (False, True) for l in (False, True)}
+    def step_plan(self) -> tuple:
+        """The nonzero terms of one step (``_step_plan``), built once per tableau."""
+        return _step_plan(self)
 
 
 def tableau_imex1() -> ImexTableau:
@@ -190,7 +175,7 @@ def tableau_by_name(name: str | int) -> ImexTableau:
     return _TABLEAUX[key]()
 
 
-def _step_plan(tableau: "ImexTableau", has_f: bool, has_l: bool):
+def _step_plan(tableau: ImexTableau) -> tuple:
     """(stages, final): the nonzero terms of one step, coefficients as Python floats.
 
     A step keeps its stage evaluations in one list: F(u_j) at index j and
@@ -198,15 +183,17 @@ def _step_plan(tableau: "ImexTableau", has_f: bool, has_l: bool):
     start, terms) and ``final``, the sum giving u_{n+1}, is (start, terms):
     the sum adds its terms (value index, coefficient), in the order j = 0,
     1, ..., F before L, to u_n or to the right-hand side of stage ``start``.
+    F or L is evaluated at stage i only if some sum reads it there; the
+    diagonal A2[i,i] is the stage solve itself, not a read.
     """
     s = tableau.n_stages
 
     def terms(a_ex, a_im, upto: int) -> tuple[tuple[int, float], ...]:
         out = []
         for j in range(upto):
-            if has_f and a_ex[j] != 0.0:
+            if a_ex[j] != 0.0:
                 out.append((j, float(a_ex[j])))
-            if has_l and a_im[j] != 0.0:
+            if a_im[j] != 0.0:
                 out.append((s + j, float(a_im[j])))
         return tuple(out)
 
@@ -219,12 +206,13 @@ def _step_plan(tableau: "ImexTableau", has_f: bool, has_l: bool):
         start = max([-1] + extended, key=lambda j: len(sums[j]))
         return start, sums[m][len(sums[start]) :]
 
+    read = {k for terms_m in sums for k, _ in terms_m}
     stages = tuple(
         (
             float(tableau.a_implicit[i, i]),
             float(tableau.c[i]),
-            has_f and tableau.reads_explicit[i],
-            has_l and tableau.reads_implicit[i],
+            i in read,
+            s + i in read,
             *shared(i),
         )
         for i in range(s)
@@ -236,14 +224,14 @@ def _step_plan(tableau: "ImexTableau", has_f: bool, has_l: bool):
 class ImexSplitProblem:
     """Split right-hand side du/dt = F_explicit(t, u) + L_implicit u.
 
-    ``f_explicit`` may be None (pure implicit) and ``l_implicit`` may be None
-    (pure explicit). ``m_diag`` is the diagonal of the norm matrix used for
-    energy reporting and for symmetrizing the implicit stage systems.
+    Both parts are always present; a problem without one passes a zero F or
+    a zero L. ``m_diag`` is the diagonal of the norm matrix used for energy
+    reporting and for symmetrizing the implicit stage systems.
     """
 
     dim: int
-    f_explicit: Optional[Callable[[float, np.ndarray], np.ndarray]]
-    l_implicit: Optional[sp.spmatrix | np.ndarray]
+    f_explicit: Callable[[float, np.ndarray], np.ndarray]
+    l_implicit: sp.spmatrix | np.ndarray
     m_diag: np.ndarray
 
     def energy(self, u: np.ndarray) -> float:
@@ -295,8 +283,10 @@ class _StagePieces:
 
         M - tau M L is symmetric positive definite by the SBP identity, so a
         failed factorization means a misassembled operator and raises
-        ``SolverFailure``.
+        ``SolverFailure``. A negative tau raises ValueError.
         """
+        if tau < 0:
+            raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
         # imported here, not at module level, so that runs which never factorize
         # (``gsbp verify``, certified scan probes) never load scipy.sparse.linalg
         from scipy.sparse.linalg import splu
@@ -339,19 +329,19 @@ class _StagePieces:
         return solve
 
 
-def solve_implicit_stage(
-    lmat, tau: float, rhs: np.ndarray, m_diag: np.ndarray | None = None
-) -> np.ndarray:
-    """Solve (I - tau L) x = rhs through the M-symmetrized SPD form."""
+def solve_implicit_stage(lmat, tau: float, rhs: np.ndarray, m_diag: np.ndarray) -> np.ndarray:
+    """Solve (I - tau L) x = rhs through the M-symmetrized SPD form M - tau M L.
+
+    tau = 0 returns a copy of rhs; tau < 0 raises ValueError.
+    """
     rhs = np.ascontiguousarray(rhs, dtype=float)
-    if m_diag is None:
-        m_diag = np.ones(rhs.shape[0])
-    problem = ImexSplitProblem(rhs.shape[0], None, lmat, m_diag)
-    return Stepper(None, problem).solve(tau, rhs)[0]  # a session that only solves
+    if tau == 0.0:
+        return rhs.copy()
+    return _StagePieces(lmat, m_diag).factorize(tau)(rhs)[0]
 
 
 def run_step_plan(plan, u_n, dt, t_n, apply_f, apply_l, solve):
-    """One step of a plan from ``ImexTableau.step_plans``, in the caller's algebra.
+    """One step of ``ImexTableau.step_plan``, in the caller's algebra.
 
     ``apply_f(t, u)`` is F at time t, ``apply_l(u)`` is L u and
     ``solve(tau, rhs)`` returns (x, L x or None) for (I - tau L) x = rhs
@@ -380,27 +370,19 @@ def _combine(u, dt, terms, values):
     return u
 
 
-def step(
-    tableau: ImexTableau,
-    problem: ImexSplitProblem,
-    u_n: np.ndarray,
-    dt: float,
-    t_n: float = 0.0,
-    session: Stepper | None = None,
-) -> np.ndarray:
-    """Advance one step of size dt from (t_n, u_n).
+def step(session: Stepper, u_n: np.ndarray, dt: float, t_n: float = 0.0) -> np.ndarray:
+    """Advance the session's problem one step of size dt from (t_n, u_n).
 
     F and L are evaluated only at the stage values some tableau coefficient
     reads, and L u_i comes from the stage solve's refinement check. The
-    stage factorizations are the ``session``'s, or a new session's.
+    stage factorizations are the session's.
     """
     if not 0 <= dt < math.inf:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
-    if session is None:
-        session = Stepper(tableau, problem)
-    f_explicit, apply_l = problem.f_explicit, session.apply_l
-    plan = tableau.step_plans[f_explicit is not None, apply_l is not None]
-    return run_step_plan(plan, u_n, dt, t_n, f_explicit, apply_l, session.solve)
+    problem = session.problem
+    return run_step_plan(
+        session.tableau.step_plan, u_n, dt, t_n, problem.f_explicit, session.apply_l, session.solve
+    )
 
 
 class Stepper:
@@ -415,14 +397,12 @@ class Stepper:
     def __init__(self, tableau: ImexTableau, problem: ImexSplitProblem):
         self.tableau = tableau
         self.problem = problem
-        self.apply_l = None if problem.l_implicit is None else problem.l_implicit.__matmul__
+        self.apply_l = problem.l_implicit.__matmul__
         self._solvers: dict[float, Callable] = {}
 
     def solve(self, tau: float, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """(x, L x) for (I - tau L) x = rhs; L x is None when no solve ran."""
-        if tau < 0:
-            raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
-        if self.apply_l is None or tau == 0.0:
+        if tau == 0.0:
             return rhs.copy(), None
         if tau not in self._solvers:
             self._solvers[tau] = self.problem.stage_pieces.factorize(tau)
@@ -432,7 +412,7 @@ class Stepper:
         return np.asarray(u0, dtype=float).copy()
 
     def advance(self, u: np.ndarray, dt: float, t: float = 0.0) -> np.ndarray:
-        return step(self.tableau, self.problem, u, dt, t_n=t, session=self)
+        return step(self, u, dt, t)
 
     def energy(self, u: np.ndarray) -> float:
         return self.problem.energy(u)

@@ -75,12 +75,13 @@ class GlobalOperatorSet:
 
 @dataclass(frozen=True)
 class SecondDerivativeOperator:
-    """Second-derivative operator D2 = D-(theta) D+(theta)."""
+    """Second-derivative operator D2 = D-(theta) D+(theta).
 
-    theta_diff: float
+    theta = 0 gives the central (BR1-type) discretization and theta = +1/2,
+    -1/2 the two alternating-flux (LDG-type) ones.
+    """
+
     D2: sp.csr_matrix
-    provenance: str
-    opset: GlobalOperatorSet
 
 
 def cell_blocks(elem: ReferenceElement, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,18 +259,7 @@ def interface_jumps(opset: GlobalOperatorSet, u: np.ndarray) -> np.ndarray:
 
 def second_derivative_from(opset: GlobalOperatorSet) -> SecondDerivativeOperator:
     """D2 = D- D+ from an already assembled operator set."""
-    if opset.theta == 0.0:
-        provenance = "BR1"
-    elif opset.theta == 0.5:
-        provenance = "LDG_a"
-    elif opset.theta == -0.5:
-        provenance = "LDG_b"
-    else:
-        provenance = "general"
-    d2 = (opset.D_minus @ opset.D_plus).tocsr()
-    return SecondDerivativeOperator(
-        theta_diff=opset.theta, D2=d2, provenance=provenance, opset=opset
-    )
+    return SecondDerivativeOperator((opset.D_minus @ opset.D_plus).tocsr())
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -332,12 +322,10 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.n
     return roots.size, labels
 
 
-def _max_eig_sym(
-    mat: sp.csr_matrix, sums: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-) -> float:
+def _max_eig_sym(mat: sp.csr_matrix, sums: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
     """Largest eigenvalue of the symmetric part of ``mat``, one component at a time.
 
-    ``sums`` is ``_entry_sums(mat, mat)``, if the caller has formed it. A
+    ``sums`` is ``_entry_sums(mat, mat)``, which the caller has formed. A
     symmetric matrix is block diagonal over the connected components of its
     sparsity graph, so its spectrum is the union of the components' spectra.
     The components of each size are stacked into one batched ``eigvalsh``. On
@@ -345,7 +333,7 @@ def _max_eig_sym(
     components have at most two nodes. A symmetric part with a non-finite
     entry has no spectrum to certify: the result is nan.
     """
-    keys, entries, entries_t = _entry_sums(mat, mat) if sums is None else sums
+    keys, entries, entries_t = sums
     # the pattern and entries of 0.5 * (mat + mat.T) as scipy stores them
     total = entries + entries_t
     if not np.isfinite(total).all():

@@ -68,12 +68,9 @@ class AdvDiffConfig:
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Closed-form solution with analytic derivatives and optional source."""
+    """Closed-form solution u(x, t) with its optional source term."""
 
     u: Callable[[np.ndarray, float], np.ndarray]
-    u_t: Callable[[np.ndarray, float], np.ndarray]
-    u_x: Callable[[np.ndarray, float], np.ndarray]
-    u_xx: Callable[[np.ndarray, float], np.ndarray]
     source: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
 
@@ -81,9 +78,6 @@ def decay_solution(a: float, c: float) -> ManufacturedSolution:
     """Decaying wave exp(-c t) sin(x - a t); solves the homogeneous equation."""
     return ManufacturedSolution(
         u=lambda x, t: np.exp(-c * t) * np.sin(x - a * t),
-        u_t=lambda x, t: np.exp(-c * t) * (-c * np.sin(x - a * t) - a * np.cos(x - a * t)),
-        u_x=lambda x, t: np.exp(-c * t) * np.cos(x - a * t),
-        u_xx=lambda x, t: -np.exp(-c * t) * np.sin(x - a * t),
     )
 
 
@@ -94,9 +88,6 @@ def growth_solution(c: float) -> ManufacturedSolution:
     """
     return ManufacturedSolution(
         u=lambda x, t: np.exp(c * t) * np.sin(x),
-        u_t=lambda x, t: c * np.exp(c * t) * np.sin(x),
-        u_x=lambda x, t: np.exp(c * t) * np.cos(x),
-        u_xx=lambda x, t: -np.exp(c * t) * np.sin(x),
         source=lambda x, t: np.exp(c * t) * (2.0 * c * np.sin(x) + np.cos(x)),
     )
 

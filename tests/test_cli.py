@@ -200,6 +200,38 @@ def test_pairs_with_theta_keys_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_flag_value_that_starts_with_a_dash_is_read_as_given(tmp_path):
+    # argparse alone takes "-0.25,0.25" for a flag and stops with its usage
+    argv = ["verify", "--N", "1", "--K", "4"]
+    assert main([*argv, "--theta", "-0.25,0.25", "--out", str(tmp_path / "spaced")]) == 4
+    assert main([*argv, "--theta=-0.25,0.25", "--out", str(tmp_path / "joined")]) == 4
+    for name in ("certification.csv", "certification.txt"):
+        spaced, joined = (tmp_path / d / name for d in ("spaced", "joined"))
+        assert spaced.read_bytes() == joined.read_bytes()
+    args = cli._parser().parse_args(["solve", "--pair", "0", "-1e-3"])
+    assert cli._config_from_args(args).pairs == ((0.0, -0.001),)
+
+
+def test_negative_velocity_flag_is_a_config_error(tmp_path, capsys):
+    assert main(["scan", "--a", "-1e-3", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: key 'a': advective velocity must be > 0, got -0.001\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_flag_in_place_of_a_value_is_not_read_as_one(tmp_path, capsys):
+    assert main(["solve", "--pair", "0", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: key 'pairs': each pair needs two values, got '0'\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--a", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --a: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_pair_flag_replaces_theta_keys_of_the_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("theta_adv = 0.5\ntheta_diff = 0.5\n")
@@ -587,6 +619,23 @@ def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
     rc = main(["verify", "--out", str(tmp_path)])
     assert rc == cli.EXIT_INTERNAL == 5
     assert "internal error" in capsys.readouterr().err
+
+
+# The K = 20 rows of the bare 120-scan table, which CI compares whole. Two
+# of them are set by roundoff, order 1 and order 2 at N = 2 with the pair
+# (1/2, 0), so a change to the sparse stage arithmetic fails here too.
+def test_bare_table_k20_rows_match_golden_bytes(tmp_path):
+    argv = ["scan", "--order", "1,2", "--N", "1,2", "--K", "20", "--workers", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "stability.csv").read_bytes().splitlines(keepends=True)
+    golden_header, *golden_rows = (GOLDEN / "stability_table.csv").read_bytes().splitlines(
+        keepends=True
+    )
+    assert header == golden_header
+    golden_by_config = {row.rsplit(b",", 1)[0]: row for row in golden_rows}
+    assert len(rows) == 16
+    for row in rows:
+        assert row == golden_by_config[row.rsplit(b",", 1)[0]]
 
 
 # Byte-for-byte outputs captured before the sparse stage path was rewritten.

@@ -107,6 +107,16 @@ def test_scan_unbounded_at_cap():
     assert res.tau_label == "+"
 
 
+def test_unbounded_scan_stops_at_its_first_probe_past_the_horizon():
+    # every dt >= horizon is one step of size horizon: a later probe repeats it
+    cfg = scan_cfg(1, 0.5, 0.5, n_cells=20)
+    res = max_stable_dt(cfg)
+    assert res.unbounded and res.tau == experiments.DEFAULT_TAU_CAP
+    dts = [dt for dt, _ in res.probes]
+    assert dts[-1] >= cfg.horizon > dts[-2]
+    assert all(status == experiments.STABLE for _, status in res.probes)
+
+
 def test_scan_below_bracket(monkeypatch):
     # every probe unstable: the lower bound halves down to TAU_FLOOR, default
     # and explicit brackets alike, and only then is the scan below_bracket
@@ -274,7 +284,7 @@ def test_convergence_unstable_rows_are_dashes():
     # upwind advection with central diffusion at mu = 25 loses stability
     base = AdvDiffConfig(0.1, 0.1, 0.5, 0.0, 1, 20)
     rows = run_convergence(base, order=2, mu=25.0, cell_counts=[40, 80])
-    assert all(row.unstable for row in rows)
+    assert all(row.error is None for row in rows)
     assert all(row.error_label() == "-" for row in rows)
 
 
@@ -293,7 +303,7 @@ def test_convergence_solver_failure_is_a_dash_row(monkeypatch):
     monkeypatch.setattr(experiments, "integrate", failing_second)
     base = AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 1, 20)
     rows = run_convergence(base, order=2, mu=25.0, cell_counts=[20, 40, 80], t_final=1.0)
-    assert [row.unstable for row in rows] == [False, True, False]
+    assert [row.error is None for row in rows] == [False, True, False]
     assert (rows[1].error_label(), rows[1].eoc_label()) == ("-", "-")
     assert rows[2].error is not None and rows[2].eoc is None
 
@@ -307,7 +317,7 @@ def test_convergence_growth_solution_requires_unit_velocity():
 def test_convergence_growth_solution_runs():
     base = AdvDiffConfig(1.0, 0.1, 0.0, 0.0, 2, 20)
     rows = run_convergence(base, order=3, mu=0.5, cell_counts=[20, 40], solution_kind="growth")
-    assert all(not row.unstable for row in rows)
+    assert all(row.error is not None for row in rows)
     assert rows[1].eoc == pytest.approx(3.0, abs=0.15)
 
 

@@ -27,6 +27,16 @@ from upwind_gsbp.ref_element import build_lgl
 ALL_TABLEAUX = [tableau_imex1, tableau_imex2, tableau_imex3]
 
 
+def zero_f(t, u):
+    """The explicit part of a problem whose right-hand side is all implicit."""
+    return np.zeros_like(u)
+
+
+def one_step(tableau, problem, u_n, dt):
+    """One step of a fresh stepping session."""
+    return step(Stepper(tableau, problem), u_n, dt)
+
+
 # ------------------------------------------------------------- tableaux
 
 
@@ -85,28 +95,28 @@ def test_tableau_by_name():
 
 def test_imex1_reduces_to_forward_euler():
     lam, dt = -0.7, 0.05
-    problem = ImexSplitProblem(1, lambda t, u: lam * u, None, np.ones(1))
-    u1 = step(tableau_imex1(), problem, np.array([1.0]), dt)
+    problem = ImexSplitProblem(1, lambda t, u: lam * u, np.zeros((1, 1)), np.ones(1))
+    u1 = one_step(tableau_imex1(), problem, np.array([1.0]), dt)
     assert u1[0] == pytest.approx(1 + lam * dt, abs=1e-15)
 
 
 def test_imex1_reduces_to_backward_euler():
     lam, dt = -3.0, 0.1
-    problem = ImexSplitProblem(1, None, np.array([[lam]]), np.ones(1))
-    u1 = step(tableau_imex1(), problem, np.array([1.0]), dt)
+    problem = ImexSplitProblem(1, zero_f, np.array([[lam]]), np.ones(1))
+    u1 = one_step(tableau_imex1(), problem, np.array([1.0]), dt)
     assert u1[0] == pytest.approx(1 / (1 - lam * dt), abs=1e-14)
 
 
 def test_zero_dt_is_identity():
     problem = ImexSplitProblem(1, lambda t, u: -u, np.array([[-2.0]]), np.ones(1))
-    u1 = step(tableau_imex2(), problem, np.array([0.7]), 0.0)
+    u1 = one_step(tableau_imex2(), problem, np.array([0.7]), 0.0)
     assert u1[0] == 0.7
 
 
 def test_no_rhs_is_identity():
-    problem = ImexSplitProblem(3, None, None, np.ones(3))
+    problem = ImexSplitProblem(3, zero_f, np.zeros((3, 3)), np.ones(3))
     u0 = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(step(tableau_imex3(), problem, u0, 0.2), u0)
+    np.testing.assert_array_equal(one_step(tableau_imex3(), problem, u0, 0.2), u0)
 
 
 def scalar_split_eoc(factory, lam1=-1.0, lam2=-10.0, t_final=1.0):
@@ -131,7 +141,7 @@ def test_imex2_fully_implicit_order():
     lam, t_final = -2.0, 1.0
     errors = []
     for k in range(4, 11):
-        problem = ImexSplitProblem(1, None, np.array([[lam]]), np.ones(1))
+        problem = ImexSplitProblem(1, zero_f, np.array([[lam]]), np.ones(1))
         u, _ = integrate(tableau_imex2(), problem, np.array([1.0]), 2.0**-k, t_final)
         errors.append(abs(u[0] - np.exp(lam * t_final)))
     assert np.log2(errors[-2] / errors[-1]) == pytest.approx(2.0, abs=0.1)
@@ -142,13 +152,13 @@ def test_imex2_fully_implicit_order():
 
 def test_stage_solve_tau_zero():
     rhs = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(solve_implicit_stage(np.eye(3), 0.0, rhs), rhs)
+    np.testing.assert_array_equal(solve_implicit_stage(np.eye(3), 0.0, rhs, np.ones(3)), rhs)
 
 
 def test_stage_solve_zero_rhs():
     lmat = np.array([[-2.0, 1.0], [1.0, -2.0]])
     np.testing.assert_array_equal(
-        solve_implicit_stage(lmat, 0.5, np.zeros(2)), np.zeros(2)
+        solve_implicit_stage(lmat, 0.5, np.zeros(2), np.ones(2)), np.zeros(2)
     )
 
 
@@ -164,7 +174,7 @@ def test_stage_solve_constants_in_nullspace():
 
 def test_stage_solve_negative_tau_rejected():
     with pytest.raises(ValueError):
-        solve_implicit_stage(np.eye(2), -0.1, np.ones(2))
+        solve_implicit_stage(np.eye(2), -0.1, np.ones(2), np.ones(2))
 
 
 def test_stage_solve_residual_contract():
@@ -261,7 +271,7 @@ def test_imex1_matches_direct_one_step_matrix(small_advdiff):
     direct = spla.spsolve(
         (eye - cfg.c * dt * d2).tocsc(), u - cfg.a * dt * (d_minus @ u)
     )
-    stepped = step(tableau_imex1(), problem, u, dt)
+    stepped = one_step(tableau_imex1(), problem, u, dt)
     assert np.max(np.abs(direct - stepped)) <= 1e-12
 
 
@@ -282,7 +292,7 @@ def test_imex2_matches_two_stage_formulas(small_advdiff):
         + dt * (1 - gamma) * cfg.c * (d2 @ s1)
     )
     direct = spla.spsolve(stage_mat, rhs)
-    stepped = step(tb, problem, u, dt)
+    stepped = one_step(tb, problem, u, dt)
     assert np.max(np.abs(direct - stepped)) <= 1e-12
 
 
@@ -347,7 +357,7 @@ def test_step_is_unchanged_by_skipped_evaluations(small_advdiff):
                 expected += dt * tb.b_explicit[j] * problem.f_explicit(0.0, stages[j])
             if tb.b_implicit[j] != 0.0:
                 expected += dt * tb.b_implicit[j] * (lmat @ stages[j])
-        np.testing.assert_array_equal(step(tb, problem, u, dt), expected)
+        np.testing.assert_array_equal(one_step(tb, problem, u, dt), expected)
 
 
 # ------------------------------------- stage systems: bit-identity reference
@@ -392,14 +402,17 @@ def reference_stage_solver(lmat, m_diag, tau):
 def reference_step(tableau, problem, u_n, dt, t_n, solvers):
     a_ex, a_im, c = tableau.a_explicit, tableau.a_implicit, tableau.c
     s = tableau.n_stages
+    # F or L is read at a stage value that a coefficient below the diagonal, or a weight, reads
+    reads_f = (a_ex != 0.0).any(axis=0) | (tableau.b_explicit != 0.0)
+    reads_l = (np.tril(a_im, -1) != 0.0).any(axis=0) | (tableau.b_implicit != 0.0)
     lmat = problem.l_implicit
     f_ex = [None] * s
     l_u = [None] * s
 
     def eval_stage(i, u, l_x):
-        if tableau.reads_explicit[i]:
+        if reads_f[i]:
             f_ex[i] = problem.f_explicit(t_n + c[i] * dt, u)
-        if tableau.reads_implicit[i]:
+        if reads_l[i]:
             l_u[i] = lmat @ u if l_x is None else l_x
 
     eval_stage(0, u_n, None)
@@ -473,7 +486,7 @@ def test_pattern_filled_burgers_stage_matrix_is_bit_identical():
 def test_pattern_filled_matrix_drops_exact_cancellations():
     # tau L = I on the first two nodes: the reference drops the zero entries
     lmat = sp.csr_matrix(np.diag([2.0, 2.0, -1.0, -3.0]) + np.diag([0.5, 0.5, 0.5], 1))
-    problem = ImexSplitProblem(4, None, lmat, np.array([0.3, 0.7, 1.1, 0.2]))
+    problem = ImexSplitProblem(4, zero_f, lmat, np.array([0.3, 0.7, 1.1, 0.2]))
     expected = reference_stage_matrix(lmat, problem.m_diag, 0.5)
     assert expected.nnz == 5
     assert_same_system(problem.stage_pieces.system(0.5), expected)
@@ -512,19 +525,19 @@ NON_FINITE = [float("nan"), float("inf")]
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_non_finite_step_size_is_rejected(bad):
-    problem = ImexSplitProblem(1, lambda t, u: -u, None, np.ones(1))
+    problem = ImexSplitProblem(1, lambda t, u: -u, np.zeros((1, 1)), np.ones(1))
     u0 = np.array([1.0])
     with pytest.raises(ValueError, match="dt must be finite"):
         integrate(tableau_imex1(), problem, u0, bad, 1.0)
     with pytest.raises(ValueError, match="dt must be finite"):
-        step(tableau_imex2(), problem, u0, bad)
+        one_step(tableau_imex2(), problem, u0, bad)
     with pytest.raises(ValueError, match="dt must be finite"):
         next(step_times(bad, 1.0))
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_non_finite_final_time_is_rejected(bad):
-    problem = ImexSplitProblem(1, lambda t, u: -u, None, np.ones(1))
+    problem = ImexSplitProblem(1, lambda t, u: -u, np.zeros((1, 1)), np.ones(1))
     with pytest.raises(ValueError, match="t_final must be finite"):
         integrate(tableau_imex1(), problem, np.array([1.0]), 0.1, bad)
     with pytest.raises(ValueError, match="t_final must be finite"):
@@ -534,7 +547,7 @@ def test_non_finite_final_time_is_rejected(bad):
 def test_nan_step_on_implicit_problem_is_not_a_solver_failure():
     problem = ImexSplitProblem(1, lambda t, u: -u, np.array([[-2.0]]), np.ones(1))
     with pytest.raises(ValueError, match="dt must be finite"):
-        step(tableau_imex2(), problem, np.array([0.7]), float("nan"))
+        one_step(tableau_imex2(), problem, np.array([0.7]), float("nan"))
 
 
 @pytest.mark.parametrize(
@@ -544,20 +557,20 @@ def test_nan_step_on_implicit_problem_is_not_a_solver_failure():
 def test_final_sum_continues_a_stage_sum(factory, final_start):
     # imex1 and imex2 (stiffly accurate, F unread at the last stage) end with
     # the last stage's right-hand side plus one L term
-    stages, (start, final) = factory().step_plans[True, True]
+    stages, (start, final) = factory().step_plan
     assert start == final_start
     if start >= 0:
         assert len(final) == 1 and final[0][0] == len(stages) + start
 
 
 def test_integrate_single_step():
-    problem = ImexSplitProblem(1, lambda t, u: -u, None, np.ones(1))
+    problem = ImexSplitProblem(1, lambda t, u: -u, np.zeros((1, 1)), np.ones(1))
     _, trace = integrate(tableau_imex1(), problem, np.array([1.0]), 0.5, 0.5)
     assert len(trace.steps) == 2  # initial record + one step
 
 
 def test_integrate_truncates_final_step():
-    problem = ImexSplitProblem(1, lambda t, u: -u, None, np.ones(1))
+    problem = ImexSplitProblem(1, lambda t, u: -u, np.zeros((1, 1)), np.ones(1))
     _, trace = integrate(tableau_imex1(), problem, np.array([1.0]), 0.4, 1.0)
     times = np.array(trace.steps)[:, 1]
     np.testing.assert_allclose(times, [0.0, 0.4, 0.8, 1.0], atol=1e-15)
@@ -565,7 +578,7 @@ def test_integrate_truncates_final_step():
 
 
 def test_integrate_observer_early_stop():
-    problem = ImexSplitProblem(1, lambda t, u: -u, None, np.ones(1))
+    problem = ImexSplitProblem(1, lambda t, u: -u, np.zeros((1, 1)), np.ones(1))
     _, trace = integrate(
         tableau_imex1(),
         problem,
@@ -581,7 +594,7 @@ def test_pure_diffusion_energy_decay():
     cfg = AdvDiffConfig(0.1, 0.1, 0.0, 0.0, 2, 10)
     disc = discretize(cfg)
     problem = ImexSplitProblem(
-        disc.nodes.size, None, (cfg.c * disc.d2op.D2).tocsr(), disc.m_diag
+        disc.nodes.size, zero_f, (cfg.c * disc.d2op.D2).tocsr(), disc.m_diag
     )
     u0 = np.sin(disc.nodes)
     _, trace = integrate(tableau_imex2(), problem, u0, 0.5, 10.0)
@@ -590,7 +603,7 @@ def test_pure_diffusion_energy_decay():
 
 
 def test_energy_trace_csv(tmp_path):
-    problem = ImexSplitProblem(1, lambda t, u: -u, None, np.ones(1))
+    problem = ImexSplitProblem(1, lambda t, u: -u, np.zeros((1, 1)), np.ones(1))
     _, trace = integrate(tableau_imex1(), problem, np.array([1.0]), 0.5, 1.0)
     path = tmp_path / "energy.csv"
     trace.to_csv(path)

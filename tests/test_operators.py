@@ -8,6 +8,7 @@ from scipy.sparse import csgraph
 from upwind_gsbp.mesh import Mesh1D, physical_nodes, uniform_mesh
 from upwind_gsbp.operators import (
     _components,
+    _entry_sums,
     _max_eig_sym,
     assemble_first_derivative,
     interface_jumps,
@@ -296,6 +297,11 @@ def test_misassembled_operators_are_flagged():
     assert not report.axiom_dissipation_pass
 
 
+def max_eig_sym(mat):
+    """``_max_eig_sym`` with the entry sums ``verify_axioms`` forms for it."""
+    return _max_eig_sym(mat, _entry_sums(mat, mat))
+
+
 def dense_max_eig_sym(mat):
     return np.linalg.eigvalsh((0.5 * (mat + mat.T)).toarray())[-1]
 
@@ -308,13 +314,13 @@ def test_max_eig_matches_dense_on_certified_sets(degree, n_cells, topology):
     for theta in thetas:
         c = make_opset(degree, n_cells, theta, topology).C
         want = dense_max_eig_sym(c)
-        assert _max_eig_sym(c) == want
+        assert max_eig_sym(c) == want
         if theta < 0:
             assert want > 0
 
 
 def test_max_eig_of_zero_matrix():
-    assert _max_eig_sym(sp.csr_matrix((6, 6))) == 0.0
+    assert max_eig_sym(sp.csr_matrix((6, 6))) == 0.0
 
 
 def test_max_eig_mixed_component_sizes():
@@ -324,7 +330,7 @@ def test_max_eig_mixed_component_sizes():
     perm = rng.permutation(blocks.shape[0])
     mat = sp.csr_matrix(blocks[perm][:, perm])
     # the components are solved in a different order than the dense matrix
-    assert _max_eig_sym(mat) == pytest.approx(dense_max_eig_sym(mat), rel=1e-13)
+    assert max_eig_sym(mat) == pytest.approx(dense_max_eig_sym(mat), rel=1e-13)
 
 
 def test_max_eig_single_component_above_old_dense_limit():
@@ -334,7 +340,7 @@ def test_max_eig_single_component_above_old_dense_limit():
         [rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)],
         [-1, 0, 1],
     ).tocsr()
-    assert _max_eig_sym(mat) == dense_max_eig_sym(mat)
+    assert max_eig_sym(mat) == dense_max_eig_sym(mat)
 
 
 def assert_components_match_csgraph(dim, rows, cols):
@@ -387,7 +393,7 @@ def test_max_eig_of_shuffled_block_diagonal_symmetric(seed):
     perm = rng.permutation(dense.shape[0])
     mat = sp.csr_matrix(dense[perm][:, perm])
     eigs = np.linalg.eigvalsh(mat.toarray())
-    assert abs(_max_eig_sym(mat) - eigs.max()) <= 1e-13 * np.abs(eigs).max()
+    assert abs(max_eig_sym(mat) - eigs.max()) <= 1e-13 * np.abs(eigs).max()
 
 
 def test_fully_one_sided_flux_certifies_zero_at_large_dim():
@@ -491,7 +497,7 @@ def test_non_finite_c_entry_fails_dissipation(bad):
     ops = make_opset(2, 4, 0.5, "periodic")
     c = ops.C.copy()
     c.data[0] = bad
-    assert np.isnan(_max_eig_sym(c))
+    assert np.isnan(max_eig_sym(c))
     report = verify_axioms(dataclasses.replace(ops, C=c))
     assert not np.isfinite(report.c_max_eigenvalue)
     assert not np.isfinite(report.c_symmetry_residual)
@@ -570,14 +576,6 @@ def test_d2_norm_identity_periodic(theta):
     m = sp.diags(ops.m_diag)
     res = m @ d2op.D2 + ops.D_plus.T @ m @ ops.D_plus
     assert abs(res).max() <= 1e-12
-
-
-def test_d2_provenance_labels():
-    elem, mesh = build_lgl(1), uniform_mesh(0.0, 1.0, 3)
-    assert second_derivative(elem, mesh, 0.0).provenance == "BR1"
-    assert second_derivative(elem, mesh, 0.5).provenance == "LDG_a"
-    assert second_derivative(elem, mesh, -0.5).provenance == "LDG_b"
-    assert second_derivative(elem, mesh, 0.25).provenance == "general"
 
 
 def test_ldg_variants_are_transposes_of_each_other():

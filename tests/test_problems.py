@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from upwind_gsbp import problems
 from upwind_gsbp.imex import integrate, tableau_imex2
 from upwind_gsbp.mesh import physical_nodes, uniform_mesh
+from upwind_gsbp.operators import second_derivative_from
 from upwind_gsbp.problems import (
     AdvDiffConfig,
     burgers_rhs,
@@ -40,6 +42,24 @@ def test_config_validation():
 # --------------------------------------------------- manufactured solutions
 
 
+def decay_derivatives(a, c):
+    """(u_t, u_x, u_xx) of ``decay_solution(a, c)``, differentiated by hand."""
+    return (
+        lambda x, t: np.exp(-c * t) * (-c * np.sin(x - a * t) - a * np.cos(x - a * t)),
+        lambda x, t: np.exp(-c * t) * np.cos(x - a * t),
+        lambda x, t: -np.exp(-c * t) * np.sin(x - a * t),
+    )
+
+
+def growth_derivatives(c):
+    """(u_t, u_x, u_xx) of ``growth_solution(c)``, differentiated by hand."""
+    return (
+        lambda x, t: c * np.exp(c * t) * np.sin(x),
+        lambda x, t: np.exp(c * t) * np.cos(x),
+        lambda x, t: -np.exp(c * t) * np.sin(x),
+    )
+
+
 def finite_difference_residual(sol, a, c, x, t, h=1e-6):
     # independent check of the closed forms through central differences
     u_t = (sol.u(x, t + h) - sol.u(x, t - h)) / (2 * h)
@@ -54,10 +74,11 @@ def finite_difference_residual(sol, a, c, x, t, h=1e-6):
 @pytest.mark.parametrize("a,c", [(0.1, 0.1), (1.0, 0.1), (0.2, 0.01)])
 def test_decay_solution_satisfies_pde(a, c):
     sol = decay_solution(a, c)
+    u_t, u_x, u_xx = decay_derivatives(a, c)
     rng = np.random.default_rng(1)
     x = rng.uniform(-np.pi, np.pi, 200)
     t = rng.uniform(0.0, 10.0, 200)
-    residual = sol.u_t(x, t) + a * sol.u_x(x, t) - c * sol.u_xx(x, t)
+    residual = u_t(x, t) + a * u_x(x, t) - c * u_xx(x, t)
     assert np.max(np.abs(residual)) <= 1e-10
     assert np.max(np.abs(finite_difference_residual(sol, a, c, x, t))) <= 1e-4
 
@@ -65,23 +86,30 @@ def test_decay_solution_satisfies_pde(a, c):
 def test_growth_solution_satisfies_forced_pde():
     c = 0.1
     sol = growth_solution(c)
+    u_t, u_x, u_xx = growth_derivatives(c)
     rng = np.random.default_rng(2)
     x = rng.uniform(-np.pi, np.pi, 200)
     t = rng.uniform(0.0, 10.0, 200)
-    residual = sol.u_t(x, t) + sol.u_x(x, t) - c * sol.u_xx(x, t) - sol.source(x, t)
+    residual = u_t(x, t) + u_x(x, t) - c * u_xx(x, t) - sol.source(x, t)
     assert np.max(np.abs(residual)) <= 1e-10
     assert np.max(np.abs(finite_difference_residual(sol, 1.0, c, x, t))) <= 1e-4
 
 
 def test_derivatives_match_finite_differences():
-    sol = decay_solution(0.3, 0.05)
+    # the hand derivatives are those of the package's closed forms
     x = np.linspace(-2.0, 2.0, 7)
     t = 1.3
     h = 1e-6
-    fd_t = (sol.u(x, t + h) - sol.u(x, t - h)) / (2 * h)
-    np.testing.assert_allclose(sol.u_t(x, t), fd_t, atol=1e-8)
-    fd_x = (sol.u(x + h, t) - sol.u(x - h, t)) / (2 * h)
-    np.testing.assert_allclose(sol.u_x(x, t), fd_x, atol=1e-8)
+    for sol, (u_t, u_x, u_xx) in (
+        (decay_solution(0.3, 0.05), decay_derivatives(0.3, 0.05)),
+        (growth_solution(0.05), growth_derivatives(0.05)),
+    ):
+        fd_t = (sol.u(x, t + h) - sol.u(x, t - h)) / (2 * h)
+        np.testing.assert_allclose(u_t(x, t), fd_t, atol=1e-8)
+        fd_x = (sol.u(x + h, t) - sol.u(x - h, t)) / (2 * h)
+        np.testing.assert_allclose(u_x(x, t), fd_x, atol=1e-8)
+        fd_xx = (sol.u(x + 1e-4, t) - 2 * sol.u(x, t) + sol.u(x - 1e-4, t)) / 1e-8
+        np.testing.assert_allclose(u_xx(x, t), fd_xx, atol=1e-6)
 
 
 def test_solution_kind_names_its_closed_form():
@@ -171,12 +199,24 @@ def test_semidiscrete_energy_dissipation(theta):
         assert rate <= 1e-10 * (u @ u)
 
 
-def test_incompatible_pair_builds_two_opsets():
+def test_incompatible_pair_builds_two_opsets(monkeypatch):
+    # a compatible pair shares one assembly between D- and D2
+    thetas = []
+    assemble = problems.assemble_first_derivative
+
+    def counted(elem, mesh, theta, topology):
+        thetas.append(theta)
+        return assemble(elem, mesh, theta, topology)
+
+    monkeypatch.setattr(problems, "assemble_first_derivative", counted)
     disc = discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.0, 1, 4))
+    assert thetas == [0.5, 0.0]
     assert disc.opset_adv.theta == 0.5
-    assert disc.d2op.theta_diff == 0.0
-    disc2 = discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 1, 4))
-    assert disc2.d2op.opset is disc2.opset_adv
+    expected = second_derivative_from(assemble(disc.elem, disc.mesh, 0.0, "periodic")).D2
+    assert (disc.d2op.D2 != expected).nnz == 0
+    thetas.clear()
+    discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 1, 4))
+    assert thetas == [0.5]
 
 
 # ------------------------------------------------------------- Burgers
