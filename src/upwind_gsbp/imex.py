@@ -380,8 +380,9 @@ def step(session: Stepper, u_n: np.ndarray, dt: float, t_n: float = 0.0) -> np.n
     if not 0 <= dt < math.inf:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
     problem = session.problem
+    apply_l = problem.l_implicit.__matmul__
     return run_step_plan(
-        session.tableau.step_plan, u_n, dt, t_n, problem.f_explicit, session.apply_l, session.solve
+        session.tableau.step_plan, u_n, dt, t_n, problem.f_explicit, apply_l, session.solve
     )
 
 
@@ -397,7 +398,6 @@ class Stepper:
     def __init__(self, tableau: ImexTableau, problem: ImexSplitProblem):
         self.tableau = tableau
         self.problem = problem
-        self.apply_l = problem.l_implicit.__matmul__
         self._solvers: dict[float, Callable] = {}
 
     def solve(self, tau: float, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
