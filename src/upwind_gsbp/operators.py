@@ -49,7 +49,8 @@ TOPOLOGIES = ("periodic", "bounded")
 class GlobalOperatorSet:
     """Dual upwind pair with its norm, dissipation and boundary operators.
 
-    All matrices are CSR with block-sparse structure (K diagonal blocks plus
+    All matrices are canonical CSR (each row in column order, no duplicates,
+    no stored zeros) with block-sparse structure (K diagonal blocks plus
     neighbor couplings). ``m_diag`` holds the diagonal of the norm matrix M.
     ``t_alpha`` and ``t_beta`` are present only for the bounded topology,
     whose boundary operator B is folded into Q+/- and not kept.
@@ -110,13 +111,14 @@ def _first_derivative_matrix(
     """D-(theta) from the ``cell_blocks`` of each cell, as (values, cols) of shape (dim, width).
 
     Row r of D- has the entries ``values[r]`` at the columns ``cols[r]``, which
-    ascend; exact zeros stand for entries D- does not store. Block row i holds
-    2/dx_i times its left, diagonal and right blocks side by side. Periodic
-    assembly wraps A21/A12 around, so the first and last block rows take their
-    blocks in column order, and for K = 2 the right and the left block share
-    a slot, summed in that order. Bounded end cells drop the flux term on the
-    physical boundary side and pad the missing neighbor with zeros. ``cols``
-    depends only on K, n and the topology.
+    ascend over the slots that can hold a nonzero; exact zeros stand for
+    entries D- does not store. Block row i holds 2/dx_i times its left,
+    diagonal and right blocks side by side. Periodic assembly wraps A21/A12
+    around, so the first and last block rows take their blocks in column
+    order, and for K = 2 the right and the left block share a slot, summed in
+    that order. Bounded end cells drop the flux term on the physical boundary
+    side and pad the missing neighbor with zeros. ``cols`` depends only on K,
+    n and the topology.
     """
     n = elem.n_nodes
     k_cells = mesh.n_cells
@@ -152,18 +154,16 @@ def _first_derivative_matrix(
     return blocks.reshape(dim, -1), cols.reshape(dim, -1)
 
 
-def _csr(values: np.ndarray, cols: np.ndarray, keep: np.ndarray) -> sp.csr_matrix:
-    """Square CSR matrix of ``values[keep]`` at ``cols[keep]``, row by row.
+def _csr(values: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    """Square CSR matrix of the nonzero ``values`` at ``cols``, row by row in slot order.
 
-    The first axis indexes rows; each row's entries are stored in the
-    row-major order of the remaining axes.
+    On the ``(values, cols)`` layout of ``_first_derivative_matrix`` the
+    nonzero slots of a row ascend in column, so the matrix is canonical.
     """
     dim = values.shape[0]
-    kept = np.flatnonzero(keep)
-    indptr = np.searchsorted(kept, np.arange(0, keep.size + 1, keep.size // dim))
-    return sp.csr_matrix(
-        (values.ravel()[kept], cols.ravel()[kept], indptr.astype(np.int32)), shape=(dim, dim)
-    )
+    keep = values != 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+    return sp.csr_matrix((values[keep], cols[keep], indptr.astype(np.int32)), shape=(dim, dim))
 
 
 def assemble_first_derivative(
@@ -171,13 +171,11 @@ def assemble_first_derivative(
 ) -> GlobalOperatorSet:
     """Assemble the dual pair D-/D+, norm matrix M and dissipation matrix C.
 
-    Every matrix is built straight from the block layout of
-    ``_first_derivative_matrix``, entry for entry as the scipy expressions
-    ``diags(m) @ D - 0.5 * B`` would store it. ``csr_matmat`` stores each row
-    of ``diags(m) @ D`` in reverse, so its indices are unsorted (rows of D
-    hold two or more entries) and the bounded ``- 0.5 * B`` is scipy's
-    general binop, which stores each row as the columns B adds, descending,
-    then those of ``M D``, ascending.
+    Every matrix is built on the block layout of ``_first_derivative_matrix``
+    and stored as canonical CSR. Q+/- = M D+/- - B/2 and C = (Q+ - Q-)/2 are
+    formed slot by slot, so each entry has the bits of the scipy expressions
+    ``diags(m) @ D - 0.5 * B`` and ``0.5 * (Q+ - Q-)``; only the storage order
+    within a row differs from scipy's.
 
     Raises:
         ValueError: if theta is outside [-1/2, 1/2] or topology is unknown.
@@ -201,44 +199,29 @@ def assemble_first_derivative(
         t_alpha[:n] = lm
         t_beta = np.zeros(dim)
         t_beta[-n:] = l1
-        # B sits in the diagonal slot of the end block rows
-        b_vals = np.zeros_like(d_vals)
-        b_vals[:n, n : 2 * n] = -np.outer(lm, lm)
-        b_vals[-n:, n : 2 * n] = np.outer(l1, l1)
-        b_half = 0.5 * b_vals
+        # B/2 sits in the diagonal slot of the end block rows
+        b_half = np.zeros_like(d_vals)
+        b_half[:n, n : 2 * n] = -0.5 * np.outer(lm, lm)
+        b_half[-n:, n : 2 * n] = 0.5 * np.outer(l1, l1)
     else:
         t_alpha = t_beta = None
+        b_half = 0.0
 
-    ops = []
-    for vals in (d_vals, d_plus_vals):
-        stored = vals != 0
-        ops.append(_csr(vals, cols, stored))
-        q_vals = m_diag[:, None] * vals
-        q_stored = stored & (q_vals != 0)
-        if topology == "periodic":
-            ops.append(_csr(q_vals[:, ::-1], cols[:, ::-1], q_stored[:, ::-1]))
-            continue
-        added = (b_vals != 0) & ~q_stored
-        q_vals = q_vals - b_half
-        q_vals = np.stack([q_vals[:, ::-1], q_vals], axis=1)
-        q_stored = np.stack([added[:, ::-1], q_stored], axis=1) & (q_vals != 0)
-        ops.append(_csr(q_vals, np.stack([cols[:, ::-1], cols], axis=1), q_stored))
-    d_minus, q_minus, d_plus, q_plus = ops
-
-    c = 0.5 * (q_plus - q_minus)
-    c.eliminate_zeros()
+    q_minus_vals = m_diag[:, None] * d_vals - b_half
+    q_plus_vals = m_diag[:, None] * d_plus_vals - b_half
+    c_vals = 0.5 * (q_plus_vals - q_minus_vals)
 
     return GlobalOperatorSet(
         theta=theta,
         topology=topology,
         elem=elem,
         mesh=mesh,
-        D_minus=d_minus,
-        D_plus=d_plus,
+        D_minus=_csr(d_vals, cols),
+        D_plus=_csr(d_plus_vals, cols),
         m_diag=m_diag,
-        Q_minus=q_minus,
-        Q_plus=q_plus,
-        C=c,
+        Q_minus=_csr(q_minus_vals, cols),
+        Q_plus=_csr(q_plus_vals, cols),
+        C=_csr(c_vals, cols),
         t_alpha=t_alpha,
         t_beta=t_beta,
     )

@@ -151,6 +151,8 @@ def test_assembly_matches_per_cell_reference(n_cells, uniform, theta, topology):
         q_minus, q_plus = q_minus.tocsr(), q_plus.tocsr()
         c = (0.5 * (q_plus - q_minus)).tocsr()
         c.eliminate_zeros()
+        # scipy stores the rows of a product or a sum in its own orders; the
+        # set stores each row in column order, with the same entry bits
         for got, want in [
             (ops.D_minus, d_minus),
             (ops.D_plus, d_plus),
@@ -158,14 +160,14 @@ def test_assembly_matches_per_cell_reference(n_cells, uniform, theta, topology):
             (ops.Q_plus, q_plus),
             (ops.C, c),
         ]:
-            assert same_bits(got, want)
+            assert same_bits(got, want.sorted_indices())
 
 
 @pytest.mark.parametrize("theta", [-0.5, 0.0, 0.25, 0.5])
 def test_assembly_matches_scipy_when_b_adds_entries(theta):
     # boundary vectors that are not Lagrange traces: B = -Lm Lm^T then has an
-    # entry where D stores none (diff[1, 1] = 0 at N = 2), so Q = M D - B/2
-    # stores the entries B adds ahead of those of M D
+    # entry where D stores none (diff[1, 1] = 0 at N = 2), which scipy's
+    # Q = M D - B/2 stores ahead of those of M D and the set in column order
     elem = dataclasses.replace(build_lgl(2), boundary_left=np.array([0.5, 0.5, 0.0]))
     mesh = uniform_mesh(-np.pi, np.pi, 5)
     ops = assemble_first_derivative(elem, mesh, theta, "bounded")
@@ -173,8 +175,21 @@ def test_assembly_matches_scipy_when_b_adds_entries(theta):
     q_minus = m @ reference_first_derivative(elem, mesh, theta, "bounded") - 0.5 * b
     q_plus = m @ reference_first_derivative(elem, mesh, -theta, "bounded") - 0.5 * b
     assert ops.D_minus[1, 1] == 0 and ops.Q_minus[1, 1] != 0
-    assert same_bits(ops.Q_minus, q_minus.tocsr())
-    assert same_bits(ops.Q_plus, q_plus.tocsr())
+    assert same_bits(ops.Q_minus, q_minus.tocsr().sorted_indices())
+    assert same_bits(ops.Q_plus, q_plus.tocsr().sorted_indices())
+
+
+@pytest.mark.parametrize("theta", [-0.5, -0.25, 0.0, 0.25, 0.5])
+@pytest.mark.parametrize("topology", ["periodic", "bounded"])
+def test_operator_set_is_canonical_csr(theta, topology):
+    # each entry is stored once, in column order, and no stored entry is zero
+    for degree in range(1, 6):
+        for n_cells in range(2, 8):
+            ops = make_opset(degree, n_cells, theta, topology)
+            for name in ("D_minus", "D_plus", "Q_minus", "Q_plus", "C"):
+                mat = getattr(ops, name)
+                assert mat.has_canonical_format, (degree, n_cells, name)
+                assert np.all(mat.data != 0), (degree, n_cells, name)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])
@@ -287,8 +302,8 @@ def test_misassembled_operators_are_flagged():
     # breaks the SBP relation and the symmetry of C
     ops = make_opset(2, 4, 0.5, "periodic")
     q_plus = ops.Q_plus.copy()
-    assert q_plus.indices[0] != 0  # an off-diagonal entry of row 0
-    q_plus.data[0] += 1e-3
+    entry = np.flatnonzero(q_plus.indices[: q_plus.indptr[1]] == 2)[0]
+    q_plus.data[entry] += 1e-3  # an off-diagonal entry of row 0
     bad = dataclasses.replace(ops, Q_plus=q_plus, C=0.5 * (q_plus - ops.Q_minus))
     report = verify_axioms(bad)
     assert report.sbp_residual == pytest.approx(1e-3, rel=1e-9)
