@@ -22,6 +22,7 @@ from .imex import EnergyTrace, SolverFailure, integrate, tableau_by_name
 from .mesh import uniform_mesh
 from .operators import CertificationReport, assemble_first_derivative, verify_axioms
 from .problems import (
+    DOMAIN,
     AdvDiffConfig,
     discretize,
     initial_condition,
@@ -301,7 +302,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     rows = []
     texts = []
     failed = 0
-    meshes = [uniform_mesh(-math.pi, math.pi, n_cells) for n_cells in cfg.cell_counts]
+    meshes = [uniform_mesh(*DOMAIN, n_cells) for n_cells in cfg.cell_counts]
     for degree in cfg.degrees:
         elem = build_lgl(degree)
         for n_cells, msh in zip(cfg.cell_counts, meshes):
@@ -419,8 +420,8 @@ def _cmd_burgers(cfg: RunConfig) -> int:
     summary = ["K,theta_adv,theta_diff,outcome,time"]
     for res in results:
         tag = f"K{res.n_cells}"
-        for t_snap, u_snap in sorted(res.snapshots.items()):
-            _write_snapshot(out / f"burgers_{tag}_t{t_snap:g}.csv", res.nodes, u_snap)
+        if res.u_final is not None:
+            _write_snapshot(out / f"burgers_{tag}_t{cfg.t_final:g}.csv", res.nodes, res.u_final)
         EnergyTrace(res.energy).to_csv(out / f"burgers_energy_{tag}.csv")
         if res.blew_up:
             summary.append(

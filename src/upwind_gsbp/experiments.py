@@ -28,6 +28,7 @@ from .fourier import FourierEngine
 from .imex import SolverFailure, integrate, step_times, tableau_by_name
 from .mesh import physical_nodes, uniform_mesh
 from .problems import (
+    DOMAIN,
     AdvDiffConfig,
     burgers_rhs,
     decay_solution,
@@ -149,7 +150,6 @@ class StabilityScanResult:
     tau: Optional[float]
     unbounded: bool = False
     below_bracket: bool = False
-    non_monotone: bool = False
     probes: list[tuple[float, str]] = field(default_factory=list)
 
     @property
@@ -259,10 +259,6 @@ def max_stable_dt(
             hi = mid
 
     result.tau = lo / scale
-    stable_dts = [dt for dt, s in probes if s == STABLE]
-    unstable_dts = [dt for dt, s in probes if s != STABLE]
-    if stable_dts and unstable_dts:
-        result.non_monotone = max(stable_dts) > min(unstable_dts) * (1.0 + resolution)
     return result
 
 
@@ -357,13 +353,13 @@ def run_convergence(
 
 @dataclass
 class BurgersRunResult:
-    """Outcome of one Burgers run: snapshots, energy trace, blow-up time."""
+    """Outcome of one Burgers run: final state (None on blow-up), energy trace, blow-up time."""
 
     n_cells: int
     blowup_time: Optional[float]
     final_time: float
     nodes: np.ndarray
-    snapshots: dict[float, np.ndarray]
+    u_final: Optional[np.ndarray]
     energy: list[tuple[int, float, float]]
 
     @property
@@ -381,7 +377,7 @@ def run_burgers_demo(
     degree: int = 2,
     order: int = 2,
 ) -> list[BurgersRunResult]:
-    """Integrate sin(x) initial data on (-pi, pi) for each cell count.
+    """Integrate sin(x) initial data on DOMAIN for each cell count.
 
     Blow-up halts the run and is recorded with its time: energy above
     BURGERS_BLOWUP_FACTOR times the initial energy or non-finite values at
@@ -392,7 +388,7 @@ def run_burgers_demo(
     elem = build_lgl(degree)
     results = []
     for n_cells in cell_counts:
-        msh = uniform_mesh(-math.pi, math.pi, n_cells)
+        msh = uniform_mesh(*DOMAIN, n_cells)
         problem = burgers_rhs(elem, msh, theta_adv, theta_diff, c)
         nodes = physical_nodes(msh, elem)
         u0 = np.sin(nodes)
@@ -418,7 +414,7 @@ def run_burgers_demo(
                 blowup_time=blowup_time,
                 final_time=energy_rows[-1][1],
                 nodes=nodes,
-                snapshots={t_final: u} if blowup_time is None else {},
+                u_final=u if blowup_time is None else None,
                 energy=energy_rows,
             )
         )

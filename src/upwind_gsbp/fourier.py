@@ -15,7 +15,7 @@ at k = 0 and, for even K, k = K/2 (Parseval): sum_k |v_k|^2 in the
 M-orthonormal coordinates v_k = sqrt(w_k / K) M_loc^1/2 u_hat[k], which a
 step maps to T_k v_k with T_k = M_loc^1/2 S_k M_loc^-1/2.
 
-With omega = exp(2 pi i / K) and dx = (x_b - x_a) / K, the interior cell
+With omega = exp(2 pi i / K) and dx = 2 pi / K on DOMAIN, the interior cell
 blocks A11, A12, A21 of D-(theta) (``operators.cell_blocks``) give
 
     D-_hat(theta, k) = (2/dx) (A11 + A12 omega^k + A21 omega^-k),
@@ -42,7 +42,7 @@ import numpy as np
 
 from .imex import SOLVE_RTOL, ImexTableau, SolverFailure, run_step_plan
 from .operators import cell_blocks
-from .problems import AdvDiffConfig
+from .problems import DOMAIN, AdvDiffConfig
 from .ref_element import ReferenceElement
 
 __all__ = ["FourierEngine", "FourierProblem"]
@@ -80,8 +80,8 @@ class FourierEngine:
 
     The problem is du/dt = A u + L u with A = -a D-(theta_adv) and
     L = c D-(theta_diff) D+(theta_diff) on the uniform periodic mesh of
-    ``cfg``, whose LGL element is ``elem``. A step map is certified when its
-    squared M-norm amplification is at most ``max_growth``.
+    ``cfg`` over DOMAIN, whose LGL element is ``elem``. A step map is
+    certified when its squared M-norm amplification is at most ``max_growth``.
     """
 
     def __init__(
@@ -92,7 +92,7 @@ class FourierEngine:
         max_growth: float,
     ):
         n_cells = cfg.n_cells
-        dx = (cfg.x_b - cfg.x_a) / n_cells
+        dx = (DOMAIN[1] - DOMAIN[0]) / n_cells
         # omega^k for k = 0..K//2
         phase = np.exp(2j * np.pi * np.arange(n_cells // 2 + 1) / n_cells)[:, None, None]
 

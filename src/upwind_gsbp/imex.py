@@ -158,21 +158,14 @@ def tableau_imex3() -> ImexTableau:
     )
 
 
-_TABLEAUX = {
-    "imex1": tableau_imex1,
-    "imex2": tableau_imex2,
-    "imex3": tableau_imex3,
-    "1": tableau_imex1,
-    "2": tableau_imex2,
-    "3": tableau_imex3,
-}
+_TABLEAUX = {1: tableau_imex1, 2: tableau_imex2, 3: tableau_imex3}
 
 
-def tableau_by_name(name: str | int) -> ImexTableau:
-    key = str(name).strip().lower()
-    if key not in _TABLEAUX:
-        raise ValueError(f"unknown tableau {name!r}; choose from imex1, imex2, imex3")
-    return _TABLEAUX[key]()
+def tableau_by_name(order: int) -> ImexTableau:
+    """The IMEX tableau of order 1, 2 or 3."""
+    if order not in _TABLEAUX:
+        raise ValueError(f"unknown tableau order {order!r}; choose from 1, 2, 3")
+    return _TABLEAUX[order]()
 
 
 def _step_plan(tableau: ImexTableau) -> tuple:

@@ -1,7 +1,7 @@
 """Concrete PDE problems: linear advection-diffusion and viscous Burgers.
 
-The linear problem u_t + a u_x = c u_xx on (-pi, pi) with periodic boundary
-conditions is semi-discretized as
+Every problem is posed on DOMAIN = (-pi, pi) with periodic boundary
+conditions. The linear problem u_t + a u_x = c u_xx is semi-discretized as
 
     du/dt = -a D-(theta_adv) u + c D2(theta_diff) u,
 
@@ -29,6 +29,7 @@ from .operators import (
 from .ref_element import ReferenceElement, build_lgl
 
 __all__ = [
+    "DOMAIN",
     "AdvDiffConfig",
     "ManufacturedSolution",
     "Discretization",
@@ -42,10 +43,12 @@ __all__ = [
     "burgers_rhs",
 ]
 
+DOMAIN = (-math.pi, math.pi)
+
 
 @dataclass(frozen=True)
 class AdvDiffConfig:
-    """Parameters of a periodic advection-diffusion discretization."""
+    """Parameters of a periodic advection-diffusion discretization on DOMAIN."""
 
     a: float
     c: float
@@ -53,8 +56,6 @@ class AdvDiffConfig:
     theta_diff: float
     degree: int
     n_cells: int
-    x_a: float = -math.pi
-    x_b: float = math.pi
 
     def __post_init__(self):
         if not self.a > 0:
@@ -138,7 +139,7 @@ def _periodic_pair(
 def discretize(cfg: AdvDiffConfig) -> Discretization:
     """Assemble periodic operators for the advective and diffusive parts."""
     elem = build_lgl(cfg.degree)
-    mesh = uniform_mesh(cfg.x_a, cfg.x_b, cfg.n_cells)
+    mesh = uniform_mesh(*DOMAIN, cfg.n_cells)
     opset_adv, d2op = _periodic_pair(elem, mesh, cfg.theta_adv, cfg.theta_diff)
     return Discretization(
         cfg=cfg,

@@ -84,10 +84,12 @@ def test_imex3_coefficients():
 
 
 def test_tableau_by_name():
-    assert tableau_by_name("imex3").order == 3
+    assert tableau_by_name(3).order == 3
     assert tableau_by_name(1).name == "imex1"
-    with pytest.raises(ValueError):
-        tableau_by_name("rk4")
+    # a tableau is keyed by its order alone
+    for bad in ("rk4", "imex2", "2", 4):
+        with pytest.raises(ValueError):
+            tableau_by_name(bad)
 
 
 # --------------------------------------------------------- scalar stepping

@@ -507,6 +507,7 @@ def test_verifier_flags_corrupted_bounded_set(theta):
     assert not report.axiom_sbp_pass and not report.axiom_dissipation_pass
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_c_entry_fails_dissipation(bad):
     ops = make_opset(2, 4, 0.5, "periodic")
