@@ -16,7 +16,8 @@ M-orthonormal coordinates v_k = sqrt(w_k / K) M_loc^1/2 u_hat[k], which a
 step maps to T_k v_k with T_k = M_loc^1/2 S_k M_loc^-1/2.
 
 With omega = exp(2 pi i / K) and dx = 2 pi / K on DOMAIN, the interior cell
-blocks A11, A12, A21 of D-(theta) (``operators.cell_blocks``) give
+blocks A11, A12, A21 of D-(theta) (``operators.cell_blocks``) give the
+symbols (``operators.d_minus_symbol``)
 
     D-_hat(theta, k) = (2/dx) (A11 + A12 omega^k + A21 omega^-k),
 
@@ -41,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .imex import SOLVE_RTOL, ImexTableau, SolverFailure, run_step_plan
-from .operators import cell_blocks
+from .operators import d_minus_symbol
 from .problems import DOMAIN, AdvDiffConfig
 from .ref_element import ReferenceElement
 
@@ -93,12 +94,9 @@ class FourierEngine:
     ):
         n_cells = cfg.n_cells
         dx = (DOMAIN[1] - DOMAIN[0]) / n_cells
-        # omega^k for k = 0..K//2
-        phase = np.exp(2j * np.pi * np.arange(n_cells // 2 + 1) / n_cells)[:, None, None]
 
         def d_minus_hat(theta: float) -> np.ndarray:
-            a11, a12, a21 = cell_blocks(elem, theta)
-            return (2.0 / dx) * (a11 + a12 * phase + a21 * phase.conj())
+            return d_minus_symbol(elem, theta, n_cells, dx)
 
         self.n_cells = n_cells
         self.tableau = tableau

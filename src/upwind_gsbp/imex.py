@@ -8,10 +8,15 @@ stage i >= 2 solves the linear system
 
     (I - dt A2[i,i] L) u_i = u_n + dt sum_{j<i} (A1[i,j] F(u_j) + A2[i,j] L u_j).
 
-Systems are solved through the M-symmetrized form (M - tau M L), which is
-symmetric positive definite when M L is negative semi-definite. Its sparsity
-pattern and the tau-free values on it are built once per problem; each
-stepping session caches one factorization per stage coefficient.
+A problem that carries the symbol of L on a uniform periodic mesh, where
+I - tau L is block-circulant over cells, solves each system as K//2+1
+independent blocks I - tau L_hat[k] acting on the rfft over cells, each
+inverted once per tau. Any other problem solves it through the M-symmetrized
+form (M - tau M L) with SuperLU; that form is symmetric positive definite
+when M L is negative semi-definite, and its sparsity pattern and the
+tau-free values on it are built once per problem. Either way the solution is
+refined against the assembled L to SOLVE_RTOL, and each stepping session
+caches one factorization per stage coefficient.
 """
 
 from __future__ import annotations
@@ -219,13 +224,17 @@ class ImexSplitProblem:
 
     Both parts are always present; a problem without one passes a zero F or
     a zero L. ``m_diag`` is the diagonal of the norm matrix used for energy
-    reporting and for symmetrizing the implicit stage systems.
+    reporting and for symmetrizing the implicit stage systems. ``l_symbol``,
+    when given, is the symbol of a block-circulant L on K cells of n nodes,
+    shape (K//2+1, n, n): L maps the rfft over cells of u, reshaped (K, n),
+    to ``l_symbol[k] @ u_hat[k]``, and the stage systems are solved on it.
     """
 
     dim: int
     f_explicit: Callable[[float, np.ndarray], np.ndarray]
     l_implicit: sp.spmatrix | np.ndarray
     m_diag: np.ndarray
+    l_symbol: Optional[np.ndarray] = None
 
     def energy(self, u: np.ndarray) -> float:
         return float(u @ (self.m_diag * u))
@@ -237,58 +246,91 @@ class ImexSplitProblem:
     @cached_property
     def stage_pieces(self) -> "_StagePieces":
         """The tau-free parts of the stage systems, shared by every session."""
-        return _StagePieces(self.l_implicit, self.m_diag)
+        return _StagePieces(self.l_implicit, self.m_diag, self.l_symbol)
 
 
 class _StagePieces:
-    """The tau-free parts of the stage systems M - tau M L of one problem.
+    """The tau-free parts of the stage systems (I - tau L) x = b of one problem.
 
-    ``system(tau)`` fills the CSC pattern (``indptr``, ``indices``) of
-    M - M L with ``m_on - tau * ml_on``, the values of M and M L on it. The
+    ``system(tau)`` fills the CSC pattern of M - M L with ``m_on - tau * ml_on``,
+    the values of M and M L on it (``_pattern``, built on first use). The
     pattern is the union of the nonzeros of M and M L, and exact zeros of a
     filled system are dropped, so the system is bit for bit
     ``(sp.diags(m) - tau * ml).tocsc()``.
     """
 
-    def __init__(self, lmat, m_diag: np.ndarray):
+    def __init__(self, lmat, m_diag: np.ndarray, l_symbol: Optional[np.ndarray] = None):
         """The pieces of L, sparse or dense, with the norm matrix diag(m_diag)."""
         lmat = sp.csr_matrix(lmat) if isinstance(lmat, np.ndarray) else lmat.tocsr()
-        m = sp.diags(m_diag)
-        ml = m @ lmat
+        self.lmat, self.m_diag, self.l_symbol = lmat, m_diag, l_symbol
+        self.row_norm = float(np.max(np.abs(lmat).sum(axis=1)))  # max absolute row sum of L
+
+    @cached_property
+    def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, m_on, ml_on): the CSC pattern of M - M L and M, M L on it."""
+        m = sp.diags(self.m_diag)
+        ml = m @ self.lmat
         # |M| + |M L| cannot cancel: its nonzeros are those of M and of M L
         pattern = (abs(m) + abs(ml)).tocsc()
         rows = pattern.indices
         cols = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
-        self.lmat, self.m_diag = lmat, m_diag
-        self.row_norm = float(np.max(np.abs(lmat).sum(axis=1)))  # max absolute row sum of L
-        self.m_on = np.where(rows == cols, m_diag[rows], 0.0)
-        self.ml_on = np.asarray(ml[rows, cols]).ravel()
-        self.indptr, self.indices = pattern.indptr, rows
+        m_on = np.where(rows == cols, self.m_diag[rows], 0.0)
+        ml_on = np.asarray(ml[rows, cols]).ravel()
+        return pattern.indptr, rows, m_on, ml_on
 
     def system(self, tau: float) -> sp.csc_matrix:
-        values = self.m_on - tau * self.ml_on
-        mat = sp.csc_matrix((values, self.indices, self.indptr), shape=self.lmat.shape, copy=True)
+        indptr, indices, m_on, ml_on = self._pattern
+        values = m_on - tau * ml_on
+        mat = sp.csc_matrix((values, indices, indptr), shape=self.lmat.shape, copy=True)
         mat.eliminate_zeros()
         return mat
 
-    def factorize(self, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Factorize the M-symmetrized stage matrix M - tau M L once.
+    def _base_solver(self, tau: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x ~ (I - tau L)^-1 r, before refinement, from one factorization.
 
-        M - tau M L is symmetric positive definite by the SBP identity, so a
-        failed factorization means a misassembled operator and raises
-        ``SolverFailure``. A negative tau raises ValueError.
+        With a symbol, each block I - tau L_hat[k] is inverted and a solve
+        is irfft(G_k^-1 rfft(r)) over cells. Without one, SuperLU factorizes
+        M - tau M L, symmetric positive definite by the SBP identity. Either
+        way a failed factorization means a misassembled operator and raises
+        ``SolverFailure``.
+        """
+        if self.l_symbol is not None:
+            n = self.l_symbol.shape[-1]
+            n_cells = self.lmat.shape[0] // n
+            try:
+                g_inv = np.linalg.inv(np.eye(n) - tau * self.l_symbol)
+            except np.linalg.LinAlgError as exc:  # singular block: misassembled symbol
+                raise SolverFailure(f"stage symbol inversion failed: {exc}") from exc
+
+            def symbol_solve(r: np.ndarray) -> np.ndarray:
+                r_hat = np.fft.rfft(r.reshape(n_cells, n), axis=0)
+                x_hat = (g_inv @ r_hat[:, :, None])[:, :, 0]
+                return np.fft.irfft(x_hat, n=n_cells, axis=0).ravel()
+
+            return symbol_solve
+
+        # imported here, not at module level, so that runs which never factorize
+        # a sparse system (``gsbp verify``, ``gsbp burgers``, certified scan
+        # probes) never load scipy.sparse.linalg
+        from scipy.sparse.linalg import splu
+
+        m_diag = self.m_diag
+        try:
+            lu = splu(self.system(tau))
+        except Exception as exc:  # singular system: misassembled operator
+            raise SolverFailure(f"stage factorization failed: {exc}") from exc
+        return lambda r: lu.solve(m_diag * r)
+
+    def factorize(self, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The refined solver of (I - tau L) x = b, factorized once (``_base_solver``).
+
+        A negative tau raises ValueError, a failed factorization or stalled
+        refinement ``SolverFailure``.
         """
         if tau < 0:
             raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
-        # imported here, not at module level, so that runs which never factorize
-        # (``gsbp verify``, certified scan probes) never load scipy.sparse.linalg
-        from scipy.sparse.linalg import splu
-
-        lmat, m_diag = self.lmat, self.m_diag
-        try:
-            base_solve = splu(self.system(tau)).solve
-        except Exception as exc:  # singular system: misassembled operator
-            raise SolverFailure(f"stage factorization failed: {exc}") from exc
+        base_solve = self._base_solver(tau)
+        lmat = self.lmat
 
         # the residual evaluation itself carries fp noise of order
         # eps * (1 + tau ||L||) * ||x||; below that the target is unmeasurable
@@ -301,7 +343,7 @@ class _StagePieces:
             contiguous real vector.
             """
             b_norm = math.sqrt(rhs.dot(rhs))
-            x = base_solve(m_diag * rhs)
+            x = base_solve(rhs)
             if b_norm == 0.0:
                 return x, lmat @ x
             target = SOLVE_RTOL * b_norm
@@ -309,7 +351,7 @@ class _StagePieces:
             # up to 5 refinements before the residual counts as stalled
             for refinement in range(6):
                 if refinement:
-                    x = x + base_solve(m_diag * residual)
+                    x = x + base_solve(residual)
                 l_x = lmat @ x
                 residual = rhs - (x - tau * l_x)
                 r_norm = math.sqrt(residual.dot(residual))

@@ -37,6 +37,7 @@ __all__ = [
     "CertificationReport",
     "assemble_first_derivative",
     "cell_blocks",
+    "d_minus_symbol",
     "second_derivative_from",
     "verify_axioms",
     "interface_jumps",
@@ -103,6 +104,18 @@ def cell_blocks(elem: ReferenceElement, theta: float) -> tuple[np.ndarray, np.nd
     a12 = (0.5 - theta) * np.outer(inv_w * l1, lm)
     a21 = -(0.5 + theta) * np.outer(inv_w * lm, l1)
     return a11, a12, a21
+
+
+def d_minus_symbol(elem: ReferenceElement, theta: float, n_cells: int, dx: float) -> np.ndarray:
+    """The symbols of periodic D-(theta) on K = n_cells cells of width dx, shape (K//2+1, n, n).
+
+    With omega = exp(2 pi i / K), symbol k is (2/dx) (A11 + A12 omega^k +
+    A21 omega^-k) from the ``cell_blocks``: D-(theta) maps the rfft over
+    cells of u, u_hat[k] = sum_i u[i] omega^(-k i), to symbol k times u_hat[k].
+    """
+    phase = np.exp(2j * np.pi * np.arange(n_cells // 2 + 1) / n_cells)[:, None, None]
+    a11, a12, a21 = cell_blocks(elem, theta)
+    return (2.0 / dx) * (a11 + a12 * phase + a21 * phase.conj())
 
 
 def _first_derivative_matrix(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,39 @@ def test_burgers_solver_failure_is_blowup_at_failed_step(monkeypatch):
     assert res.blowup_time == list(imex.step_times(dt, t_final))[k - 1][1]
     assert [row[0] for row in res.energy] == list(range(k))
     assert res.final_time == res.energy[-1][1]
+    assert res.u_final is None
+
+
+def burgers_with_symbol(monkeypatch, edit):
+    """Make each Burgers run step the problem ``edit`` makes of its own."""
+    real = experiments.burgers_rhs
+    monkeypatch.setattr(experiments, "burgers_rhs", lambda *args: edit(real(*args)))
+
+
+def test_burgers_energy_is_the_same_without_the_symbol(monkeypatch):
+    # the golden K = 100 run: the symbol path and SuperLU differ only in roundoff
+    run = lambda: run_burgers_demo(0.5, 0.5, [100], dt=0.02, t_final=2.0, order=2)[0]
+    fourier = run()
+    burgers_with_symbol(monkeypatch, lambda problem: replace(problem, l_symbol=None))
+    sparse = run()
+    assert not fourier.blew_up and not sparse.blew_up
+    assert [row[:2] for row in fourier.energy] == [row[:2] for row in sparse.energy]
+    got, expected = (np.array([row[2] for row in res.energy]) for res in (fourier, sparse))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_singular_symbol_block_is_blowup_at_its_step(monkeypatch):
+    # imex1 at dt = 1/8 solves I - L_hat / 8, which a block L_hat[0] = 8 I makes zero
+    def singular(problem):
+        symbol = problem.l_symbol.copy()
+        symbol[0] = 8.0 * np.eye(symbol.shape[-1])
+        return replace(problem, l_symbol=symbol)
+
+    burgers_with_symbol(monkeypatch, singular)
+    res = run_burgers_demo(0.0, 0.0, [20], dt=0.125, t_final=1.0, order=1)[0]
+    assert res.blew_up
+    assert res.blowup_time == 0.125
+    assert [row[0] for row in res.energy] == [0]
     assert res.u_final is None
 
 

@@ -16,6 +16,7 @@ from upwind_gsbp.imex import (
     step_times,
     tableau_by_name,
 )
+from upwind_gsbp.mesh import uniform_mesh
 from upwind_gsbp.problems import AdvDiffConfig, discretize, make_split_problem
 from upwind_gsbp.ref_element import build_lgl
 
@@ -117,6 +118,35 @@ def test_symbols_match_assembled_operators(pair, degree, n_cells):
         expected = _block_symbols(mat, n, n_cells)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
     np.testing.assert_array_equal(np.tile(engine.m_cell, n_cells), disc.m_diag)
+
+
+def _inline_symbols(cfg, elem):
+    """(A_hat, L_hat) by the formula FourierEngine computed inline before d_minus_symbol."""
+    dx = (problems.DOMAIN[1] - problems.DOMAIN[0]) / cfg.n_cells
+    phase = np.exp(2j * np.pi * np.arange(cfg.n_cells // 2 + 1) / cfg.n_cells)[:, None, None]
+
+    def d_minus_hat(theta):
+        a11, a12, a21 = operators.cell_blocks(elem, theta)
+        return (2.0 / dx) * (a11 + a12 * phase + a21 * phase.conj())
+
+    a_hat = -cfg.a * d_minus_hat(cfg.theta_adv)
+    return a_hat, cfg.c * (d_minus_hat(cfg.theta_diff) @ d_minus_hat(-cfg.theta_diff))
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 20, 80])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("pair", PAIRS + [(0.25, 0.25)])
+def test_symbols_are_bit_identical_to_inline_formula(pair, degree, n_cells):
+    # scan routing and verdicts hang on these bits; Burgers solves on the same L_hat
+    cfg = AdvDiffConfig(0.1, 0.1, pair[0], pair[1], degree, n_cells)
+    elem = build_lgl(degree)
+    engine = FourierEngine(cfg, elem, tableau_by_name(1), np.inf)
+    a_hat, l_hat = _inline_symbols(cfg, elem)
+    np.testing.assert_array_equal(engine.a_hat, a_hat)
+    np.testing.assert_array_equal(engine.l_hat, l_hat)
+    mesh = uniform_mesh(*problems.DOMAIN, n_cells)
+    burgers = problems.burgers_rhs(elem, mesh, pair[0], pair[1], cfg.c)
+    np.testing.assert_array_equal(burgers.l_symbol, l_hat)
 
 
 def test_engine_assembles_no_operator(monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -253,6 +254,49 @@ def test_stage_matrix_smallest_eigenvalue_bound():
     assert smallest >= floor * (1 - 1e-12)
 
 
+# ------------------------------------------- stage solves on the symbol of L
+
+TABLEAU_DIAGONALS = sorted(
+    {float(g) for factory in ALL_TABLEAUX for g in np.diag(factory().a_implicit) if g != 0.0}
+)
+
+
+def relative_residual(problem, tau, rhs, x):
+    return np.linalg.norm(rhs - (x - tau * (problem.l_implicit @ x))) / np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 20, 100, 400])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("pair", [(0.0, 0.0), (0.5, 0.5), (0.5, 0.0)])
+def test_symbol_stage_solve_matches_superlu(pair, degree, n_cells):
+    problem = burgers_rhs(build_lgl(degree), uniform_mesh(-np.pi, np.pi, n_cells), *pair, 0.1)
+    assert problem.l_symbol.shape == (n_cells // 2 + 1, degree + 1, degree + 1)
+    sparse = replace(problem, l_symbol=None)
+    rhs = np.random.default_rng(n_cells).standard_normal(problem.dim)
+    for tau in [dt * g for dt in (0.02, 0.1) for g in TABLEAU_DIAGONALS]:
+        x, l_x = problem.stage_pieces.factorize(tau)(rhs)
+        expected, _ = sparse.stage_pieces.factorize(tau)(rhs)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        for solution in (x, expected):
+            assert relative_residual(problem, tau, rhs, solution) <= SOLVE_RTOL
+        np.testing.assert_array_equal(l_x, problem.l_implicit @ x)
+
+
+def test_singular_symbol_block_raises():
+    # tau L_hat[0] = I makes the block I - tau L_hat[0] vanish exactly
+    problem = burgers_problem(20)
+    symbol = problem.l_symbol.copy()
+    symbol[0] = 2.0 * np.eye(3)
+    singular = replace(problem, l_symbol=symbol)
+    with pytest.raises(SolverFailure, match="stage symbol inversion failed"):
+        singular.stage_pieces.factorize(0.5)
+
+
+def test_symbol_stage_solve_negative_tau_rejected():
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        burgers_problem(20).stage_pieces.factorize(-0.1)
+
+
 # ------------------------------------------------- PDE one-step identities
 
 
@@ -502,7 +546,8 @@ def test_pattern_filled_matrix_drops_exact_cancellations():
 @pytest.mark.parametrize("case", ["incompatible", "burgers"])
 def test_step_is_bit_identical_to_reference_step(factory, case):
     if case == "burgers":
-        problem, dt = burgers_problem(100), 0.02
+        # the SuperLU stepping algebra on a nonlinear F with C != 0
+        problem, dt = replace(burgers_problem(100), l_symbol=None), 0.02
         u = np.sin(np.linspace(-np.pi, np.pi, problem.dim))
     else:
         disc = discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.0, 3, 20))
