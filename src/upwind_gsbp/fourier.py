@@ -16,17 +16,18 @@ M-orthonormal coordinates v_k = sqrt(w_k / K) M_loc^1/2 u_hat[k], which a
 step maps to T_k v_k with T_k = M_loc^1/2 S_k M_loc^-1/2.
 
 With omega = exp(2 pi i / K) and dx = 2 pi / K on DOMAIN, the interior cell
-blocks A11, A12, A21 of D-(theta) (``operators.cell_blocks``) give the
-symbols (``operators.d_minus_symbol``)
+blocks A11, A12, A21 of D-(theta) (the first three ``operators.cell_blocks``)
+give the symbols (``operators.d_minus_symbol``)
 
     D-_hat(theta, k) = (2/dx) (A11 + A12 omega^k + A21 omega^-k),
 
 so A_hat[k] = -a D-_hat(theta_adv, k), L_hat[k] = c D-_hat(theta_diff, k)
-D-_hat(-theta_diff, k) since D+(theta) = D-(-theta), and M_loc = (dx/2) w
-(the element-level Fourier analysis of Hu, Hussaini & Rasetarinera, JCP 151,
-1999). ``FourierEngine`` builds the symbols of one problem;
-``FourierEngine.problem`` builds the maps T_k of one run and certifies them,
-and the resulting ``FourierProblem`` is what ``imex.integrate`` steps.
+D-_hat(-theta_diff, k) (``operators.d2_symbol``) since D+(theta) =
+D-(-theta), and M_loc = (dx/2) w (the element-level Fourier analysis of Hu,
+Hussaini & Rasetarinera, JCP 151, 1999). ``FourierEngine`` builds the
+symbols of one problem; ``FourierEngine.problem`` builds the maps T_k of one
+run and certifies them, and the resulting ``FourierProblem`` is what
+``imex.integrate`` steps.
 
 A run is certified when max_k ||T_k||_2^2 <= max_growth at each of its step
 sizes: an SVD of every map decides (``amplification``). The largest step
@@ -42,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .imex import SOLVE_RTOL, ImexTableau, SolverFailure, run_step_plan
-from .operators import d_minus_symbol
+from .operators import d2_symbol, d_minus_symbol
 from .problems import DOMAIN, AdvDiffConfig
 from .ref_element import ReferenceElement
 
@@ -57,7 +58,10 @@ def _checked_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SolverFailure(f"Fourier stage block solve failed: {exc}") from exc
     axes = (-2, -1)
     residual = np.linalg.norm(g @ x - rhs, axis=axes)
-    # same target as the sparse stage solve, with the same roundoff floor
+    # the sparse stage solve's target SOLVE_RTOL ||b|| over an analogous floor:
+    # each is 64 eps ||G|| ||x||, the roundoff of evaluating G x - b, for a
+    # bound ||G|| on its system. Here that is ||G_k||_F per block; the sparse
+    # solve bounds ||I - tau L||_inf by 1 + tau ||L||_inf.
     floor = 64.0 * np.finfo(float).eps * np.linalg.norm(g, axis=axes)
     tol = np.maximum(
         SOLVE_RTOL * np.linalg.norm(rhs, axis=axes), floor * np.linalg.norm(x, axis=axes)
@@ -94,15 +98,11 @@ class FourierEngine:
     ):
         n_cells = cfg.n_cells
         dx = (DOMAIN[1] - DOMAIN[0]) / n_cells
-
-        def d_minus_hat(theta: float) -> np.ndarray:
-            return d_minus_symbol(elem, theta, n_cells, dx)
-
         self.n_cells = n_cells
         self.tableau = tableau
         self.max_growth = max_growth
-        self.a_hat = -cfg.a * d_minus_hat(cfg.theta_adv)
-        self.l_hat = cfg.c * (d_minus_hat(cfg.theta_diff) @ d_minus_hat(-cfg.theta_diff))
+        self.a_hat = -cfg.a * d_minus_symbol(elem, cfg.theta_adv, n_cells, dx)
+        self.l_hat = cfg.c * d2_symbol(elem, cfg.theta_diff, n_cells, dx)
         self.m_cell = 0.5 * dx * elem.weights
         self._m_half = np.sqrt(self.m_cell)
         # v_k = state_scale[k] * u_hat[k] with the Parseval weights w_k

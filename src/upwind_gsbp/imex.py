@@ -14,9 +14,9 @@ independent blocks I - tau L_hat[k] acting on the rfft over cells, each
 inverted once per tau. Any other problem solves it through the M-symmetrized
 form (M - tau M L) with SuperLU; that form is symmetric positive definite
 when M L is negative semi-definite, and its sparsity pattern and the
-tau-free values on it are built once per problem. Either way the solution is
-refined against the assembled L to SOLVE_RTOL, and each stepping session
-caches one factorization per stage coefficient.
+tau-free values on it are cached on the problem. Either way the solution is
+refined against the assembled L to SOLVE_RTOL (``ImexSplitProblem.factorize``),
+and each stepping session caches one factorization per stage coefficient.
 """
 
 from __future__ import annotations
@@ -226,8 +226,10 @@ class ImexSplitProblem:
     a zero L. ``m_diag`` is the diagonal of the norm matrix used for energy
     reporting and for symmetrizing the implicit stage systems. ``l_symbol``,
     when given, is the symbol of a block-circulant L on K cells of n nodes,
-    shape (K//2+1, n, n): L maps the rfft over cells of u, reshaped (K, n),
-    to ``l_symbol[k] @ u_hat[k]``, and the stage systems are solved on it.
+    shape (K//2+1, n, n), with K n = ``dim``: L maps the rfft over cells of
+    u, reshaped (K, n), to ``l_symbol[k] @ u_hat[k]``, and the stage systems
+    are solved on it. The tau-free parts of the stage systems (I - tau L) x
+    = b are built on first use and shared by every stepping session.
     """
 
     dim: int
@@ -244,32 +246,17 @@ class ImexSplitProblem:
         return Stepper(tableau, self)
 
     @cached_property
-    def stage_pieces(self) -> "_StagePieces":
-        """The tau-free parts of the stage systems, shared by every session."""
-        return _StagePieces(self.l_implicit, self.m_diag, self.l_symbol)
-
-
-class _StagePieces:
-    """The tau-free parts of the stage systems (I - tau L) x = b of one problem.
-
-    ``system(tau)`` fills the CSC pattern of M - M L with ``m_on - tau * ml_on``,
-    the values of M and M L on it (``_pattern``, built on first use). The
-    pattern is the union of the nonzeros of M and M L, and exact zeros of a
-    filled system are dropped, so the system is bit for bit
-    ``(sp.diags(m) - tau * ml).tocsc()``.
-    """
-
-    def __init__(self, lmat, m_diag: np.ndarray, l_symbol: Optional[np.ndarray] = None):
-        """The pieces of L, sparse or dense, with the norm matrix diag(m_diag)."""
+    def _csr_l(self) -> tuple[sp.csr_matrix, float]:
+        """(L, ||L||_inf): L, sparse or dense, as CSR and its largest absolute row sum."""
+        lmat = self.l_implicit
         lmat = sp.csr_matrix(lmat) if isinstance(lmat, np.ndarray) else lmat.tocsr()
-        self.lmat, self.m_diag, self.l_symbol = lmat, m_diag, l_symbol
-        self.row_norm = float(np.max(np.abs(lmat).sum(axis=1)))  # max absolute row sum of L
+        return lmat, float(np.max(np.abs(lmat).sum(axis=1)))
 
     @cached_property
     def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, m_on, ml_on): the CSC pattern of M - M L and M, M L on it."""
         m = sp.diags(self.m_diag)
-        ml = m @ self.lmat
+        ml = m @ self._csr_l[0]
         # |M| + |M L| cannot cancel: its nonzeros are those of M and of M L
         pattern = (abs(m) + abs(ml)).tocsc()
         rows = pattern.indices
@@ -279,9 +266,15 @@ class _StagePieces:
         return pattern.indptr, rows, m_on, ml_on
 
     def system(self, tau: float) -> sp.csc_matrix:
+        """M - tau M L as CSC: ``_pattern`` filled with ``m_on - tau * ml_on``.
+
+        The pattern is the union of the nonzeros of M and M L, and exact zeros
+        of the filled system are dropped, so the system is bit for bit
+        ``(sp.diags(m) - tau * ml).tocsc()``.
+        """
         indptr, indices, m_on, ml_on = self._pattern
         values = m_on - tau * ml_on
-        mat = sp.csc_matrix((values, indices, indptr), shape=self.lmat.shape, copy=True)
+        mat = sp.csc_matrix((values, indices, indptr), shape=self._csr_l[0].shape, copy=True)
         mat.eliminate_zeros()
         return mat
 
@@ -296,7 +289,7 @@ class _StagePieces:
         """
         if self.l_symbol is not None:
             n = self.l_symbol.shape[-1]
-            n_cells = self.lmat.shape[0] // n
+            n_cells = self.dim // n
             try:
                 g_inv = np.linalg.inv(np.eye(n) - tau * self.l_symbol)
             except np.linalg.LinAlgError as exc:  # singular block: misassembled symbol
@@ -330,11 +323,11 @@ class _StagePieces:
         if tau < 0:
             raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
         base_solve = self._base_solver(tau)
-        lmat = self.lmat
+        lmat, row_norm = self._csr_l
 
         # the residual evaluation itself carries fp noise of order
         # eps * (1 + tau ||L||) * ||x||; below that the target is unmeasurable
-        noise_per_x = 64.0 * np.finfo(float).eps * (1.0 + tau * self.row_norm)
+        noise_per_x = 64.0 * np.finfo(float).eps * (1.0 + tau * row_norm)
 
         def solve(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """(x, L x): the refinement check's L x is handed back for reuse.
@@ -372,7 +365,8 @@ def solve_implicit_stage(lmat, tau: float, rhs: np.ndarray, m_diag: np.ndarray) 
     rhs = np.ascontiguousarray(rhs, dtype=float)
     if tau == 0.0:
         return rhs.copy()
-    return _StagePieces(lmat, m_diag).factorize(tau)(rhs)[0]
+    # F is never evaluated: only the stage systems of L are built
+    return ImexSplitProblem(rhs.size, None, lmat, m_diag).factorize(tau)(rhs)[0]
 
 
 def run_step_plan(plan, u_n, dt, t_n, apply_f, apply_l, solve):
@@ -440,7 +434,7 @@ class Stepper:
         if tau == 0.0:
             return rhs.copy(), None
         if tau not in self._solvers:
-            self._solvers[tau] = self.problem.stage_pieces.factorize(tau)
+            self._solvers[tau] = self.problem.factorize(tau)
         return self._solvers[tau](rhs)
 
     def state(self, u0: np.ndarray) -> np.ndarray:

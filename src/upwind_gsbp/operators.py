@@ -38,6 +38,7 @@ __all__ = [
     "assemble_first_derivative",
     "cell_blocks",
     "d_minus_symbol",
+    "d2_symbol",
     "second_derivative_from",
     "verify_axioms",
     "interface_jumps",
@@ -86,24 +87,28 @@ class SecondDerivativeOperator:
     D2: sp.csr_matrix
 
 
-def cell_blocks(elem: ReferenceElement, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The interface-flux blocks (A11, A12, A21) of an interior cell of D-(theta).
+def cell_blocks(
+    elem: ReferenceElement, theta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The interface-flux blocks (A11, A12, A21, A11_first, A11_last) of D-(theta).
 
     Unscaled by the cell width; block row i of D-(theta) is 2/dx_i times
       diagonal    A11 = D - (1/2-theta) Minv L1 L1^T + (1/2+theta) Minv Lm Lm^T
       right block A12 = (1/2-theta) Minv L1 Lm^T
       left block  A21 = -(1/2+theta) Minv Lm L1^T
+    for an interior cell. The diagonal blocks of the bounded end cells drop
+    the flux term on their physical boundary side:
+      first cell  A11_first = D - (1/2-theta) Minv L1 L1^T
+      last cell   A11_last  = D + (1/2+theta) Minv Lm Lm^T
     """
     lm, l1 = elem.boundary_left, elem.boundary_right
     inv_w = 1.0 / elem.weights
-    a11 = (
-        elem.diff
-        - (0.5 - theta) * np.outer(inv_w * l1, l1)
-        + (0.5 + theta) * np.outer(inv_w * lm, lm)
-    )
+    right_flux = (0.5 - theta) * np.outer(inv_w * l1, l1)
+    left_flux = (0.5 + theta) * np.outer(inv_w * lm, lm)
+    a11_first = elem.diff - right_flux
     a12 = (0.5 - theta) * np.outer(inv_w * l1, lm)
     a21 = -(0.5 + theta) * np.outer(inv_w * lm, l1)
-    return a11, a12, a21
+    return a11_first + left_flux, a12, a21, a11_first, elem.diff + left_flux
 
 
 def d_minus_symbol(elem: ReferenceElement, theta: float, n_cells: int, dx: float) -> np.ndarray:
@@ -114,8 +119,13 @@ def d_minus_symbol(elem: ReferenceElement, theta: float, n_cells: int, dx: float
     cells of u, u_hat[k] = sum_i u[i] omega^(-k i), to symbol k times u_hat[k].
     """
     phase = np.exp(2j * np.pi * np.arange(n_cells // 2 + 1) / n_cells)[:, None, None]
-    a11, a12, a21 = cell_blocks(elem, theta)
+    a11, a12, a21 = cell_blocks(elem, theta)[:3]
     return (2.0 / dx) * (a11 + a12 * phase + a21 * phase.conj())
+
+
+def d2_symbol(elem: ReferenceElement, theta: float, n_cells: int, dx: float) -> np.ndarray:
+    """The symbols of periodic D2(theta) = D-(theta) D+(theta), with D+(theta) = D-(-theta)."""
+    return d_minus_symbol(elem, theta, n_cells, dx) @ d_minus_symbol(elem, -theta, n_cells, dx)
 
 
 def _first_derivative_matrix(
@@ -129,13 +139,13 @@ def _first_derivative_matrix(
     diagonal and right blocks side by side. Periodic assembly wraps A21/A12
     around, so the first and last block rows take their blocks in column
     order, and for K = 2 the right and the left block share a slot, summed in
-    that order. Bounded end cells drop the flux term on the physical boundary
-    side and pad the missing neighbor with zeros. ``cols`` depends only on K,
-    n and the topology.
+    that order. Bounded end cells take the end-cell diagonal blocks and pad
+    the missing neighbor with zeros. ``cols`` depends only on K, n and the
+    topology.
     """
     n = elem.n_nodes
     k_cells = mesh.n_cells
-    a11, a12, a21 = cell_blocks(elem, theta)
+    a11, a12, a21, a11_first, a11_last = cell_blocks(elem, theta)
 
     # blocks[i, r, s] is row r of the block in slot s of block row i
     blocks = np.empty((k_cells, n, 3, n))
@@ -146,10 +156,7 @@ def _first_derivative_matrix(
         block_cols %= k_cells
         block_cols[0], block_cols[-1] = block_cols[0, [1, 2, 0]], block_cols[-1, [2, 0, 1]]
     else:
-        lm, l1 = elem.boundary_left, elem.boundary_right
-        inv_w = 1.0 / elem.weights
-        blocks[0, :, 1] = elem.diff - (0.5 - theta) * np.outer(inv_w * l1, l1)
-        blocks[-1, :, 1] = elem.diff + (0.5 + theta) * np.outer(inv_w * lm, lm)
+        blocks[0, :, 1], blocks[-1, :, 1] = a11_first, a11_last
         blocks[0, :, 0] = blocks[-1, :, 2] = 0.0
         block_cols[0, 0], block_cols[-1, 2] = 0, k_cells - 1
     blocks *= (2.0 / mesh.widths)[:, None, None, None]

@@ -24,7 +24,7 @@ from .operators import (
     GlobalOperatorSet,
     SecondDerivativeOperator,
     assemble_first_derivative,
-    d_minus_symbol,
+    d2_symbol,
     second_derivative_from,
 )
 from .ref_element import ReferenceElement, build_lgl
@@ -206,18 +206,14 @@ def burgers_rhs(
     dissipation |u|_inf M^{-1} C u, with the infinity norm recomputed at every
     evaluation; theta_adv = 1/2 makes this the global Lax-Friedrichs variant
     and theta_adv = 0 the central one (C = 0). Implicit part: c D2(theta_diff),
-    with its symbol c D-_hat(theta_diff) D-_hat(-theta_diff) when the mesh is
-    uniform, on which the stage systems are solved.
+    with its symbol c ``d2_symbol`` when the mesh is uniform, on which the
+    stage systems are solved.
     """
     opset_adv, d2op = _periodic_pair(elem, mesh, theta_adv, theta_diff)
     l_symbol = None
     dx = mesh.widths[0]
     if np.all(mesh.widths == dx):
-        # D+(theta) = D-(-theta)
-        d_minus_hat, d_plus_hat = (
-            d_minus_symbol(elem, th, mesh.n_cells, dx) for th in (theta_diff, -theta_diff)
-        )
-        l_symbol = c * (d_minus_hat @ d_plus_hat)
+        l_symbol = c * d2_symbol(elem, theta_diff, mesh.n_cells, dx)
 
     d_avg = (0.5 * (opset_adv.D_plus + opset_adv.D_minus)).tocsr()
     c_mat = opset_adv.C

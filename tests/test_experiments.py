@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -216,12 +217,12 @@ def test_scan_many_orders_results_deterministically():
 def record_probes(monkeypatch):
     """Per integrate call of a scan: (tableau, engine, factorized taus, trace times)."""
     runs, built = [], []
-    real_factorize = imex._StagePieces.factorize
+    real_factorize = imex.ImexSplitProblem.factorize
     real_integrate = experiments.integrate
 
-    def factorize(pieces, tau):
+    def factorize(problem, tau):
         built.append(tau)
-        return real_factorize(pieces, tau)
+        return real_factorize(problem, tau)
 
     def recording(tableau, problem, *args, **kwargs):
         built.clear()
@@ -229,19 +230,25 @@ def record_probes(monkeypatch):
         runs.append((tableau, type(problem).__name__, list(built), [t for _, t, _ in trace.steps]))
         return u, trace
 
-    monkeypatch.setattr(imex._StagePieces, "factorize", factorize)
+    monkeypatch.setattr(imex.ImexSplitProblem, "factorize", factorize)
     monkeypatch.setattr(experiments, "integrate", recording)
     return runs
 
 
 def test_scan_builds_stage_pieces_once(monkeypatch):
-    # the tau-free parts of the stage systems belong to the problem, which
-    # every probe of a scan shares
+    # the tau-free parts of the stage systems (the sparsity pattern of
+    # M - M L and the values on it) belong to the problem, which every probe
+    # of a scan shares
     calls = []
-    real_init = imex._StagePieces.__init__
-    monkeypatch.setattr(
-        imex._StagePieces, "__init__", lambda self, *a: calls.append(a) or real_init(self, *a)
-    )
+    real_pattern = imex.ImexSplitProblem._pattern.func
+
+    def counted(problem):
+        calls.append(problem)
+        return real_pattern(problem)
+
+    pattern = cached_property(counted)
+    pattern.__set_name__(imex.ImexSplitProblem, "_pattern")
+    monkeypatch.setattr(imex.ImexSplitProblem, "_pattern", pattern)
     runs = record_probes(monkeypatch)
     max_stable_dt(scan_cfg(1, 0.5, 0.0, degree=3, n_cells=20))
     assert sum(engine == "ImexSplitProblem" for _, engine, _, _ in runs) > 1

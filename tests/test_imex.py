@@ -222,9 +222,9 @@ def test_inexact_stage_solve_is_refined(small_advdiff, monkeypatch):
     # x0 = (1 + 1e-8) x: one refinement leaves an error of 1e-16 relative
     _, disc, problem = small_advdiff
     rhs = np.sin(disc.nodes)
-    exact, _ = problem.stage_pieces.factorize(0.3)(rhs)
+    exact, _ = problem.factorize(0.3)(rhs)
     calls = _splu_off_by(monkeypatch, 1e-8)
-    x, l_x = problem.stage_pieces.factorize(0.3)(rhs)
+    x, l_x = problem.factorize(0.3)(rhs)
     assert len(calls) == 2
     assert np.linalg.norm(x - exact) <= SOLVE_RTOL * np.linalg.norm(exact)
     assert np.linalg.norm(rhs - (x - 0.3 * l_x)) <= SOLVE_RTOL * np.linalg.norm(rhs)
@@ -235,7 +235,7 @@ def test_stalled_stage_refinement_raises(small_advdiff, monkeypatch):
     # x0 = 1.5 x: each refinement only halves the error, so five leave 2^-6
     _, disc, problem = small_advdiff
     calls = _splu_off_by(monkeypatch, 0.5)
-    solve = problem.stage_pieces.factorize(0.3)
+    solve = problem.factorize(0.3)
     with pytest.raises(SolverFailure, match=r"residual stalled at \S+ relative"):
         solve(np.sin(disc.nodes))
     assert len(calls) == 6
@@ -274,8 +274,8 @@ def test_symbol_stage_solve_matches_superlu(pair, degree, n_cells):
     sparse = replace(problem, l_symbol=None)
     rhs = np.random.default_rng(n_cells).standard_normal(problem.dim)
     for tau in [dt * g for dt in (0.02, 0.1) for g in TABLEAU_DIAGONALS]:
-        x, l_x = problem.stage_pieces.factorize(tau)(rhs)
-        expected, _ = sparse.stage_pieces.factorize(tau)(rhs)
+        x, l_x = problem.factorize(tau)(rhs)
+        expected, _ = sparse.factorize(tau)(rhs)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
         for solution in (x, expected):
             assert relative_residual(problem, tau, rhs, solution) <= SOLVE_RTOL
@@ -289,12 +289,12 @@ def test_singular_symbol_block_raises():
     symbol[0] = 2.0 * np.eye(3)
     singular = replace(problem, l_symbol=symbol)
     with pytest.raises(SolverFailure, match="stage symbol inversion failed"):
-        singular.stage_pieces.factorize(0.5)
+        singular.factorize(0.5)
 
 
 def test_symbol_stage_solve_negative_tau_rejected():
     with pytest.raises(ValueError, match="tau must be >= 0"):
-        burgers_problem(20).stage_pieces.factorize(-0.1)
+        burgers_problem(20).factorize(-0.1)
 
 
 # ------------------------------------------------- PDE one-step identities
@@ -511,7 +511,7 @@ def test_pattern_filled_stage_matrix_is_bit_identical(pair, degree, n_cells):
     taus = sorted({h * g for h in steps for g in diagonals + [1.0] if g != 0.0})
     rhs = np.random.default_rng(3).standard_normal(problem.dim)
     for tau in taus:
-        got = problem.stage_pieces.system(tau)
+        got = problem.system(tau)
         expected = reference_stage_matrix(problem.l_implicit, problem.m_diag, tau)
         assert_same_system(got, expected)
         np.testing.assert_array_equal(spla.splu(got).solve(rhs), spla.splu(expected).solve(rhs))
@@ -523,7 +523,7 @@ def test_pattern_filled_burgers_stage_matrix_is_bit_identical():
     rhs = np.random.default_rng(4).standard_normal(problem.dim)
     for h in scan_step_sizes(0.02, 20.0) + [0.1]:
         for tau in (h * gamma, h):
-            got = problem.stage_pieces.system(tau)
+            got = problem.system(tau)
             expected = reference_stage_matrix(problem.l_implicit, problem.m_diag, tau)
             assert_same_system(got, expected)
             np.testing.assert_array_equal(spla.splu(got).solve(rhs), spla.splu(expected).solve(rhs))
@@ -535,10 +535,10 @@ def test_pattern_filled_matrix_drops_exact_cancellations():
     problem = ImexSplitProblem(4, zero_f, lmat, np.array([0.3, 0.7, 1.1, 0.2]))
     expected = reference_stage_matrix(lmat, problem.m_diag, 0.5)
     assert expected.nnz == 5
-    assert_same_system(problem.stage_pieces.system(0.5), expected)
+    assert_same_system(problem.system(0.5), expected)
     # the pattern survives the fill it was copied into
     assert_same_system(
-        problem.stage_pieces.system(0.25), reference_stage_matrix(lmat, problem.m_diag, 0.25)
+        problem.system(0.25), reference_stage_matrix(lmat, problem.m_diag, 0.25)
     )
 
 
