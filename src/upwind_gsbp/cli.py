@@ -120,9 +120,7 @@ _SCAN_THETA_ADV = (
     "a scan needs theta_adv in [0, 1/2]: D-(theta_adv) fails the dissipation axiom below 0",
 )
 
-# In ``to_text`` order, which is also the order the domains are checked in. A
-# file may give the single pair as the two keys theta_adv and theta_diff
-# instead of pairs; they have no flag and no field.
+# In ``to_text`` order, which is also the order the domains are checked in.
 _KEYS = (
     _Key("a", "a", 0.1, _parse_float, repr, 3,
          "--a", dict(help="advective velocity"),
@@ -155,12 +153,6 @@ _KEYS = (
     _Key("solution", "solution", "decay", _parse_text, str, 13,
          "--solution", dict(metavar="{decay,growth}"),
          (lambda kind: kind in ("decay", "growth"), "must be decay or growth")),
-    _Key("tau_lo", "tau_lo", experiments.DEFAULT_TAU_LO, _parse_float, repr, 14,
-         "--tau-lo", dict(help="scan bracket lower tau"), _POSITIVE),
-    _Key("tau_cap", "tau_cap", experiments.DEFAULT_TAU_CAP, _parse_float, repr, 15,
-         "--tau-cap", dict(help="scan cap tau")),
-    _Key("resolution", "resolution", experiments.DEFAULT_RESOLUTION, _parse_float, repr, 16,
-         "--resolution", dict(help="scan bisection resolution"), _POSITIVE),
     _Key("out", "out", "out", _parse_text, str, 0,
          "--out", dict(help="output directory")),
     _Key("workers", "workers", 1, _parse_int, str, 1,
@@ -168,8 +160,7 @@ _KEYS = (
          (lambda workers: workers >= 1, "must be >= 1")),
 )
 
-_PAIR_KEYS = ("theta_adv", "theta_diff")
-_FILE_KEYS = {*_PAIR_KEYS, *(key.name for key in _KEYS)}
+_FILE_KEYS = {key.name for key in _KEYS}
 # the number of value tokens each flag takes: --pair two, every other flag one
 _FLAG_WIDTHS = {
     "--config": 1,
@@ -241,7 +232,7 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
     Each given key is parsed once by its _KEYS row; a key left unset takes the
     subcommand's run default, else its row's default; a given dt drops mu's run
     default. A given key that the subcommand does not read is an error, and so
-    are dt given with mu and pairs given with theta_adv and theta_diff.
+    is dt given with mu.
     """
     command = _COMMANDS[subcommand]
     values = dict(command.defaults)
@@ -250,12 +241,6 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
     for key in _KEYS:
         if key.name in texts:
             values[key.name] = key.parse(key.name, texts[key.name])
-    if any(name in texts for name in _PAIR_KEYS):
-        if "pairs" in texts:
-            raise ConfigError("give pairs or theta_adv and theta_diff, not both")
-        if not all(name in texts for name in _PAIR_KEYS):
-            raise ConfigError("theta_adv and theta_diff must be given together")
-        values["pairs"] = (tuple(_parse_float(name, texts[name]) for name in _PAIR_KEYS),)
 
     fields = {key.attr: _plus_zero(values[key.name]) for key in _KEYS if key.name in values}
     cfg = RunConfig(subcommand, **fields)
@@ -275,14 +260,12 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
     for pair in cfg.pairs:
         _check("theta_adv", _SCAN_THETA_ADV if subcommand == "scan" else _THETA, pair[0])
         _check("theta_diff", _THETA, pair[1])
-    if not cfg.tau_cap > cfg.tau_lo:
-        raise ConfigError(f"key 'tau_cap': must be > tau_lo = {cfg.tau_lo}, got {cfg.tau_cap}")
     if cfg.solution == "growth" and "a" not in texts:
         cfg = replace(cfg, a=1.0)
     elif cfg.solution == "growth" and cfg.a != 1.0:
         raise ConfigError("the growth solution requires a = 1")
     for name in texts:
-        if ("pairs" if name in _PAIR_KEYS else name) not in command.reads:
+        if name not in command.reads:
             raise ConfigError(f"key {name!r}: {subcommand} does not read it")
     if "dt" in texts and "mu" in texts:
         raise ConfigError("keys 'dt' and 'mu' are exclusive: give the time step or its rule")
@@ -343,8 +326,6 @@ def _cmd_scan(cfg: RunConfig) -> int:
         for pair in cfg.pairs
     ]
 
-    scale = cfg.c / cfg.a**2
-
     def progress(done, total, res):
         print(
             f"scan {done}/{total}: order={res.config.order} N={res.config.cfg.degree} "
@@ -353,13 +334,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
             flush=True,
         )
 
-    results = experiments.scan_many(
-        scan_cfgs,
-        bracket=(cfg.tau_lo * scale, cfg.tau_cap * scale),
-        resolution=cfg.resolution,
-        workers=cfg.workers,
-        progress=progress,
-    )
+    results = experiments.scan_many(scan_cfgs, workers=cfg.workers, progress=progress)
     _write_lines(out / "stability.csv", experiments.stability_csv_lines(results))
     return EXIT_OK
 
@@ -396,11 +371,19 @@ def _cmd_solve(cfg: RunConfig) -> int:
     dt = cfg.dt if cfg.dt is not None else cfg.mu * disc.dx_max
     u0 = initial_condition(solution, disc.mesh, disc.elem)
     tableau = tableau_by_name(order)
-    u_final, trace = integrate(tableau, problem, u0, dt, cfg.t_final)
+    # as for a sourced convergence run: the growth solution's energy rises legitimately
+    monitor = experiments.EnergyMonitor(
+        max(problem.energy(u0), 1.0), blowup_factor=experiments.BLOWUP_FACTOR
+    )
+    u_final, trace = integrate(tableau, problem, u0, dt, cfg.t_final, observer=monitor)
+    trace.to_csv(out / "energy.csv")
+    summary = f"solve: K={n_cells} N={degree} dt={dt:g} T={cfg.t_final:g}"
+    if monitor.grew:
+        print(f"{summary} blow-up detected at t={trace.steps[-1][1]:g}")
+        return EXIT_OK
     error = l2_error(u_final, solution, cfg.t_final, disc.nodes, disc.m_diag)
     _write_snapshot(out / f"solution_t{cfg.t_final:g}.csv", disc.nodes, u_final)
-    trace.to_csv(out / "energy.csv")
-    print(f"solve: K={n_cells} N={degree} dt={dt:g} T={cfg.t_final:g} l2_error={error:.6e}")
+    print(f"{summary} l2_error={error:.6e}")
     return EXIT_OK
 
 
@@ -454,8 +437,8 @@ _COMMANDS = {
         reads=("N", "K", "theta", "out"), defaults={"K": (4, 20)}, one_value=()),
     "scan": _Command(
         _cmd_scan, "maximum stable time step scans",
-        reads=("a", "c", "N", "K", "pairs", "order", "horizon", "tau_lo", "tau_cap", "resolution",
-               "out", "workers"), defaults={}, one_value=()),
+        reads=("a", "c", "N", "K", "pairs", "order", "horizon", "out", "workers"),
+        defaults={}, one_value=()),
     "converge": _Command(
         _cmd_converge, "convergence/EOC study",
         reads=("a", "c", "N", "K", "pairs", "order", "T", "mu", "solution", "out"),
@@ -487,8 +470,6 @@ def dispatch(cfg: RunConfig) -> int:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The RunConfig of parsed arguments: each given flag's text laid over ``--config``'s."""
     texts = parse_config(args.config) if args.config is not None else {}
-    if args.pair is not None:  # the flag replaces the file's pair in either form
-        texts = {name: text for name, text in texts.items() if name not in _PAIR_KEYS}
     for key in _KEYS:
         value = getattr(args, key.dest)
         if value is not None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,7 +75,8 @@ CERTIFIED_GROWTH = ENERGY_GROWTH_RTOL / 5
 DEFAULT_HORIZON = 100.0
 DEFAULT_TAU_LO = 1e-2
 DEFAULT_TAU_CAP = 1e4
-DEFAULT_RESOLUTION = 1e-3
+# the bisection stops once its bracket's ends are within this relative distance
+RESOLUTION = 1e-3
 TAU_FLOOR = 1e-8
 # a sourced run is declared unstable once its energy exceeds this multiple
 # of the initial energy (the solution itself grows only modestly)
@@ -192,11 +192,9 @@ class _ProbeContext:
 
 
 def max_stable_dt(
-    scan_cfg: ScanConfig,
-    bracket: Optional[tuple[float, float]] = None,
-    resolution: float = DEFAULT_RESOLUTION,
+    scan_cfg: ScanConfig, bracket: Optional[tuple[float, float]] = None
 ) -> StabilityScanResult:
-    """Scan for the largest stable time step by doubling plus bisection.
+    """Scan for the largest stable time step by doubling, then bisection to RESOLUTION.
 
     ``bracket`` holds (dt_lo, dt_cap); when omitted, tau in
     [DEFAULT_TAU_LO, DEFAULT_TAU_CAP] is used. An unstable lower bound is
@@ -249,10 +247,8 @@ def max_stable_dt(
         result.tau = dt_cap / scale
         return result
 
-    while hi / lo > 1.0 + resolution:
+    while hi / lo > 1.0 + RESOLUTION:
         mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats
-            break
         if probe(mid) == STABLE:
             lo = mid
         else:
@@ -263,14 +259,9 @@ def max_stable_dt(
 
 
 def scan_many(
-    scan_cfgs: Sequence[ScanConfig],
-    bracket: Optional[tuple[float, float]] = None,
-    resolution: float = DEFAULT_RESOLUTION,
-    workers: int = 1,
-    progress=None,
+    scan_cfgs: Sequence[ScanConfig], workers: int = 1, progress=None
 ) -> list[StabilityScanResult]:
-    """Run independent scans, merging results in input order."""
-    scan = partial(max_stable_dt, bracket=bracket, resolution=resolution)
+    """Run independent scans over the default bracket, merging results in input order."""
     results: list[StabilityScanResult] = []
     executor = nullcontext()
     if workers > 1:
@@ -279,7 +270,8 @@ def scan_many(
 
         executor = ProcessPoolExecutor(max_workers=workers)
     with executor as pool:
-        for res in (pool.map if pool else map)(scan, scan_cfgs):
+        # the module's max_stable_dt as it is at call time, so that a wrapper set there runs
+        for res in (pool.map if pool else map)(max_stable_dt, scan_cfgs):
             results.append(res)
             if progress is not None:
                 progress(len(results), len(scan_cfgs), res)

@@ -206,14 +206,17 @@ def burgers_rhs(
     dissipation |u|_inf M^{-1} C u, with the infinity norm recomputed at every
     evaluation; theta_adv = 1/2 makes this the global Lax-Friedrichs variant
     and theta_adv = 0 the central one (C = 0). Implicit part: c D2(theta_diff),
-    with its symbol c ``d2_symbol`` when the mesh is uniform, on which the
-    stage systems are solved.
+    with its symbol c ``d2_symbol``, on which the stage systems are solved.
+
+    Raises:
+        ValueError: if the mesh is not uniform: L is then not block-circulant
+            and has no symbol.
     """
-    opset_adv, d2op = _periodic_pair(elem, mesh, theta_adv, theta_diff)
-    l_symbol = None
     dx = mesh.widths[0]
-    if np.all(mesh.widths == dx):
-        l_symbol = c * d2_symbol(elem, theta_diff, mesh.n_cells, dx)
+    if not np.all(mesh.widths == dx):
+        raise ValueError("burgers_rhs needs a uniform mesh: its stage systems are solved "
+                         "on the symbol of L")
+    opset_adv, d2op = _periodic_pair(elem, mesh, theta_adv, theta_diff)
 
     d_avg = (0.5 * (opset_adv.D_plus + opset_adv.D_minus)).tocsr()
     c_mat = opset_adv.C
@@ -231,5 +234,5 @@ def burgers_rhs(
         f_explicit=f_explicit,
         l_implicit=(c * d2op.D2).tocsr(),
         m_diag=opset_adv.m_diag,
-        l_symbol=l_symbol,
+        l_symbol=c * d2_symbol(elem, theta_diff, mesh.n_cells, dx),
     )

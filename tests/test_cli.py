@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from upwind_gsbp.cli import (
     main,
     parse_config,
 )
+from upwind_gsbp.experiments import BLOWUP_FACTOR
 from upwind_gsbp.mesh import physical_nodes, uniform_mesh
 from upwind_gsbp.operators import verify_axioms
 from upwind_gsbp.ref_element import build_lgl
@@ -29,9 +31,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 def test_parse_config_happy_path(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\na = 0.2\nK = 20,40\n\ntheta_adv = 0.5\ntheta_diff = 0\n")
+    path.write_text("# comment\na = 0.2\nK = 20,40\n\npairs = 0.5,0\n")
     values = parse_config(path)
-    assert values == {"a": "0.2", "K": "20,40", "theta_adv": "0.5", "theta_diff": "0"}
+    assert values == {"a": "0.2", "K": "20,40", "pairs": "0.5,0"}
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -68,7 +70,7 @@ def test_empty_file_scan_defaults(tmp_path):
 
 def test_theta_range_rejected():
     with pytest.raises(ConfigError, match="theta"):
-        build_run_config("scan", {"theta_adv": "0.7", "theta_diff": "0"})
+        build_run_config("scan", {"pairs": "0.7,0"})
 
 
 def test_scan_rejects_a_downwind_advection_pair(tmp_path, capsys):
@@ -126,9 +128,6 @@ KEY_SAMPLES = {
     "dt": ("0.01", ["0.01"]),
     "mu": ("2", ["2"]),
     "solution": ("growth", ["growth"]),
-    "tau_lo": ("0.125", ["0.125"]),
-    "tau_cap": ("64", ["64"]),
-    "resolution": ("0.01", ["0.01"]),
     "out": ("elsewhere", ["elsewhere"]),
     "workers": ("2", ["2"]),
 }
@@ -188,15 +187,26 @@ def test_unreadable_config_is_a_config_error(tmp_path, monkeypatch, capsys, conf
 
 
 def test_pairs_with_theta_keys_is_a_config_error(tmp_path, capsys):
-    texts = {"pairs": "0,0", "theta_adv": "0.5", "theta_diff": "0.5"}
-    with pytest.raises(ConfigError, match="not both"):
-        build_run_config("solve", texts)
+    # pairs is the one key of a flux pair: theta_adv and theta_diff are unknown
     path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{key} = {value}\n" for key, value in texts.items()))
+    path.write_text("pairs = 0,0\ntheta_adv = 0.5\ntheta_diff = 0.5\n")
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
-        "config error: give pairs or theta_adv and theta_diff, not both\n"
-    )
+    assert capsys.readouterr().err == f"config error: {path}:2: unknown key 'theta_adv'\n"
+    assert not (tmp_path / "out").exists()
+
+
+# none of these is a key: the scan bracket and its resolution are constants
+# (DEFAULT_TAU_LO, DEFAULT_TAU_CAP, RESOLUTION), and pairs is the one key of a pair
+@pytest.mark.parametrize("key", ["tau_lo", "tau_cap", "resolution", "theta_adv", "theta_diff"])
+def test_removed_key_exits_2_as_flag_and_as_file_line(tmp_path, capsys, key):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--" + key.replace("_", "-"), "0.5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = 0.5\n")
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}:1: unknown key {key!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -230,13 +240,6 @@ def test_flag_in_place_of_a_value_is_not_read_as_one(tmp_path, capsys):
     assert exc.value.code == 2
     assert "argument --a: expected one argument" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_pair_flag_replaces_theta_keys_of_the_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("theta_adv = 0.5\ntheta_diff = 0.5\n")
-    args = cli._parser().parse_args(["solve", "--config", str(path), "--pair", "0", "0.25"])
-    assert cli._config_from_args(args).pairs == ((0.0, 0.25),)
 
 
 def test_solve_takes_dt_or_mu_not_both(tmp_path, capsys):
@@ -273,9 +276,8 @@ def test_subcommand_key_is_unknown(tmp_path, capsys):
         ("scan", ["--T", "1"], "key 'T': scan does not read it"),
         ("solve", ["--theta", "0"], "key 'theta': solve does not read it"),
         ("burgers", "a = 0.1\n", "key 'a': burgers does not read it"),
-        ("verify", "theta_adv = 0\ntheta_diff = 0\n", "key 'theta_adv': verify does not read it"),
     ],
-    ids=["verify-dt", "scan-T", "solve-theta", "burgers-a", "verify-theta_adv"],
+    ids=["verify-dt", "scan-T", "solve-theta", "burgers-a"],
 )
 def test_key_the_subcommand_does_not_read_is_a_config_error(tmp_path, capsys, sub, given, message):
     if isinstance(given, str):
@@ -321,7 +323,7 @@ def test_scan_subcommand_and_determinism(tmp_path):
 def test_scan_plus_marker(tmp_path):
     rc = main([
         "scan", "--order", "1", "--N", "1", "--K", "20",
-        "--pair", "0.5", "0.5", "--tau-lo", "1.0", "--out", str(tmp_path),
+        "--pair", "0.5", "0.5", "--out", str(tmp_path),
     ])
     assert rc == 0
     lines = (tmp_path / "stability.csv").read_text().splitlines()
@@ -350,6 +352,26 @@ def test_solve_subcommand(tmp_path, capsys):
     assert (tmp_path / "energy.csv").read_text().startswith("step,t,energy")
 
 
+# The incompatible pair far above its threshold: the energy passes
+# BLOWUP_FACTOR times its start at step 7 (t = 35), so the run stops long
+# before any value overflows, and a longer T changes nothing.
+@pytest.mark.parametrize("t_final", ["200", "2000"])
+def test_solve_reports_a_blow_up(tmp_path, capsys, t_final):
+    argv = ["solve", "--pair", "0.5", "0", "--K", "80", "--N", "3", "--dt", "5", "--T", t_final]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"solve: K=80 N=3 dt=5 T={t_final} blow-up detected at t=35\n"
+    assert captured.err == ""
+    header, *rows = (tmp_path / "energy.csv").read_text().splitlines()
+    assert header == "step,t,energy"
+    assert [row.split(",")[0] for row in rows] == [str(k) for k in range(8)]
+    energies = [float(row.split(",")[2]) for row in rows]
+    assert energies[-1] > BLOWUP_FACTOR * energies[0] > max(energies[:-1])
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["energy.csv"]
+
+
 def test_burgers_subcommand(tmp_path, capsys):
     rc = main([
         "burgers", "--pair", "0.5", "0", "--K", "100", "--out", str(tmp_path),
@@ -374,30 +396,6 @@ def test_bad_flag_value_exits_with_config_error(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize(
-    "values,key",
-    [
-        ({"tau_lo": "0"}, "tau_lo"),
-        ({"tau_lo": "-1"}, "tau_lo"),
-        ({"tau_lo": "nan"}, "tau_lo"),
-        ({"tau_lo": "10", "tau_cap": "10"}, "tau_cap"),
-        ({"tau_lo": "10", "tau_cap": "1"}, "tau_cap"),
-        ({"resolution": "0"}, "resolution"),
-        ({"resolution": "-1e-3"}, "resolution"),
-    ],
-)
-def test_scan_bracket_rejected(values, key):
-    # out of domain: a resolution <= 0 is rejected, although the bisection
-    # itself would end once lo and hi are adjacent floats
-    with pytest.raises(ConfigError, match=f"'{key}'"):
-        build_run_config("scan", values)
-
-
-def test_scan_bracket_flags_exit_with_config_error(tmp_path):
-    for flags in (["--tau-lo", "0"], ["--resolution", "0"], ["--tau-cap", "1e-3"]):
-        assert main(["scan", "--K", "4", *flags, "--out", str(tmp_path)]) == 2
-
-
 def test_unparsable_integer_in_config_file_is_a_config_error(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("workers = two\n")
@@ -415,7 +413,7 @@ def test_empty_list_key_is_a_config_error(tmp_path, capsys, sub, key):
     assert not (tmp_path / "out").exists()
 
 
-FINITE_KEYS = ["a", "c", "horizon", "T", "dt", "mu", "tau_lo", "tau_cap", "resolution"]
+FINITE_KEYS = ["a", "c", "horizon", "T", "dt", "mu"]
 
 
 @pytest.mark.parametrize("given_as", ["flag", "file"])
@@ -445,9 +443,6 @@ DOMAIN_VIOLATIONS = {
     "pairs_adv": (["--pair", "0.7", "0"], "key 'theta_adv': theta must lie in [-1/2, 1/2], got 0.7"),
     "pairs_diff": ("pairs = 0,0;0.25,-0.75\n",
                    "key 'theta_diff': theta must lie in [-1/2, 1/2], got -0.75"),
-    "theta_adv": ("theta_adv = 0.6\ntheta_diff = 0\n",
-                  "key 'theta_adv': theta must lie in [-1/2, 1/2], got 0.6"),
-    "lone_theta_adv": ("theta_adv = 0.25\n", "theta_adv and theta_diff must be given together"),
     "theta": (["--theta", "0,0.7"], "key 'theta': theta must lie in [-1/2, 1/2], got 0.7"),
     "order": (["--order", "4"], "key 'order': order must be 1, 2 or 3, got 4"),
     "horizon": (["--horizon", "0"], "key 'horizon': must be > 0, got 0.0"),
@@ -456,10 +451,6 @@ DOMAIN_VIOLATIONS = {
     "mu": (["--mu", "-2"], "key 'mu': must be > 0, got -2.0"),
     "solution": ("solution = steady\n", "key 'solution': must be decay or growth, got 'steady'"),
     "growth": ("solution = growth\na = 0.5\n", "the growth solution requires a = 1"),
-    "tau_lo": (["--tau-lo", "-1"], "key 'tau_lo': must be > 0, got -1.0"),
-    "tau_cap": (["--tau-lo", "10", "--tau-cap", "1"],
-                "key 'tau_cap': must be > tau_lo = 10.0, got 1.0"),
-    "resolution": (["--resolution", "0"], "key 'resolution': must be > 0, got 0.0"),
     "workers": (["--workers", "0"], "key 'workers': must be >= 1, got 0"),
 }
 
@@ -586,13 +577,6 @@ def test_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, monkeypatch,
     assert calls == []
     err = capsys.readouterr().err
     assert "key 'out'" in err and "Traceback" not in err
-
-
-def test_scan_ends_at_resolution_below_float_spacing(tmp_path):
-    argv = ["--order", "2", "--N", "1", "--K", "20", "--pair", "0.5", "0.5"]
-    assert main(["scan", *argv, "--resolution", "1e-17", "--out", str(tmp_path)]) == 0
-    rows = (tmp_path / "stability.csv").read_text().splitlines()
-    assert rows[1].startswith("2,1,20,0.1,0.1,0.5,0.5,2.4")
 
 
 def test_empty_list_flag_is_a_config_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from upwind_gsbp import problems
 from upwind_gsbp.imex import integrate, tableau_imex2
-from upwind_gsbp.mesh import physical_nodes, uniform_mesh
+from upwind_gsbp.mesh import Mesh1D, physical_nodes, uniform_mesh
 from upwind_gsbp.operators import second_derivative_from
 from upwind_gsbp.problems import (
     AdvDiffConfig,
@@ -228,6 +228,17 @@ def burgers_problem():
     mesh = uniform_mesh(-np.pi, np.pi, 20)
     problem = burgers_rhs(elem, mesh, 0.5, 0.0, c=0.1)
     return problem, physical_nodes(mesh, elem)
+
+
+def test_burgers_rhs_refuses_a_non_uniform_mesh():
+    # its stage systems are solved on the symbol of L, which only a uniform mesh has
+    elem = build_lgl(2)
+    mesh = uniform_mesh(-np.pi, np.pi, 8)
+    assert burgers_rhs(elem, mesh, 0.5, 0.0, c=0.1).l_symbol.shape == (5, 3, 3)
+    widths = mesh.widths * np.array([0.5, 1.5] * 4)
+    graded = Mesh1D(-np.pi, np.pi, widths)
+    with pytest.raises(ValueError, match="uniform mesh"):
+        burgers_rhs(elem, graded, 0.5, 0.0, c=0.1)
 
 
 def test_burgers_constant_state_is_stationary(burgers_problem):
