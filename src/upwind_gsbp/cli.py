@@ -407,15 +407,11 @@ def _cmd_burgers(cfg: RunConfig) -> int:
             _write_snapshot(out / f"burgers_{tag}_t{cfg.t_final:g}.csv", res.nodes, res.u_final)
         EnergyTrace(res.energy).to_csv(out / f"burgers_energy_{tag}.csv")
         if res.blew_up:
-            summary.append(
-                f"{res.n_cells},{theta_adv:g},{theta_diff:g},blowup,{res.blowup_time:.6e}"
-            )
-            print(f"burgers K={res.n_cells}: blow-up detected at t={res.blowup_time:g}")
+            outcome, time, said = "blowup", res.blowup_time, "blow-up detected at t"
         else:
-            summary.append(
-                f"{res.n_cells},{theta_adv:g},{theta_diff:g},completed,{res.final_time:.6e}"
-            )
-            print(f"burgers K={res.n_cells}: completed T={res.final_time:g}")
+            outcome, time, said = "completed", res.final_time, "completed T"
+        summary.append(f"{res.n_cells},{theta_adv:g},{theta_diff:g},{outcome},{time:.6e}")
+        print(f"burgers K={res.n_cells}: {said}={time:g}")
     _write_lines(out / "burgers_summary.csv", summary)
     return EXIT_OK
 

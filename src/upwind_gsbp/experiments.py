@@ -332,8 +332,6 @@ def run_convergence(
         error: Optional[float] = None
         if not unstable:
             error = l2_error(u_final, solution, t_final, disc.nodes, disc.m_diag)
-            if not np.isfinite(error):
-                error = None
 
         eoc = None
         if error is not None and prev_error is not None and error > 0:
@@ -384,30 +382,20 @@ def run_burgers_demo(
         problem = burgers_rhs(elem, msh, theta_adv, theta_diff, c)
         nodes = physical_nodes(msh, elem)
         u0 = np.sin(nodes)
-        e0 = problem.energy(u0)
-        monitor = EnergyMonitor(e0, blowup_factor=BURGERS_BLOWUP_FACTOR)
-        # kept here, not from the returned trace, so a failed solve keeps them
-        energy_rows = [(0, 0.0, e0)]
-
-        def observer(k, t, energy):
-            energy_rows.append((k, t, energy))
-            return monitor(k, t, energy)
-
-        blowup_time = None
+        monitor = EnergyMonitor(problem.energy(u0), blowup_factor=BURGERS_BLOWUP_FACTOR)
         try:
-            u, _ = integrate(tableau, problem, u0, dt, t_final, observer=observer)
-        except SolverFailure:
-            blowup_time = list(step_times(dt, t_final))[len(energy_rows) - 1][1]
-        if monitor.grew:
-            blowup_time = energy_rows[-1][1]
+            u, trace = integrate(tableau, problem, u0, dt, t_final, observer=monitor)
+            blowup_time = trace.steps[-1][1] if monitor.grew else None
+        except SolverFailure as exc:
+            trace, blowup_time = exc.trace, exc.time
         results.append(
             BurgersRunResult(
                 n_cells=n_cells,
                 blowup_time=blowup_time,
-                final_time=energy_rows[-1][1],
+                final_time=trace.steps[-1][1],
                 nodes=nodes,
                 u_final=u if blowup_time is None else None,
-                energy=energy_rows,
+                energy=trace.steps,
             )
         )
     return results

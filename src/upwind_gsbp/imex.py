@@ -50,7 +50,15 @@ SOLVE_RTOL = 1e-12
 
 
 class SolverFailure(RuntimeError):
-    """Implicit stage system failed to factorize or to reach the residual tolerance."""
+    """Implicit stage system failed to factorize or to reach the residual tolerance.
+
+    Raised out of ``integrate``, it carries the run's ``trace`` through the
+    last completed step and the failed step's end ``time``; raised outside a
+    run, both are None.
+    """
+
+    trace: Optional[EnergyTrace] = None
+    time: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -499,7 +507,9 @@ def integrate(
     returns a session with the interface of ``Stepper``. The observer is
     called after every step with (step index, time, squared M-norm);
     returning True halts the integration early. ``step_times`` rejects a
-    dt or t_final it cannot step with ValueError before the first step.
+    dt or t_final it cannot step with ValueError before the first step. A
+    step whose stage solve fails re-raises its ``SolverFailure`` with the
+    trace so far and that step's end time set.
     """
     stepper = problem.stepper(tableau)
     advance, energy_of = stepper.advance, stepper.energy
@@ -507,7 +517,11 @@ def integrate(
     trace = EnergyTrace([(0, 0.0, energy_of(u))])
     append = trace.steps.append
     for k, (t, t_next) in enumerate(step_times(dt, t_final), start=1):
-        u = advance(u, t_next - t, t)
+        try:
+            u = advance(u, t_next - t, t)
+        except SolverFailure as exc:
+            exc.trace, exc.time = trace, t_next
+            raise
         energy = energy_of(u)
         append((k, t_next, energy))
         if observer is not None and observer(k, t_next, energy):

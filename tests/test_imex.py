@@ -637,6 +637,44 @@ def test_integrate_observer_early_stop():
     assert len(trace.steps) == 4
 
 
+@pytest.mark.parametrize("k", [1, 7])
+def test_failed_step_carries_trace_and_time_out_of_integrate(small_advdiff, monkeypatch, k):
+    # every stage solve of step k fails: the failure carries the run's rows
+    # 0..k-1 and step k's t_next
+    _, disc, problem = small_advdiff
+    tableau, u0, dt, t_final = tableau_imex2(), np.sin(disc.nodes), 0.1, 2.0
+    _, full = integrate(tableau, problem, u0, dt, t_final)
+    solves_per_step = int(np.count_nonzero(np.diag(tableau.a_implicit)))
+    calls = [0]
+    real_solve = Stepper.solve
+
+    def failing(self, tau, rhs):
+        calls[0] += 1
+        if calls[0] > (k - 1) * solves_per_step:
+            raise SolverFailure("injected")
+        return real_solve(self, tau, rhs)
+
+    monkeypatch.setattr(Stepper, "solve", failing)
+    with pytest.raises(SolverFailure, match="injected") as info:
+        integrate(tableau, problem, u0, dt, t_final)
+    assert [row[0] for row in info.value.trace.steps] == list(range(k))
+    assert info.value.trace.steps == full.steps[:k]
+    assert info.value.time == list(step_times(dt, t_final))[k - 1][1]
+
+
+def test_failure_outside_a_run_carries_no_trace():
+    # tau L = I makes each stage system vanish, as in the singular tests above
+    singular_symbol = np.zeros((3, 3, 3)) + 2.0 * np.eye(3)
+    failing = [
+        lambda: solve_implicit_stage(2.0 * sp.identity(4), 0.5, np.ones(4), np.ones(4)),
+        lambda: replace(burgers_problem(4), l_symbol=singular_symbol).factorize(0.5),
+    ]
+    for fail in failing:
+        with pytest.raises(SolverFailure) as info:
+            fail()
+        assert (info.value.trace, info.value.time) == (None, None)
+
+
 def test_pure_diffusion_energy_decay():
     cfg = AdvDiffConfig(0.1, 0.1, 0.0, 0.0, 2, 10)
     disc = discretize(cfg)
