@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fourier import FourierEngine
-from .imex import SolverFailure, integrate, step_times, tableau_by_name
+from .imex import SolverFailure, integrate, tableau_by_name
 from .mesh import physical_nodes, uniform_mesh
 from .problems import (
     DOMAIN,
@@ -176,14 +176,14 @@ class _ProbeContext:
         self.problem = make_split_problem(disc)
         self.u0 = initial_condition(solution, disc.mesh, disc.elem)
         self.tableau = tableau_by_name(scan_cfg.order)
-        self.fourier = FourierEngine(cfg, disc.elem, self.tableau, 1.0 + CERTIFIED_GROWTH)
+        self.fourier = FourierEngine(disc, self.tableau, 1.0 + CERTIFIED_GROWTH)
 
     def probe(self, dt: float) -> str:
         """STABLE iff the decay-problem energy is non-increasing at every step."""
         monitor = EnergyMonitor(self.problem.energy(self.u0), growth_rtol=ENERGY_GROWTH_RTOL)
         horizon = self.scan_cfg.horizon
         try:
-            fourier = self.fourier.problem(t_next - t for t, t_next in step_times(dt, horizon))
+            fourier = self.fourier.problem(dt, horizon)
             problem = self.problem if fourier is None else fourier
             integrate(self.tableau, problem, self.u0, dt, horizon, observer=monitor)
         except SolverFailure:

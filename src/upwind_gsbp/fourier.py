@@ -15,7 +15,7 @@ at k = 0 and, for even K, k = K/2 (Parseval): sum_k |v_k|^2 in the
 M-orthonormal coordinates v_k = sqrt(w_k / K) M_loc^1/2 u_hat[k], which a
 step maps to T_k v_k with T_k = M_loc^1/2 S_k M_loc^-1/2.
 
-With omega = exp(2 pi i / K) and dx = 2 pi / K on DOMAIN, the interior cell
+With omega = exp(2 pi i / K) and the uniform cell width dx, the interior cell
 blocks A11, A12, A21 of D-(theta) (the first three ``operators.cell_blocks``)
 give the symbols (``operators.d_minus_symbol``)
 
@@ -23,11 +23,12 @@ give the symbols (``operators.d_minus_symbol``)
 
 so A_hat[k] = -a D-_hat(theta_adv, k), L_hat[k] = c D-_hat(theta_diff, k)
 D-_hat(-theta_diff, k) (``operators.d2_symbol``) since D+(theta) =
-D-(-theta), and M_loc = (dx/2) w (the element-level Fourier analysis of Hu,
-Hussaini & Rasetarinera, JCP 151, 1999). ``FourierEngine`` builds the
-symbols of one problem; ``FourierEngine.problem`` builds the maps T_k of one
-run and certifies them, and the resulting ``FourierProblem`` is what
-``imex.integrate`` steps.
+D-(-theta), and M_loc = (dx/2) w, every cell's block of the assembled norm
+(the element-level Fourier analysis of Hu, Hussaini & Rasetarinera, JCP 151,
+1999). ``FourierEngine`` builds the symbols of one discretized problem;
+``FourierEngine.problem`` builds and certifies the maps T_k of the steps
+``imex.integrate`` takes from dt to t_final (``imex.step_times``), and the
+resulting ``FourierProblem`` is what ``integrate`` steps.
 
 A run is certified when max_k ||T_k||_2^2 <= max_growth at each of its step
 sizes: an SVD of every map decides (``amplification``). The largest step
@@ -38,14 +39,13 @@ in the last ulp, follow in one batch.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .imex import SOLVE_RTOL, ImexTableau, SolverFailure, run_step_plan
+from .imex import SOLVE_RTOL, ImexTableau, SolverFailure, run_step_plan, step_times
 from .operators import d2_symbol, d_minus_symbol
-from .problems import DOMAIN, AdvDiffConfig
-from .ref_element import ReferenceElement
+from .problems import Discretization
 
 __all__ = ["FourierEngine", "FourierProblem"]
 
@@ -85,25 +85,21 @@ class FourierEngine:
 
     The problem is du/dt = A u + L u with A = -a D-(theta_adv) and
     L = c D-(theta_diff) D+(theta_diff) on the uniform periodic mesh of
-    ``cfg`` over DOMAIN, whose LGL element is ``elem``. A step map is
-    certified when its squared M-norm amplification is at most ``max_growth``.
+    ``disc``, whose first cell's width and norm block serve every cell. A
+    step map is certified when its squared M-norm amplification is at most
+    ``max_growth``.
     """
 
-    def __init__(
-        self,
-        cfg: AdvDiffConfig,
-        elem: ReferenceElement,
-        tableau: ImexTableau,
-        max_growth: float,
-    ):
+    def __init__(self, disc: Discretization, tableau: ImexTableau, max_growth: float):
+        cfg, elem = disc.cfg, disc.elem
         n_cells = cfg.n_cells
-        dx = (DOMAIN[1] - DOMAIN[0]) / n_cells
+        dx = float(disc.mesh.widths[0])
         self.n_cells = n_cells
         self.tableau = tableau
         self.max_growth = max_growth
         self.a_hat = -cfg.a * d_minus_symbol(elem, cfg.theta_adv, n_cells, dx)
         self.l_hat = cfg.c * d2_symbol(elem, cfg.theta_diff, n_cells, dx)
-        self.m_cell = 0.5 * dx * elem.weights
+        self.m_cell = disc.m_diag[: elem.weights.size]
         self._m_half = np.sqrt(self.m_cell)
         # v_k = state_scale[k] * u_hat[k] with the Parseval weights w_k
         k = np.arange(n_cells // 2 + 1)
@@ -128,12 +124,12 @@ class FourierEngine:
         """T_k = M^1/2 S_k M^-1/2, the maps acting on the state v_k, shaped as step_maps."""
         return self._m_half[:, None] * self.step_maps(step_sizes) / self._m_half[None, :]
 
-    def problem(self, step_sizes: Iterable[float]) -> "FourierProblem | None":
-        """Orthonormal step maps for the given step sizes; None unless all are certified.
+    def problem(self, dt: float, t_final: float) -> "FourierProblem | None":
+        """Orthonormal maps of the steps integrate takes to t_final; None unless all are certified.
 
-        The largest size is decided alone, then the others in one batch.
+        The largest step size is decided alone, then the others in one batch.
         """
-        sizes = sorted(set(step_sizes), reverse=True)
+        sizes = sorted({t_next - t for t, t_next in step_times(dt, t_final)}, reverse=True)
         maps = {}
         for batch in (sizes[:1], sizes[1:]):
             if batch:

@@ -18,7 +18,6 @@ from upwind_gsbp.imex import (
 )
 from upwind_gsbp.mesh import uniform_mesh
 from upwind_gsbp.problems import AdvDiffConfig, discretize, make_split_problem
-from upwind_gsbp.ref_element import build_lgl
 
 PAIRS = [(0.5, 0.5), (0.0, 0.0), (0.5, 0.0)]
 
@@ -102,7 +101,7 @@ def build(order, pair, degree, n_cells, max_growth=np.inf):
     disc = discretize(cfg)
     problem = make_split_problem(disc)
     tableau = tableau_by_name(order)
-    engine = FourierEngine(cfg, disc.elem, tableau, max_growth)
+    engine = FourierEngine(disc, tableau, max_growth)
     return disc, problem, tableau, engine
 
 
@@ -121,7 +120,10 @@ def test_symbols_match_assembled_operators(pair, degree, n_cells):
 
 
 def _inline_symbols(cfg, elem):
-    """(A_hat, L_hat) by the formula FourierEngine computed inline before d_minus_symbol."""
+    """(A_hat, L_hat) by the formula FourierEngine computed inline before d_minus_symbol.
+
+    Its dx is the width the engine computed from DOMAIN before it read the mesh.
+    """
     dx = (problems.DOMAIN[1] - problems.DOMAIN[0]) / cfg.n_cells
     phase = np.exp(2j * np.pi * np.arange(cfg.n_cells // 2 + 1) / cfg.n_cells)[:, None, None]
 
@@ -139,12 +141,15 @@ def _inline_symbols(cfg, elem):
 def test_symbols_are_bit_identical_to_inline_formula(pair, degree, n_cells):
     # scan routing and verdicts hang on these bits; Burgers solves on the same L_hat
     cfg = AdvDiffConfig(0.1, 0.1, pair[0], pair[1], degree, n_cells)
-    elem = build_lgl(degree)
-    engine = FourierEngine(cfg, elem, tableau_by_name(1), np.inf)
+    disc = discretize(cfg)
+    elem = disc.elem
+    engine = FourierEngine(disc, tableau_by_name(1), np.inf)
     a_hat, l_hat = _inline_symbols(cfg, elem)
     np.testing.assert_array_equal(engine.a_hat, a_hat)
     np.testing.assert_array_equal(engine.l_hat, l_hat)
     dx = (problems.DOMAIN[1] - problems.DOMAIN[0]) / n_cells
+    # the cell norm the engine reads off the assembled one is the (dx/2) w it computed before
+    np.testing.assert_array_equal(engine.m_cell, 0.5 * dx * elem.weights)
     np.testing.assert_array_equal(cfg.c * operators.d2_symbol(elem, pair[1], n_cells, dx), l_hat)
     mesh = uniform_mesh(*problems.DOMAIN, n_cells)
     burgers = problems.burgers_rhs(elem, mesh, pair[0], pair[1], cfg.c)
@@ -155,11 +160,11 @@ def test_engine_assembles_no_operator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Fourier engine assembled a global operator")
 
+    disc = discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 10, 1280))
     for module in (operators, problems):
         monkeypatch.setattr(module, "assemble_first_derivative", refuse)
     monkeypatch.setattr(operators, "_first_derivative_matrix", refuse)
-    cfg = AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 10, 1280)
-    engine = FourierEngine(cfg, build_lgl(10), tableau_by_name(2), np.inf)
+    engine = FourierEngine(disc, tableau_by_name(2), np.inf)
     assert engine.a_hat.shape == (641, 11, 11)
     assert np.isfinite(amplification(engine.orthonormal_maps([0.01])))
 
@@ -187,7 +192,7 @@ def test_fourier_step_matches_sparse_step(order, pair, degree, n_cells):
     disc, problem, tableau, engine = build(order, pair, degree, n_cells)
     u = np.random.default_rng(7).standard_normal(problem.dim)
     dt = 0.7
-    fourier = engine.problem([dt]).stepper(tableau)
+    fourier = engine.problem(dt, dt).stepper(tableau)
     state = fourier.state(u)
     assert fourier.energy(state) == pytest.approx(problem.energy(u), rel=1e-14)
     np.testing.assert_allclose(fourier.nodal(state), u, rtol=0, atol=1e-14 * np.max(np.abs(u)))
@@ -234,13 +239,33 @@ def test_certificate_decides_as_the_svd_of_every_map(monkeypatch):
         for dt in ROUTING_STEPS:
             sizes = sorted({t_next - t for t, t_next in step_times(dt, 100.0)})
             svd_maps[0] = 0
-            certified = engine.problem(sizes) is not None
+            certified = engine.problem(dt, 100.0) is not None
             norms = amplification(engine.orthonormal_maps(sizes))
             assert certified == all(norms**2 <= engine.max_growth)
             decided["svd"] += svd_maps[0] > 0
             decided["one size" if len(sizes) == 1 else "several sizes"] += 1
             decided["largest only"] += not certified and norms[-1] ** 2 <= engine.max_growth
     assert all(count > 0 for count in decided.values()), decided
+
+
+def test_certified_step_cannot_report_growth():
+    # The scan routes a probe on this: from the worst state of each certified map,
+    # the top right singular vector of its largest block, one computed step and
+    # its two energy sums stay within the monitor's per-step slack.
+    worst = []
+    for order, pair, degree, n_cells in itertools.product([1, 2, 3], PAIRS, [1, 3], [8, 20]):
+        engine = build(order, pair, degree, n_cells, 1.0 + experiments.CERTIFIED_GROWTH)[3]
+        for dt in ROUTING_STEPS:
+            fourier = engine.problem(dt, 100.0)
+            if fourier is None:
+                continue
+            for size, t_map in fourier._maps.items():
+                _, sigma, vh = np.linalg.svd(t_map)
+                k = np.argmax(sigma[:, 0])
+                v = np.zeros(t_map.shape[:2] + (1,), dtype=complex)
+                v[k, :, 0] = vh[k, 0].conj()
+                worst.append(fourier.energy(fourier.advance(v, size)) / fourier.energy(v))
+    assert worst and max(worst) <= 1.0 + experiments.ENERGY_GROWTH_RTOL
 
 
 # ------------------------------------------------------------------ guards
@@ -274,7 +299,7 @@ def test_uncertified_step_map_is_never_applied(monkeypatch):
     # incompatible pair far above its threshold: the energy can grow, so the
     # engine builds no problem and the probe steps the sparse one
     engine = build(1, (0.5, 0.0), 2, 10, 1.0 + experiments.CERTIFIED_GROWTH)[3]
-    assert engine.problem([50.0]) is None
+    assert engine.problem(50.0, 100.0) is None
     stepped, real_integrate = [], experiments.integrate
 
     def recording(tableau, problem, *args, **kwargs):
@@ -290,7 +315,7 @@ def test_uncertified_step_map_is_never_applied(monkeypatch):
 def test_certified_problem_steps_only_its_own_step_sizes():
     _, problem, tableau, engine = build(2, (0.5, 0.5), 2, 10, 1.0 + experiments.CERTIFIED_GROWTH)
     u0 = np.sin(np.linspace(-np.pi, np.pi, problem.dim))
-    certified = engine.problem([0.1])
+    certified = engine.problem(0.1, 1.0)
     assert isinstance(certified, FourierProblem)
     with pytest.raises(RuntimeError, match="certified"):
         integrate(tableau, certified, u0, 0.2, 1.0)
@@ -301,7 +326,7 @@ def test_certified_problem_steps_only_its_own_step_sizes():
 def test_run_with_no_steps_is_certified_and_holds_no_map():
     _, problem, tableau, engine = build(2, (0.5, 0.5), 2, 10, 1.0 + experiments.CERTIFIED_GROWTH)
     u0 = np.sin(np.linspace(-np.pi, np.pi, problem.dim))
-    empty = engine.problem([])
+    empty = engine.problem(0.1, 0.0)
     assert isinstance(empty, FourierProblem)
     u_final, trace = integrate(tableau, empty, u0, 0.1, 0.0)
     np.testing.assert_allclose(u_final, u0, rtol=0, atol=1e-15)
@@ -314,7 +339,7 @@ def test_integrate_fourier_matches_sparse_trajectory():
     disc, problem, tableau, engine = build(2, (0.5, 0.5), 3, 20, 1.0 + experiments.CERTIFIED_GROWTH)
     u0 = np.sin(disc.nodes)
     dt, t_final = 0.37, 10.0
-    fourier = engine.problem(t_next - t for t, t_next in step_times(dt, t_final))
+    fourier = engine.problem(dt, t_final)
     assert isinstance(fourier, FourierProblem)
     u_sparse, trace_sparse = integrate(tableau, problem, u0, dt, t_final)
     u_fourier, trace_fourier = integrate(tableau, fourier, u0, dt, t_final)
@@ -353,3 +378,19 @@ def test_scan_probes_identical_without_fourier(monkeypatch, order, degree, n_cel
     assert set(engines) == {"ImexSplitProblem"}
     assert with_fourier.probes == sparse_only.probes
     assert with_fourier.tau_label == sparse_only.tau_label
+
+
+@pytest.mark.parametrize("pair", [(0.5, 0.5), (0.5, 0.0)])
+def test_certified_probe_is_stable(monkeypatch, pair):
+    scan_cfg = experiments.ScanConfig(2, AdvDiffConfig(0.1, 0.1, pair[0], pair[1], 2, 20))
+    engines = {}
+    real_integrate = experiments.integrate
+
+    def recording(tableau, problem, u0, dt, *args, **kwargs):
+        engines[dt] = type(problem).__name__
+        return real_integrate(tableau, problem, u0, dt, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", recording)
+    probes = experiments.max_stable_dt(scan_cfg).probes
+    verdicts = [status for dt, status in probes if engines.get(dt) == "FourierProblem"]
+    assert verdicts and set(verdicts) == {experiments.STABLE}
