@@ -94,10 +94,9 @@ def _join(fmt: Callable, sep: str = ",") -> Callable:
 
 
 class _Key(NamedTuple):
-    """One config key: its name, RunConfig field, parser, flag, text form and domain."""
+    """One config key: its name, parser, flag, text form and domain."""
 
-    name: str  # in config files, in ``to_text`` and in the subcommand table
-    attr: str  # the RunConfig field
+    name: str  # in config files, ``to_text``, the subcommand table and RunConfig
     default: object
     parse: Callable  # (name, text) -> value, for a file line and a flag alike
     text: Callable  # value -> its ``to_text`` form; a None value has no line
@@ -107,10 +106,6 @@ class _Key(NamedTuple):
     # (holds, phrase): a value v, or each value of a list, needs holds(v), else the
     # error reads "key 'name': phrase, got v!r"; a None value is not checked
     domain: tuple[Callable, str] | None = None
-
-    @property
-    def dest(self) -> str:
-        return self.flag[2:].replace("-", "_")
 
 
 _POSITIVE = (lambda v: v > 0, "must be > 0")
@@ -122,40 +117,40 @@ _SCAN_THETA_ADV = (
 
 # In ``to_text`` order, which is also the order the domains are checked in.
 _KEYS = (
-    _Key("a", "a", 0.1, _parse_float, repr, 3,
+    _Key("a", 0.1, _parse_float, repr, 3,
          "--a", dict(help="advective velocity"),
          (lambda a: a > 0, "advective velocity must be > 0")),
-    _Key("c", "c", 0.1, _parse_float, repr, 4,
+    _Key("c", 0.1, _parse_float, repr, 4,
          "--c", dict(help="diffusion coefficient"),
          (lambda c: c > 0, "diffusion coefficient must be > 0")),
-    _Key("N", "degrees", (1, 2, 3), _parse_int_list, _join(str), 5,
+    _Key("N", (1, 2, 3), _parse_int_list, _join(str), 5,
          "--N", dict(help="degrees, comma separated"),
          (lambda n: 1 <= n <= 16, "degree must lie in [1, 16]")),
-    _Key("K", "cell_counts", (20, 40, 80, 160, 320), _parse_int_list, _join(str), 6,
+    _Key("K", (20, 40, 80, 160, 320), _parse_int_list, _join(str), 6,
          "--K", dict(help="cell counts, comma separated"),
          (lambda k: k >= 2, "cell count must be >= 2")),
-    _Key("pairs", "pairs", TABLE1_PAIRS, _parse_pairs, _join(_join(repr), ";"), 8,
+    _Key("pairs", TABLE1_PAIRS, _parse_pairs, _join(_join(repr), ";"), 8,
          "--pair", dict(metavar="THETA_ADV THETA_DIFF", help="flux parameter pair")),
-    _Key("theta", "thetas", (0.0, 0.25, 0.5), _parse_float_list, _join(repr), 9,
+    _Key("theta", (0.0, 0.25, 0.5), _parse_float_list, _join(repr), 9,
          "--theta", dict(help="thetas for verify"), _THETA),
-    _Key("order", "orders", (1, 2), _parse_int_list, _join(str), 7,
+    _Key("order", (1, 2), _parse_int_list, _join(str), 7,
          "--order", dict(help="IMEX orders, comma separated"),
          (lambda order: order in (1, 2, 3), "order must be 1, 2 or 3")),
-    _Key("horizon", "horizon", experiments.DEFAULT_HORIZON, _parse_float, repr, 2,
+    _Key("horizon", experiments.DEFAULT_HORIZON, _parse_float, repr, 2,
          "--horizon", dict(help="scan horizon T"), _POSITIVE),
-    _Key("T", "t_final", None, _parse_float, repr, 10,
+    _Key("T", None, _parse_float, repr, 10,
          "--T", dict(help="final time"),
          (lambda t: t >= 0, "must be >= 0")),
-    _Key("dt", "dt", None, _parse_float, repr, 11,
+    _Key("dt", None, _parse_float, repr, 11,
          "--dt", dict(help="time step"), _POSITIVE),
-    _Key("mu", "mu", None, _parse_float, repr, 12,
+    _Key("mu", None, _parse_float, repr, 12,
          "--mu", dict(help="time step rule dt = mu dx"), _POSITIVE),
-    _Key("solution", "solution", "decay", _parse_text, str, 13,
+    _Key("solution", "decay", _parse_text, str, 13,
          "--solution", dict(metavar="{decay,growth}"),
          (lambda kind: kind in ("decay", "growth"), "must be decay or growth")),
-    _Key("out", "out", "out", _parse_text, str, 0,
+    _Key("out", "out", _parse_text, str, 0,
          "--out", dict(help="output directory")),
-    _Key("workers", "workers", 1, _parse_int, str, 1,
+    _Key("workers", 1, _parse_int, str, 1,
          "--workers", dict(help="worker pool size"),
          (lambda workers: workers >= 1, "must be >= 1")),
 )
@@ -172,7 +167,7 @@ def _to_text(self) -> str:
     """Flat key = value listing: the subcommand, then every key that has a value."""
     lines = [f"subcommand = {self.subcommand}"]
     for key in _KEYS:
-        value = getattr(self, key.attr)
+        value = getattr(self, key.name)
         if value is not None:
             lines.append(f"{key.name} = {key.text(value)}")
     return "\n".join(lines) + "\n"
@@ -180,7 +175,7 @@ def _to_text(self) -> str:
 
 RunConfig = make_dataclass(
     "RunConfig",
-    [("subcommand", str)] + [(key.attr, object, field(default=key.default)) for key in _KEYS],
+    [("subcommand", str)] + [(key.name, object, field(default=key.default)) for key in _KEYS],
     frozen=True,
     namespace={
         "__module__": __name__,
@@ -242,11 +237,11 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
         if key.name in texts:
             values[key.name] = key.parse(key.name, texts[key.name])
 
-    fields = {key.attr: _plus_zero(values[key.name]) for key in _KEYS if key.name in values}
+    fields = {name: _plus_zero(value) for name, value in values.items()}
     cfg = RunConfig(subcommand, **fields)
 
     for key in _KEYS:
-        value = getattr(cfg, key.attr)
+        value = getattr(cfg, key.name)
         if value == ():
             raise ConfigError(f"key {key.name!r}: needs at least one value")
         if isinstance(value, float) and not math.isfinite(value):
@@ -285,11 +280,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
     rows = []
     texts = []
     failed = 0
-    meshes = [uniform_mesh(*DOMAIN, n_cells) for n_cells in cfg.cell_counts]
-    for degree in cfg.degrees:
+    meshes = [uniform_mesh(*DOMAIN, n_cells) for n_cells in cfg.K]
+    for degree in cfg.N:
         elem = build_lgl(degree)
-        for n_cells, msh in zip(cfg.cell_counts, meshes):
-            for theta in cfg.thetas:
+        for n_cells, msh in zip(cfg.K, meshes):
+            for theta in cfg.theta:
                 bounded = assemble_first_derivative(elem, msh, theta, "bounded")
                 periodic = assemble_first_derivative(elem, msh, theta, "periodic")
                 combo_ok = True
@@ -320,9 +315,9 @@ def _cmd_scan(cfg: RunConfig) -> int:
         experiments.ScanConfig(
             order, AdvDiffConfig(cfg.a, cfg.c, *pair, degree, n_cells), cfg.horizon
         )
-        for order in cfg.orders
-        for degree in cfg.degrees
-        for n_cells in cfg.cell_counts
+        for order in cfg.order
+        for degree in cfg.N
+        for n_cells in cfg.K
         for pair in cfg.pairs
     ]
 
@@ -341,14 +336,12 @@ def _cmd_scan(cfg: RunConfig) -> int:
 
 def _cmd_converge(cfg: RunConfig) -> int:
     out = Path(cfg.out)
-    order = cfg.orders[0]
-    degree = cfg.degrees[0]
+    order = cfg.order[0]
+    degree = cfg.N[0]
     blocks = []
     for theta_adv, theta_diff in cfg.pairs:
-        base = AdvDiffConfig(cfg.a, cfg.c, theta_adv, theta_diff, degree, cfg.cell_counts[0])
-        rows = experiments.run_convergence(
-            base, order, cfg.mu, cfg.cell_counts, cfg.t_final, cfg.solution
-        )
+        base = AdvDiffConfig(cfg.a, cfg.c, theta_adv, theta_diff, degree, cfg.K[0])
+        rows = experiments.run_convergence(base, order, cfg.mu, cfg.K, cfg.T, cfg.solution)
         blocks.append((base, cfg.mu, rows))
         for row in rows:
             print(
@@ -362,9 +355,9 @@ def _cmd_converge(cfg: RunConfig) -> int:
 
 def _cmd_solve(cfg: RunConfig) -> int:
     out = Path(cfg.out)
-    order = cfg.orders[0]
-    degree = cfg.degrees[0]
-    n_cells = cfg.cell_counts[0]
+    order = cfg.order[0]
+    degree = cfg.N[0]
+    n_cells = cfg.K[0]
     disc = discretize(AdvDiffConfig(cfg.a, cfg.c, *cfg.pairs[0], degree, n_cells))
     solution = solution_by_kind(cfg.solution, cfg.a, cfg.c)
     problem = make_split_problem(disc, solution.source)
@@ -375,14 +368,14 @@ def _cmd_solve(cfg: RunConfig) -> int:
     monitor = experiments.EnergyMonitor(
         max(problem.energy(u0), 1.0), blowup_factor=experiments.BLOWUP_FACTOR
     )
-    u_final, trace = integrate(tableau, problem, u0, dt, cfg.t_final, observer=monitor)
+    u_final, trace = integrate(tableau, problem, u0, dt, cfg.T, observer=monitor)
     trace.to_csv(out / "energy.csv")
-    summary = f"solve: K={n_cells} N={degree} dt={dt:g} T={cfg.t_final:g}"
+    summary = f"solve: K={n_cells} N={degree} dt={dt:g} T={cfg.T:g}"
     if monitor.grew:
         print(f"{summary} blow-up detected at t={trace.steps[-1][1]:g}")
         return EXIT_OK
-    error = l2_error(u_final, solution, cfg.t_final, disc.nodes, disc.m_diag)
-    _write_snapshot(out / f"solution_t{cfg.t_final:g}.csv", disc.nodes, u_final)
+    error = l2_error(u_final, solution, cfg.T, disc.nodes, disc.m_diag)
+    _write_snapshot(out / f"solution_t{cfg.T:g}.csv", disc.nodes, u_final)
     print(f"{summary} l2_error={error:.6e}")
     return EXIT_OK
 
@@ -393,18 +386,18 @@ def _cmd_burgers(cfg: RunConfig) -> int:
     results = experiments.run_burgers_demo(
         theta_adv,
         theta_diff,
-        cfg.cell_counts,
+        cfg.K,
         dt=cfg.dt,
-        t_final=cfg.t_final,
+        t_final=cfg.T,
         c=cfg.c,
-        degree=cfg.degrees[0],
-        order=cfg.orders[0],
+        degree=cfg.N[0],
+        order=cfg.order[0],
     )
     summary = ["K,theta_adv,theta_diff,outcome,time"]
     for res in results:
         tag = f"K{res.n_cells}"
         if res.u_final is not None:
-            _write_snapshot(out / f"burgers_{tag}_t{cfg.t_final:g}.csv", res.nodes, res.u_final)
+            _write_snapshot(out / f"burgers_{tag}_t{cfg.T:g}.csv", res.nodes, res.u_final)
         EnergyTrace(res.energy).to_csv(out / f"burgers_energy_{tag}.csv")
         if res.blew_up:
             outcome, time, said = "blowup", res.blowup_time, "blow-up detected at t"
@@ -426,7 +419,6 @@ class _Command(NamedTuple):
     one_value: tuple[str, ...]  # the list keys of which it runs a single value
 
 
-# keys by their _KEYS names, as in config files, not by RunConfig fields
 _COMMANDS = {
     "verify": _Command(
         _cmd_verify, "certify operator axioms over an (N, K, theta) grid",
@@ -467,7 +459,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The RunConfig of parsed arguments: each given flag's text laid over ``--config``'s."""
     texts = parse_config(args.config) if args.config is not None else {}
     for key in _KEYS:
-        value = getattr(args, key.dest)
+        value = getattr(args, key.name)
         if value is not None:
             texts[key.name] = value
     return build_run_config(args.subcommand, texts)
@@ -480,13 +472,15 @@ class _Parser(argparse.ArgumentParser):
     a plain negative number like -0.5, so ``--theta -0.25,0.25`` or
     ``--a -1e-3`` would stop with a usage error. Each flag is joined to the
     tokens it takes as ``--flag=v1,v2``, a form argparse reads as given. A
-    missing value, or a flag in its place, is left for argparse to report.
+    missing value, or a flag in its place, is left for argparse to report. A
+    flag given twice is an error, as a key given twice in a config file is:
+    argparse alone would keep the last value.
     """
 
     def parse_known_args(self, args=None, namespace=None):
         tokens = list(sys.argv[1:] if args is None else args)
         flags = {"-h", "--help", *_FLAG_WIDTHS}
-        joined = []
+        joined, given = [], set()
         while tokens:
             token = tokens.pop(0)
             width = _FLAG_WIDTHS.get(token, 0)
@@ -494,6 +488,11 @@ class _Parser(argparse.ArgumentParser):
             if width and len(values) == width and not flags & {v.split("=")[0] for v in values}:
                 token = f"{token}={','.join(values)}"
                 del tokens[:width]
+            flag = token.split("=")[0]
+            if flag in _FLAG_WIDTHS:
+                if flag in given:
+                    self.error(f"argument {flag}: given more than once")
+                given.add(flag)
             joined.append(token)
         return super().parse_known_args(joined, namespace)
 
@@ -512,7 +511,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", default=None, help="flat key = value file")
         for key in sorted(_KEYS, key=lambda key: key.rank):
-            p.add_argument(key.flag, default=None, **key.flag_kw)
+            p.add_argument(key.flag, dest=key.name, default=None, **key.flag_kw)
     return parser
 
 
@@ -531,6 +530,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

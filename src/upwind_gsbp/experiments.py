@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fourier import FourierEngine
-from .imex import SolverFailure, integrate, tableau_by_name
+from .imex import ENERGY_GROWTH_RTOL, SolverFailure, integrate, tableau_by_name
 from .mesh import physical_nodes, uniform_mesh
 from .problems import (
     DOMAIN,
@@ -53,25 +53,6 @@ __all__ = [
     "convergence_csv_lines",
 ]
 
-# per-step slack on the squared energy before declaring growth
-ENERGY_GROWTH_RTOL = 1e-12
-# A probe steps in Fourier space only when every step map it applies has
-# squared M-norm amplification at most 1 + CERTIFIED_GROWTH, decided by an SVD
-# of every map (see fourier.py). Then no state gains more than that factor of
-# energy in one exact step, and the remaining 8e-13 of the slack (about 3600
-# ulps) covers the roundoff of one computed step and of the two energies
-# compared: on the 114 certified probes of the benchmark's scan workload, a
-# Fourier and a sparse step from one state end at most 6.5e-13 apart, relative
-# to the energy before the step (measured while "+" scans still probed up to
-# the cap; the 94 it certifies now are among them). The maps are built
-# from the cell-block symbols, which differ from the symbols of the assembled
-# sparse operators by roundoff, at most 5.3e-16 relative (N 1/2/3/5, K 2..80,
-# four pairs). Over the 214 certified map batches of the benchmark's 16 scans
-# (a superset of today's), maps built from the assembled symbols instead have
-# squared amplification at most 1 + 7.6e-13, inside the 1e-12 slack. Such a
-# probe is therefore "stable" on both engines, so routing it leaves every
-# verdict, probe sequence and tau unchanged.
-CERTIFIED_GROWTH = ENERGY_GROWTH_RTOL / 5
 DEFAULT_HORIZON = 100.0
 DEFAULT_TAU_LO = 1e-2
 DEFAULT_TAU_CAP = 1e4
@@ -91,26 +72,19 @@ STABLE, UNSTABLE, SOLVER_FAILURE = "stable", "unstable", "solver_failure"
 class EnergyMonitor:
     """``integrate`` observer that halts the run at the first growth of the energy.
 
-    With ``growth_rtol`` the energy (u, u)_M grows when it exceeds the previous
-    step's by more than that relative slack, starting from ``reference``; with
-    ``blowup_factor`` when it exceeds that multiple of ``reference``. A
-    non-finite energy always counts as growth. ``first_growth`` is the step
-    where the energy grew (None while it has not) and ``growth_ratio`` the
-    energy there over the one it was compared with.
+    Without ``blowup_factor`` the energy (u, u)_M grows when it exceeds the
+    previous step's by more than the relative slack ENERGY_GROWTH_RTOL,
+    starting from ``reference``; with it, when it exceeds that multiple of
+    ``reference``. A non-finite energy always counts as growth.
+    ``first_growth`` is the step where the energy grew (None while it has
+    not) and ``growth_ratio`` the energy there over the one it was compared
+    with.
     """
 
-    def __init__(
-        self,
-        reference: float,
-        *,
-        growth_rtol: Optional[float] = None,
-        blowup_factor: Optional[float] = None,
-    ):
-        if (growth_rtol is None) == (blowup_factor is None):
-            raise ValueError("give exactly one of growth_rtol and blowup_factor")
+    def __init__(self, reference: float, blowup_factor: Optional[float] = None):
         self.base = reference
-        self.factor = blowup_factor if growth_rtol is None else 1.0 + growth_rtol
-        self.tracks_previous = growth_rtol is not None
+        self.tracks_previous = blowup_factor is None
+        self.factor = 1.0 + ENERGY_GROWTH_RTOL if self.tracks_previous else blowup_factor
         self.first_growth: Optional[int] = None
         self.growth_ratio: Optional[float] = None
 
@@ -164,7 +138,7 @@ class StabilityScanResult:
 class _ProbeContext:
     """Shared state for probing one configuration at many time steps.
 
-    A probe whose step maps are all certified (see CERTIFIED_GROWTH) steps
+    A probe whose step maps are all certified (fourier.CERTIFIED_GROWTH) steps
     the rfft coefficients; every other probe steps the sparse problem.
     """
 
@@ -176,11 +150,11 @@ class _ProbeContext:
         self.problem = make_split_problem(disc)
         self.u0 = initial_condition(solution, disc.mesh, disc.elem)
         self.tableau = tableau_by_name(scan_cfg.order)
-        self.fourier = FourierEngine(disc, self.tableau, 1.0 + CERTIFIED_GROWTH)
+        self.fourier = FourierEngine(disc, self.tableau)
 
     def probe(self, dt: float) -> str:
         """STABLE iff the decay-problem energy is non-increasing at every step."""
-        monitor = EnergyMonitor(self.problem.energy(self.u0), growth_rtol=ENERGY_GROWTH_RTOL)
+        monitor = EnergyMonitor(self.problem.energy(self.u0))
         horizon = self.scan_cfg.horizon
         try:
             fourier = self.fourier.problem(dt, horizon)
@@ -264,6 +238,8 @@ def scan_many(
     """Run independent scans over the default bracket, merging results in input order."""
     results: list[StabilityScanResult] = []
     executor = nullcontext()
+    # a pool starts all its processes at once, so it gets no more than there are scans
+    workers = min(workers, len(scan_cfgs))
     if workers > 1:
         # imported here so that single-worker runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -321,7 +297,7 @@ def run_convergence(
         dt = mu * disc.dx_max
         e0 = problem.energy(u0)
         if solution.source is None:
-            monitor = EnergyMonitor(e0, growth_rtol=ENERGY_GROWTH_RTOL)
+            monitor = EnergyMonitor(e0)
         else:
             monitor = EnergyMonitor(max(e0, 1.0), blowup_factor=BLOWUP_FACTOR)
         try:
@@ -347,7 +323,6 @@ class BurgersRunResult:
 
     n_cells: int
     blowup_time: Optional[float]
-    final_time: float
     nodes: np.ndarray
     u_final: Optional[np.ndarray]
     energy: list[tuple[int, float, float]]
@@ -355,6 +330,10 @@ class BurgersRunResult:
     @property
     def blew_up(self) -> bool:
         return self.blowup_time is not None
+
+    @property
+    def final_time(self) -> float:
+        return self.energy[-1][1]
 
 
 def run_burgers_demo(
@@ -392,7 +371,6 @@ def run_burgers_demo(
             BurgersRunResult(
                 n_cells=n_cells,
                 blowup_time=blowup_time,
-                final_time=trace.steps[-1][1],
                 nodes=nodes,
                 u_final=u if blowup_time is None else None,
                 energy=trace.steps,

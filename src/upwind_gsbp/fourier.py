@@ -30,11 +30,11 @@ D-(-theta), and M_loc = (dx/2) w, every cell's block of the assembled norm
 ``imex.integrate`` takes from dt to t_final (``imex.step_times``), and the
 resulting ``FourierProblem`` is what ``integrate`` steps.
 
-A run is certified when max_k ||T_k||_2^2 <= max_growth at each of its step
-sizes: an SVD of every map decides (``amplification``). The largest step
-size's maps are built and decided first, so an uncertified run usually costs
-one size's maps; the other sizes, most of which differ from the largest only
-in the last ulp, follow in one batch.
+A run is certified when max_k ||T_k||_2^2 <= 1 + CERTIFIED_GROWTH at each of
+its step sizes: an SVD of every map decides (``amplification``). The
+largest step size's maps are built and decided first, so an uncertified run
+usually costs one size's maps; the other sizes, most of which differ from
+the largest only in the last ulp, follow in one batch.
 """
 
 from __future__ import annotations
@@ -43,11 +43,34 @@ from typing import Sequence
 
 import numpy as np
 
-from .imex import SOLVE_RTOL, ImexTableau, SolverFailure, run_step_plan, step_times
+from .imex import (
+    ENERGY_GROWTH_RTOL,
+    SOLVE_RTOL,
+    ImexTableau,
+    SolverFailure,
+    run_step_plan,
+    step_times,
+)
 from .operators import d2_symbol, d_minus_symbol
 from .problems import Discretization
 
 __all__ = ["FourierEngine", "FourierProblem"]
+
+# A scan probe steps in Fourier space only when every step map it applies has
+# squared M-norm amplification at most 1 + CERTIFIED_GROWTH, a fifth of the
+# scan's per-step slack ENERGY_GROWTH_RTOL. Then no state gains more than that
+# factor of energy in one exact step, and the remaining 8e-13 of the slack
+# (about 3600 ulps) covers the roundoff of one computed step and of the two
+# energies compared, so a certified probe's verdict is "stable" (README note
+# "Scan probes take one of two engines"; test_certified_step_cannot_report_growth
+# in tests/test_fourier.py). The maps are built from the cell-block symbols,
+# which differ from those of the assembled sparse operators by at most 5.3e-16
+# relative (N 1/2/3/5, K 2..80, four pairs); over the certified map batches of
+# the benchmark's 16 scans, maps built from the assembled symbols have squared
+# amplification at most 1 + 7.6e-13, inside the slack. So such a probe is
+# "stable" on both engines, and routing it leaves every verdict, probe
+# sequence and tau unchanged.
+CERTIFIED_GROWTH = ENERGY_GROWTH_RTOL / 5
 
 
 def _checked_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -87,16 +110,15 @@ class FourierEngine:
     L = c D-(theta_diff) D+(theta_diff) on the uniform periodic mesh of
     ``disc``, whose first cell's width and norm block serve every cell. A
     step map is certified when its squared M-norm amplification is at most
-    ``max_growth``.
+    1 + CERTIFIED_GROWTH.
     """
 
-    def __init__(self, disc: Discretization, tableau: ImexTableau, max_growth: float):
+    def __init__(self, disc: Discretization, tableau: ImexTableau):
         cfg, elem = disc.cfg, disc.elem
         n_cells = cfg.n_cells
         dx = float(disc.mesh.widths[0])
         self.n_cells = n_cells
         self.tableau = tableau
-        self.max_growth = max_growth
         self.a_hat = -cfg.a * d_minus_symbol(elem, cfg.theta_adv, n_cells, dx)
         self.l_hat = cfg.c * d2_symbol(elem, cfg.theta_diff, n_cells, dx)
         self.m_cell = disc.m_diag[: elem.weights.size]
@@ -134,7 +156,7 @@ class FourierEngine:
         for batch in (sizes[:1], sizes[1:]):
             if batch:
                 t_maps = self.orthonormal_maps(batch)
-                if np.max(amplification(t_maps)) ** 2 > self.max_growth:
+                if np.max(amplification(t_maps)) ** 2 > 1.0 + CERTIFIED_GROWTH:
                     return None
                 maps.update(zip(batch, t_maps))
         return FourierProblem(self, maps)

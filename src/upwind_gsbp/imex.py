@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 SOLVE_RTOL = 1e-12
+# per-step slack on the squared energy before a run's energy counts as grown
+ENERGY_GROWTH_RTOL = 1e-12
 
 
 class SolverFailure(RuntimeError):
@@ -65,13 +67,16 @@ class SolverFailure(RuntimeError):
 class ImexTableau:
     """Padded explicit/DIRK Butcher pair sharing the abscissae c."""
 
-    name: str
     order: int
     a_explicit: np.ndarray
     a_implicit: np.ndarray
     b_explicit: np.ndarray
     b_implicit: np.ndarray
     c: np.ndarray
+
+    @property
+    def name(self) -> str:
+        return f"imex{self.order}"
 
     @property
     def n_stages(self) -> int:
@@ -86,7 +91,6 @@ class ImexTableau:
 def tableau_imex1() -> ImexTableau:
     """First-order pair: forward Euler explicit, backward Euler implicit."""
     return ImexTableau(
-        name="imex1",
         order=1,
         a_explicit=np.array([[0.0, 0.0], [1.0, 0.0]]),
         a_implicit=np.array([[0.0, 0.0], [0.0, 1.0]]),
@@ -101,7 +105,6 @@ def tableau_imex2() -> ImexTableau:
     gamma = 1.0 - np.sqrt(2.0) / 2.0
     delta = 1.0 - 1.0 / (2.0 * gamma)
     return ImexTableau(
-        name="imex2",
         order=2,
         a_explicit=np.array(
             [
@@ -147,7 +150,6 @@ def tableau_imex3() -> ImexTableau:
     a2 = (1.0 / 3.0 - 2.0 * g**2 - 2.0 * b2 * a1 * g) / (g * (1.0 - g))
     c3 = (1.0 + g) / 2.0
     return ImexTableau(
-        name="imex3",
         order=3,
         a_explicit=np.array(
             [

@@ -62,8 +62,8 @@ def test_empty_file_scan_defaults(tmp_path):
     path.write_text("")
     cfg = build_run_config("scan", parse_config(path))
     assert cfg.a == 0.1 and cfg.c == 0.1
-    assert cfg.degrees == (1, 2, 3)
-    assert cfg.cell_counts == (20, 40, 80, 160, 320)
+    assert cfg.N == (1, 2, 3)
+    assert cfg.K == (20, 40, 80, 160, 320)
     assert len(cfg.pairs) == 4  # the four flux pairings of the scan table
     assert cfg.horizon == 100.0
 
@@ -104,7 +104,7 @@ def test_flag_overrides_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("K = 20\n")
     args = cli._parser().parse_args(["scan", "--config", str(path), "--K", "40"])
-    assert cli._config_from_args(args).cell_counts == (40,)
+    assert cli._config_from_args(args).K == (40,)
 
 
 def test_growth_solution_forces_unit_velocity():
@@ -143,7 +143,7 @@ def test_key_in_file_equals_key_as_flag(tmp_path, key):
     from_file = cli._config_from_args(cli._parser().parse_args([sub, "--config", str(path)]))
     from_flag = cli._config_from_args(cli._parser().parse_args([sub, key.flag, *values]))
     assert from_file == from_flag
-    assert getattr(from_file, key.attr) != key.default
+    assert getattr(from_file, key.name) != key.default
 
 
 def test_subcommand_table_names_only_config_keys():
@@ -239,6 +239,24 @@ def test_flag_in_place_of_a_value_is_not_read_as_one(tmp_path, capsys):
         main(["solve", "--a", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "argument --a: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "--K", "4", "--K", "6", "--N", "1", "--theta", "0"], "--K"),
+        (["scan", "--pair", "0.5", "0.5", "--pair", "0", "0"], "--pair"),
+        (["solve", "--T=1", "--T", "2"], "--T"),
+        (["verify", "--config", "a.cfg", "--config", "b.cfg"], "--config"),
+    ],
+    ids=["K", "pair", "T", "config"],
+)
+def test_repeated_flag_exits_2_as_a_repeated_file_key_does(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: given more than once" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -462,7 +480,10 @@ def test_domain_violation_message(tmp_path, capsys, case):
         path = tmp_path / "run.cfg"
         path.write_text(given)
         given = ["--config", str(path)]
-    argv = ["verify", "--N", "1", "--K", "4", "--theta", "0", *given]
+    # a flag is given once, so the case's own --N, --K or --theta replaces the base one
+    base = [t for flag, v in [("--N", "1"), ("--K", "4"), ("--theta", "0")]
+            if flag not in given for t in (flag, v)]
+    argv = ["verify", *base, *given]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -541,7 +562,7 @@ def test_negative_zero_is_read_as_zero(tmp_path, capsys, given_as):
         run_argv, verify_argv = ["--config", str(run_path)], ["--config", str(verify_path)]
     run_cfg = cli._config_from_args(cli._parser().parse_args(["solve", *run_argv]))
     verify_cfg = cli._config_from_args(cli._parser().parse_args(["verify", *verify_argv]))
-    zeros = (run_cfg.t_final, *run_cfg.pairs[0], *verify_cfg.thetas)
+    zeros = (run_cfg.T, *run_cfg.pairs[0], *verify_cfg.theta)
     assert [math.copysign(1.0, v) for v in zeros] == [1.0] * 4
     assert main(["solve", "--K", "4", *run_argv, "--out", str(tmp_path / "solve")]) == 0
     assert (tmp_path / "solve" / "solution_t0.csv").is_file()
@@ -795,3 +816,17 @@ def test_runs_load_only_what_they_execute():
         # one worker starts no process pool
         "scan": [0, True, False],
     }
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["verify", "--N", "1", "--K", "4", "--theta", "0"]
+    run = subprocess.run(
+        [sys.executable, "-m", "upwind_gsbp", *argv, "--out", str(tmp_path / "module")],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert main([*argv, "--out", str(tmp_path / "in_process")]) == 0
+    csv = [tmp_path / d / "certification.csv" for d in ("module", "in_process")]
+    assert csv[0].read_bytes() == csv[1].read_bytes()

@@ -7,7 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 from upwind_gsbp import experiments, operators, problems
-from upwind_gsbp.fourier import FourierEngine, FourierProblem, _checked_solve, amplification
+from upwind_gsbp.fourier import (
+    CERTIFIED_GROWTH,
+    FourierEngine,
+    FourierProblem,
+    _checked_solve,
+    amplification,
+)
 from upwind_gsbp.imex import (
     SolverFailure,
     Stepper,
@@ -96,12 +102,12 @@ def _reference_step_maps(engine, step_sizes) -> np.ndarray:
     return s_map
 
 
-def build(order, pair, degree, n_cells, max_growth=np.inf):
+def build(order, pair, degree, n_cells):
     cfg = AdvDiffConfig(0.1, 0.1, pair[0], pair[1], degree, n_cells)
     disc = discretize(cfg)
     problem = make_split_problem(disc)
     tableau = tableau_by_name(order)
-    engine = FourierEngine(disc, tableau, max_growth)
+    engine = FourierEngine(disc, tableau)
     return disc, problem, tableau, engine
 
 
@@ -143,7 +149,7 @@ def test_symbols_are_bit_identical_to_inline_formula(pair, degree, n_cells):
     cfg = AdvDiffConfig(0.1, 0.1, pair[0], pair[1], degree, n_cells)
     disc = discretize(cfg)
     elem = disc.elem
-    engine = FourierEngine(disc, tableau_by_name(1), np.inf)
+    engine = FourierEngine(disc, tableau_by_name(1))
     a_hat, l_hat = _inline_symbols(cfg, elem)
     np.testing.assert_array_equal(engine.a_hat, a_hat)
     np.testing.assert_array_equal(engine.l_hat, l_hat)
@@ -164,7 +170,7 @@ def test_engine_assembles_no_operator(monkeypatch):
     for module in (operators, problems):
         monkeypatch.setattr(module, "assemble_first_derivative", refuse)
     monkeypatch.setattr(operators, "_first_derivative_matrix", refuse)
-    engine = FourierEngine(disc, tableau_by_name(2), np.inf)
+    engine = FourierEngine(disc, tableau_by_name(2))
     assert engine.a_hat.shape == (641, 11, 11)
     assert np.isfinite(amplification(engine.orthonormal_maps([0.01])))
 
@@ -235,16 +241,16 @@ def test_certificate_decides_as_the_svd_of_every_map(monkeypatch):
     cases = ["svd", "one size", "several sizes", "largest only"]
     decided = dict.fromkeys(cases, 0)
     for order, pair, degree, n_cells in itertools.product([1, 2, 3], PAIRS, [1, 3], [5, 8, 20]):
-        engine = build(order, pair, degree, n_cells, 1.0 + experiments.CERTIFIED_GROWTH)[3]
+        engine = build(order, pair, degree, n_cells)[3]
         for dt in ROUTING_STEPS:
             sizes = sorted({t_next - t for t, t_next in step_times(dt, 100.0)})
             svd_maps[0] = 0
             certified = engine.problem(dt, 100.0) is not None
             norms = amplification(engine.orthonormal_maps(sizes))
-            assert certified == all(norms**2 <= engine.max_growth)
+            assert certified == all(norms**2 <= 1.0 + CERTIFIED_GROWTH)
             decided["svd"] += svd_maps[0] > 0
             decided["one size" if len(sizes) == 1 else "several sizes"] += 1
-            decided["largest only"] += not certified and norms[-1] ** 2 <= engine.max_growth
+            decided["largest only"] += not certified and norms[-1] ** 2 <= 1.0 + CERTIFIED_GROWTH
     assert all(count > 0 for count in decided.values()), decided
 
 
@@ -254,7 +260,7 @@ def test_certified_step_cannot_report_growth():
     # its two energy sums stay within the monitor's per-step slack.
     worst = []
     for order, pair, degree, n_cells in itertools.product([1, 2, 3], PAIRS, [1, 3], [8, 20]):
-        engine = build(order, pair, degree, n_cells, 1.0 + experiments.CERTIFIED_GROWTH)[3]
+        engine = build(order, pair, degree, n_cells)[3]
         for dt in ROUTING_STEPS:
             fourier = engine.problem(dt, 100.0)
             if fourier is None:
@@ -298,7 +304,7 @@ def test_probe_reports_block_solve_failure():
 def test_uncertified_step_map_is_never_applied(monkeypatch):
     # incompatible pair far above its threshold: the energy can grow, so the
     # engine builds no problem and the probe steps the sparse one
-    engine = build(1, (0.5, 0.0), 2, 10, 1.0 + experiments.CERTIFIED_GROWTH)[3]
+    engine = build(1, (0.5, 0.0), 2, 10)[3]
     assert engine.problem(50.0, 100.0) is None
     stepped, real_integrate = [], experiments.integrate
 
@@ -313,7 +319,7 @@ def test_uncertified_step_map_is_never_applied(monkeypatch):
 
 
 def test_certified_problem_steps_only_its_own_step_sizes():
-    _, problem, tableau, engine = build(2, (0.5, 0.5), 2, 10, 1.0 + experiments.CERTIFIED_GROWTH)
+    _, problem, tableau, engine = build(2, (0.5, 0.5), 2, 10)
     u0 = np.sin(np.linspace(-np.pi, np.pi, problem.dim))
     certified = engine.problem(0.1, 1.0)
     assert isinstance(certified, FourierProblem)
@@ -324,7 +330,7 @@ def test_certified_problem_steps_only_its_own_step_sizes():
 
 
 def test_run_with_no_steps_is_certified_and_holds_no_map():
-    _, problem, tableau, engine = build(2, (0.5, 0.5), 2, 10, 1.0 + experiments.CERTIFIED_GROWTH)
+    _, problem, tableau, engine = build(2, (0.5, 0.5), 2, 10)
     u0 = np.sin(np.linspace(-np.pi, np.pi, problem.dim))
     empty = engine.problem(0.1, 0.0)
     assert isinstance(empty, FourierProblem)
@@ -336,7 +342,7 @@ def test_run_with_no_steps_is_certified_and_holds_no_map():
 
 
 def test_integrate_fourier_matches_sparse_trajectory():
-    disc, problem, tableau, engine = build(2, (0.5, 0.5), 3, 20, 1.0 + experiments.CERTIFIED_GROWTH)
+    disc, problem, tableau, engine = build(2, (0.5, 0.5), 3, 20)
     u0 = np.sin(disc.nodes)
     dt, t_final = 0.37, 10.0
     fourier = engine.problem(dt, t_final)
@@ -373,7 +379,7 @@ def test_scan_probes_identical_without_fourier(monkeypatch, order, degree, n_cel
 
     engines.clear()
     # no step map passes a certificate below -infinity
-    monkeypatch.setattr(experiments, "CERTIFIED_GROWTH", -np.inf)
+    monkeypatch.setattr("upwind_gsbp.fourier.CERTIFIED_GROWTH", -np.inf)
     sparse_only = experiments.max_stable_dt(scan_cfg)
     assert set(engines) == {"ImexSplitProblem"}
     assert with_fourier.probes == sparse_only.probes
