@@ -2,8 +2,10 @@
 
 Every flag is a config line: its text is laid over the ``key = value`` texts
 of a ``--config`` file, and each key's text is parsed by its row of one key
-table. Unknown keys, and keys the subcommand does not read, are a hard
-error. Every run writes deterministic CSV files into the output directory.
+table. Unknown keys, keys the subcommand does not read and abbreviated flags
+are a hard error. Every run writes deterministic CSV files into the output
+directory. This module alone turns results into file text: the experiment
+modules return numbers, and every CSV is written by ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from dataclasses import field, make_dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import experiments
-from .imex import EnergyTrace, SolverFailure, integrate, tableau_by_name
+from .imex import SolverFailure, integrate, tableau_by_name
 from .mesh import uniform_mesh
 from .operators import CertificationReport, assemble_first_derivative, verify_axioms
 from .problems import (
@@ -30,7 +34,7 @@ from .problems import (
     make_split_problem,
     solution_by_kind,
 )
-from .ref_element import build_lgl
+from .ref_element import MAX_DEGREE, build_lgl
 
 __all__ = [
     "RunConfig",
@@ -125,7 +129,7 @@ _KEYS = (
          (lambda c: c > 0, "diffusion coefficient must be > 0")),
     _Key("N", (1, 2, 3), _parse_int_list, _join(str), 5,
          "--N", dict(help="degrees, comma separated"),
-         (lambda n: 1 <= n <= 16, "degree must lie in [1, 16]")),
+         (lambda n: 1 <= n <= MAX_DEGREE, f"degree must lie in [1, {MAX_DEGREE}]")),
     _Key("K", (20, 40, 80, 160, 320), _parse_int_list, _join(str), 6,
          "--K", dict(help="cell counts, comma separated"),
          (lambda k: k >= 2, "cell count must be >= 2")),
@@ -267,12 +271,51 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
     return cfg
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _write_csv(path: Path, header: str, rows) -> None:
+    """The header line, then one line per row: the row's fields, each written by str."""
+    lines = [header] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_snapshot(path: Path, nodes, u) -> None:
-    _write_lines(path, ["x,u"] + [f"{x:.12e},{v:.12e}" for x, v in zip(nodes, u)])
+    _write_csv(path, "x,u", [(f"{x:.12e}", f"{v:.12e}") for x, v in zip(nodes, u)])
+
+
+def _write_energy(path: Path, steps: list[tuple[int, float, float]]) -> None:
+    """An energy trace: step index, time and squared M-norm of each step."""
+    _write_csv(path, "step,t,energy", [(k, f"{t:.12e}", f"{e:.12e}") for k, t, e in steps])
+
+
+def _dash_or(value: float | None, spec: str) -> str:
+    return "-" if value is None else format(value, spec)
+
+
+def _certification_rows(report: CertificationReport) -> list[tuple]:
+    """One row per axiom checked on the report's topology."""
+    boundary = report.boundary_residual_alpha
+    if boundary is not None:  # np.max, not max: a nan in either residual is the result
+        boundary = float(np.max([boundary, report.boundary_residual_beta]))
+    entries = [
+        ("accuracy", report.accuracy_residual, report.axiom_accuracy_pass),
+        ("norm_boundary", boundary, report.axiom_norm_boundary_pass),
+        ("sbp", report.sbp_residual, report.axiom_sbp_pass),
+        ("dissipation", report.c_max_eigenvalue, report.axiom_dissipation_pass),
+    ]
+    return [
+        (report.degree, report.n_cells, f"{report.theta:g}", report.topology, axiom,
+         f"{residual:.6e}", f"{report.tolerance:g}", "pass" if verdict else "fail")
+        for axiom, residual, verdict in entries
+        if verdict is not None
+    ]
+
+
+def _tau_text(res: experiments.StabilityScanResult) -> str:
+    """A scan's tau_or_plus field: "+" for unbounded, else below_bracket or tau."""
+    if res.unbounded:
+        return "+"
+    if res.below_bracket:
+        return "below_bracket"
+    return f"{res.tau:.6e}"
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -290,7 +333,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 combo_ok = True
                 for opset in (bounded, periodic):
                     report = verify_axioms(opset)
-                    rows.extend(report.csv_rows())
+                    rows.extend(_certification_rows(report))
                     texts.append(report.to_text())
                     if not report.all_pass:
                         failed += 1
@@ -300,9 +343,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
                     f"{'pass' if combo_ok else 'FAIL'}",
                     flush=True,
                 )
-    lines = [CertificationReport.CSV_HEADER] + [",".join(row) for row in rows]
-    _write_lines(out / "certification.csv", lines)
-    _write_lines(out / "certification.txt", ["\n".join(texts)])
+    header = "N,K,theta,topology,axiom,residual,tolerance,status"
+    _write_csv(out / "certification.csv", header, rows)
+    (out / "certification.txt").write_text("\n".join(texts) + "\n", encoding="utf-8")
     if failed:
         print(f"certification failed for {failed} operator set(s)", file=sys.stderr)
         return EXIT_CHECK
@@ -325,12 +368,18 @@ def _cmd_scan(cfg: RunConfig) -> int:
         print(
             f"scan {done}/{total}: order={res.config.order} N={res.config.cfg.degree} "
             f"K={res.config.cfg.n_cells} pair=({res.config.cfg.theta_adv:g},"
-            f"{res.config.cfg.theta_diff:g}) tau={res.tau_label}",
+            f"{res.config.cfg.theta_diff:g}) tau={_tau_text(res)}",
             flush=True,
         )
 
     results = experiments.scan_many(scan_cfgs, workers=cfg.workers, progress=progress)
-    _write_lines(out / "stability.csv", experiments.stability_csv_lines(results))
+    rows = []
+    for res in results:
+        problem = res.config.cfg
+        rows.append((res.config.order, problem.degree, problem.n_cells,
+                     f"{problem.a:g}", f"{problem.c:g}", f"{problem.theta_adv:g}",
+                     f"{problem.theta_diff:g}", _tau_text(res)))
+    _write_csv(out / "stability.csv", "order,N,K,a,c,theta_adv,theta_diff,tau_or_plus", rows)
     return EXIT_OK
 
 
@@ -338,18 +387,19 @@ def _cmd_converge(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     order = cfg.order[0]
     degree = cfg.N[0]
-    blocks = []
+    rows = []
     for theta_adv, theta_diff in cfg.pairs:
         base = AdvDiffConfig(cfg.a, cfg.c, theta_adv, theta_diff, degree, cfg.K[0])
-        rows = experiments.run_convergence(base, order, cfg.mu, cfg.K, cfg.T, cfg.solution)
-        blocks.append((base, cfg.mu, rows))
-        for row in rows:
+        for row in experiments.run_convergence(base, order, cfg.mu, cfg.K, cfg.T, cfg.solution):
+            error, eoc = _dash_or(row.error, ".6e"), _dash_or(row.eoc, ".2f")
             print(
                 f"converge pair=({theta_adv:g},{theta_diff:g}) K={row.n_cells}: "
-                f"error={row.error_label()} eoc={row.eoc_label()}",
+                f"error={error} eoc={eoc}",
                 flush=True,
             )
-    _write_lines(out / "convergence.csv", experiments.convergence_csv_lines(blocks))
+            rows.append((degree, row.n_cells, f"{cfg.mu:g}",
+                         f"{theta_adv:g}", f"{theta_diff:g}", error, eoc))
+    _write_csv(out / "convergence.csv", "N,K,dt_rule,theta_adv,theta_diff,l2_error,eoc", rows)
     return EXIT_OK
 
 
@@ -369,7 +419,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
         max(problem.energy(u0), 1.0), blowup_factor=experiments.BLOWUP_FACTOR
     )
     u_final, trace = integrate(tableau, problem, u0, dt, cfg.T, observer=monitor)
-    trace.to_csv(out / "energy.csv")
+    _write_energy(out / "energy.csv", trace.steps)
     summary = f"solve: K={n_cells} N={degree} dt={dt:g} T={cfg.T:g}"
     if monitor.grew:
         print(f"{summary} blow-up detected at t={trace.steps[-1][1]:g}")
@@ -393,19 +443,19 @@ def _cmd_burgers(cfg: RunConfig) -> int:
         degree=cfg.N[0],
         order=cfg.order[0],
     )
-    summary = ["K,theta_adv,theta_diff,outcome,time"]
+    summary = []
     for res in results:
         tag = f"K{res.n_cells}"
         if res.u_final is not None:
             _write_snapshot(out / f"burgers_{tag}_t{cfg.T:g}.csv", res.nodes, res.u_final)
-        EnergyTrace(res.energy).to_csv(out / f"burgers_energy_{tag}.csv")
+        _write_energy(out / f"burgers_energy_{tag}.csv", res.energy)
         if res.blew_up:
             outcome, time, said = "blowup", res.blowup_time, "blow-up detected at t"
         else:
             outcome, time, said = "completed", res.final_time, "completed T"
-        summary.append(f"{res.n_cells},{theta_adv:g},{theta_diff:g},{outcome},{time:.6e}")
+        summary.append((res.n_cells, f"{theta_adv:g}", f"{theta_diff:g}", outcome, f"{time:.6e}"))
         print(f"burgers K={res.n_cells}: {said}={time:g}")
-    _write_lines(out / "burgers_summary.csv", summary)
+    _write_csv(out / "burgers_summary.csv", "K,theta_adv,theta_diff,outcome,time", summary)
     return EXIT_OK
 
 
@@ -502,13 +552,14 @@ def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing keeps no state in it."""
     parser = _Parser(
         prog="gsbp",
+        allow_abbrev=False,
         description="Upwind-pair derivative operators with IMEX time integration: "
         "operator certification, stability scans, convergence studies and the "
         "viscous Burgers demonstration.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", default=None, help="flat key = value file")
         for key in sorted(_KEYS, key=lambda key: key.rank):
             p.add_argument(key.flag, dest=key.name, default=None, **key.flag_kw)

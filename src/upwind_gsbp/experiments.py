@@ -10,8 +10,9 @@ horizon, and every probe from tau = horizon a^2 / c (10 for the bare table)
 up to the cap would repeat it. A scan therefore reports "+" at its first
 stable probe with dt >= horizon: "+" means stable at every step the scan
 took, not stable up to tau = 1e4. Convergence studies integrate a closed-form
-solution with dt = mu * dx over a cell-doubling sequence and report discrete
-L2 errors and experimental orders.
+solution with dt = mu * dx over a sequence of cell counts and report discrete
+L2 errors and experimental orders of convergence between successive counts.
+Results are numbers; ``cli`` turns them into CSV text.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ __all__ = [
     "scan_many",
     "run_convergence",
     "run_burgers_demo",
-    "stability_csv_lines",
-    "convergence_csv_lines",
 ]
 
 DEFAULT_HORIZON = 100.0
@@ -125,14 +124,6 @@ class StabilityScanResult:
     unbounded: bool = False
     below_bracket: bool = False
     probes: list[tuple[float, str]] = field(default_factory=list)
-
-    @property
-    def tau_label(self) -> str:
-        if self.unbounded:
-            return "+"
-        if self.below_bracket:
-            return "below_bracket"
-        return f"{self.tau:.6e}"
 
 
 class _ProbeContext:
@@ -256,17 +247,11 @@ def scan_many(
 
 @dataclass
 class ConvergenceRow:
-    """One refinement level of a convergence study."""
+    """One refinement level of a convergence study; None marks an unstable run or no EOC."""
 
     n_cells: int
     error: Optional[float]
     eoc: Optional[float]
-
-    def error_label(self) -> str:
-        return "-" if self.error is None else f"{self.error:.6e}"
-
-    def eoc_label(self) -> str:
-        return "-" if self.eoc is None else f"{self.eoc:.2f}"
 
 
 def run_convergence(
@@ -282,13 +267,16 @@ def run_convergence(
     The decay run is marked unstable (dash) on any per-step energy growth
     beyond the roundoff slack; the sourced growth run, whose energy rises
     legitimately, is marked unstable on non-finite values or on energy
-    exceeding BLOWUP_FACTOR times the initial energy.
+    exceeding BLOWUP_FACTOR times the initial energy. A level's EOC is
+    log(e_prev / e) / log(K / K_prev) against the level before it; it is
+    None when either error is missing, the error is zero or K repeats.
     """
     tableau = tableau_by_name(order)
     solution = solution_by_kind(solution_kind, base_cfg.a, base_cfg.c)
 
     rows: list[ConvergenceRow] = []
     prev_error: Optional[float] = None
+    prev_n: Optional[int] = None
     for n_cells in cell_counts:
         cfg = replace(base_cfg, n_cells=n_cells)
         disc = discretize(cfg)
@@ -310,10 +298,10 @@ def run_convergence(
             error = l2_error(u_final, solution, t_final, disc.nodes, disc.m_diag)
 
         eoc = None
-        if error is not None and prev_error is not None and error > 0:
-            eoc = math.log2(prev_error / error)
+        if error is not None and prev_error is not None and error > 0 and n_cells != prev_n:
+            eoc = math.log2(prev_error / error) / math.log2(n_cells / prev_n)
         rows.append(ConvergenceRow(n_cells, error, eoc))
-        prev_error = error
+        prev_error, prev_n = error, n_cells
     return rows
 
 
@@ -378,28 +366,3 @@ def run_burgers_demo(
         )
     return results
 
-
-def stability_csv_lines(results: Sequence[StabilityScanResult]) -> list[str]:
-    lines = ["order,N,K,a,c,theta_adv,theta_diff,tau_or_plus"]
-    for res in results:
-        cfg = res.config
-        lines.append(
-            f"{cfg.order},{cfg.cfg.degree},{cfg.cfg.n_cells},"
-            f"{cfg.cfg.a:g},{cfg.cfg.c:g},"
-            f"{cfg.cfg.theta_adv:g},{cfg.cfg.theta_diff:g},{res.tau_label}"
-        )
-    return lines
-
-
-def convergence_csv_lines(
-    rows_by_pair: Sequence[tuple[AdvDiffConfig, float, Sequence[ConvergenceRow]]],
-) -> list[str]:
-    lines = ["N,K,dt_rule,theta_adv,theta_diff,l2_error,eoc"]
-    for cfg, mu, rows in rows_by_pair:
-        for row in rows:
-            lines.append(
-                f"{cfg.degree},{row.n_cells},{mu:g},"
-                f"{cfg.theta_adv:g},{cfg.theta_diff:g},"
-                f"{row.error_label()},{row.eoc_label()}"
-            )
-    return lines

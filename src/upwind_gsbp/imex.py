@@ -466,12 +466,6 @@ class EnergyTrace:
 
     steps: list[tuple[int, float, float]] = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("step,t,energy\n")
-            for k, t, e in self.steps:
-                fh.write(f"{k},{t:.12e},{e:.12e}\n")
-
 
 def step_times(dt: float, t_final: float):
     """Yield (t, t_next) for each step ``integrate`` takes from 0 to t_final.

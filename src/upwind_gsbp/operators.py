@@ -390,8 +390,6 @@ class CertificationReport:
     axiom_sbp_pass: bool
     axiom_dissipation_pass: bool
 
-    CSV_HEADER = "N,K,theta,topology,axiom,residual,tolerance,status"
-
     @property
     def all_pass(self) -> bool:
         verdicts = (getattr(self, f.name) for f in fields(self) if f.name.endswith("_pass"))
@@ -411,27 +409,6 @@ class CertificationReport:
         return "\n".join(
             f"{f.name.removesuffix('_pass')}: {fmt(getattr(self, f.name))}" for f in fields(self)
         )
-
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        """``CSV_HEADER`` rows as strings, one per axiom checked on this topology."""
-        base = (str(self.degree), str(self.n_cells), f"{self.theta:g}", self.topology)
-        entries = [
-            ("accuracy", self.accuracy_residual, self.axiom_accuracy_pass),
-            (
-                "norm_boundary",
-                None
-                if self.boundary_residual_alpha is None
-                else float(np.max([self.boundary_residual_alpha, self.boundary_residual_beta])),
-                self.axiom_norm_boundary_pass,
-            ),
-            ("sbp", self.sbp_residual, self.axiom_sbp_pass),
-            ("dissipation", self.c_max_eigenvalue, self.axiom_dissipation_pass),
-        ]
-        return [
-            base + (axiom, f"{residual:.6e}", f"{self.tolerance:g}", "pass" if verdict else "fail")
-            for axiom, residual, verdict in entries
-            if verdict is not None
-        ]
 
 
 def verify_axioms(opset: GlobalOperatorSet, tol: float = 1e-10) -> CertificationReport:

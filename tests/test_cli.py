@@ -210,6 +210,24 @@ def test_removed_key_exits_2_as_flag_and_as_file_line(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+# a flag is its key's exact name: argparse would read a prefix of one as the
+# flag, so "--hor 5 --horizon 6" would slip past the repeated-flag check
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--order", "1", "--N", "1", "--K", "4", "--hor", "5", "--horizon", "6"],
+        ["verify", "--N", "1", "--K", "4", "--thet", "0"],
+    ],
+    ids=["hor", "thet"],
+)
+def test_abbreviated_flag_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_flag_value_that_starts_with_a_dash_is_read_as_given(tmp_path):
     # argparse alone takes "-0.25,0.25" for a flag and stops with its usage
     argv = ["verify", "--N", "1", "--K", "4"]

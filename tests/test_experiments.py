@@ -5,16 +5,14 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from upwind_gsbp import experiments, imex
+from upwind_gsbp import cli, experiments, imex
 from upwind_gsbp.experiments import (
     ConvergenceRow,
     ScanConfig,
-    convergence_csv_lines,
     max_stable_dt,
     run_burgers_demo,
     run_convergence,
     scan_many,
-    stability_csv_lines,
 )
 from upwind_gsbp.problems import AdvDiffConfig
 
@@ -105,7 +103,7 @@ def test_scan_finds_incompatible_threshold():
 def test_scan_unbounded_at_cap():
     res = max_stable_dt(scan_cfg(1, 0.5, 0.5, n_cells=20), bracket=None)
     assert res.unbounded
-    assert res.tau_label == "+"
+    assert cli._tau_text(res) == "+"
 
 
 def test_unbounded_scan_stops_at_its_first_probe_past_the_horizon():
@@ -129,7 +127,7 @@ def test_scan_below_bracket(monkeypatch):
         res = max_stable_dt(cfg, bracket=bracket)
         assert res.below_bracket
         assert res.tau is None
-        assert res.tau_label == "below_bracket"
+        assert cli._tau_text(res) == "below_bracket"
         dt_lo = (experiments.DEFAULT_TAU_LO if tau_lo is None else tau_lo) * scale
         assert [dt for dt, _ in res.probes] == [dt_lo / 2.0**k for k in range(len(res.probes))]
         assert all(status == experiments.UNSTABLE for _, status in res.probes)
@@ -187,10 +185,8 @@ def test_scan_many_orders_results_deterministically():
     cfgs = [scan_cfg(1, 0.5, 0.0, n_cells=k) for k in (20, 40)]
     serial = scan_many(cfgs, workers=1)
     parallel = scan_many(cfgs, workers=2)
-    assert [r.tau for r in serial] == [r.tau for r in parallel]
-    lines = stability_csv_lines(serial)
-    assert lines[0].startswith("order,N,K")
-    assert len(lines) == 3
+    assert [r.config for r in serial] == [r.config for r in parallel] == cfgs
+    assert [(r.tau, r.probes) for r in serial] == [(r.tau, r.probes) for r in parallel]
 
 
 def test_scan_pool_has_no_more_workers_than_scans(monkeypatch):
@@ -291,20 +287,31 @@ def test_convergence_table_shape():
     assert rows[0].eoc is None
     assert all(row.error is not None for row in rows)
     assert rows[1].eoc == pytest.approx(2.13, abs=0.1)
-    csv = convergence_csv_lines([(base, 25.0, rows)])
-    assert csv[0] == "N,K,dt_rule,theta_adv,theta_diff,l2_error,eoc"
-    assert len(csv) == 4
+    assert [row.n_cells for row in rows] == [20, 40, 80]
 
 
-def test_convergence_unstable_rows_are_dashes():
+def test_convergence_order_is_taken_over_the_grids_run():
+    # the order of e ~ K^-p between any two cell counts, not only doubled ones
+    base = AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 1, 20)
+    rows = run_convergence(base, order=2, mu=25.0, cell_counts=[20, 30], t_final=1.0)
+    assert rows[1].eoc == pytest.approx(1.83, abs=0.01)
+    order = np.log(rows[0].error / rows[1].error) / np.log(30 / 20)
+    assert rows[1].eoc == pytest.approx(order, rel=1e-12)
+    # a repeated cell count has no order
+    rows = run_convergence(base, order=2, mu=25.0, cell_counts=[20, 20], t_final=1.0)
+    assert rows[0].error == rows[1].error
+    assert rows[1].eoc is None
+
+
+def test_convergence_unstable_rows_are_dashes(tmp_path):
     # upwind advection with central diffusion at mu = 25 loses stability
-    base = AdvDiffConfig(0.1, 0.1, 0.5, 0.0, 1, 20)
-    rows = run_convergence(base, order=2, mu=25.0, cell_counts=[40, 80])
-    assert all(row.error is None for row in rows)
-    assert all(row.error_label() == "-" for row in rows)
+    argv = ["converge", "--K", "40,80", "--pair", "0.5", "0", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    _, *rows = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert [row.split(",")[-2:] for row in rows] == [["-", "-"], ["-", "-"]]
 
 
-def test_convergence_solver_failure_is_a_dash_row(monkeypatch):
+def test_convergence_solver_failure_is_a_dash_row(tmp_path, monkeypatch):
     # a failed stage solve marks its level unstable, and the next level has
     # no previous error to take an EOC from
     real_integrate = experiments.integrate
@@ -317,11 +324,12 @@ def test_convergence_solver_failure_is_a_dash_row(monkeypatch):
         return real_integrate(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "integrate", failing_second)
-    base = AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 1, 20)
-    rows = run_convergence(base, order=2, mu=25.0, cell_counts=[20, 40, 80], t_final=1.0)
-    assert [row.error is None for row in rows] == [False, True, False]
-    assert (rows[1].error_label(), rows[1].eoc_label()) == ("-", "-")
-    assert rows[2].error is not None and rows[2].eoc is None
+    argv = ["converge", "--K", "20,40,80", "--T", "1", "--pair", "0.5", "0.5"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    _, *rows = (tmp_path / "convergence.csv").read_text().splitlines()
+    fields = [row.split(",")[-2:] for row in rows]
+    assert [error == "-" for error, _ in fields] == [False, True, False]
+    assert [eoc for _, eoc in fields] == ["-", "-", "-"]
 
 
 def test_convergence_growth_solution_requires_unit_velocity():

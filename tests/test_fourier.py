@@ -383,7 +383,9 @@ def test_scan_probes_identical_without_fourier(monkeypatch, order, degree, n_cel
     sparse_only = experiments.max_stable_dt(scan_cfg)
     assert set(engines) == {"ImexSplitProblem"}
     assert with_fourier.probes == sparse_only.probes
-    assert with_fourier.tau_label == sparse_only.tau_label
+    assert (with_fourier.tau, with_fourier.unbounded, with_fourier.below_bracket) == (
+        sparse_only.tau, sparse_only.unbounded, sparse_only.below_bracket
+    )
 
 
 @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.5, 0.0)])

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from upwind_gsbp import cli
 from upwind_gsbp.imex import (
     SOLVE_RTOL,
     ImexSplitProblem,
@@ -691,7 +692,7 @@ def test_energy_trace_csv(tmp_path):
     problem = ImexSplitProblem(1, lambda t, u: -u, np.zeros((1, 1)), np.ones(1))
     _, trace = integrate(tableau_imex1(), problem, np.array([1.0]), 0.5, 1.0)
     path = tmp_path / "energy.csv"
-    trace.to_csv(path)
+    cli._write_energy(path, trace.steps)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,t,energy"
     assert len(lines) == 1 + len(trace.steps)

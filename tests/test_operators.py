@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from upwind_gsbp import cli
 from upwind_gsbp.mesh import Mesh1D, physical_nodes, uniform_mesh
 from upwind_gsbp.operators import (
     _components,
@@ -544,7 +545,8 @@ def test_non_finite_boundary_vector_fails_its_axiom():
     report = verify_axioms(dataclasses.replace(ops, t_beta=t_beta))
     assert np.isnan(report.boundary_residual_beta)
     assert not report.axiom_norm_boundary_pass
-    assert ("norm_boundary", "nan") in [(row[4], row[5]) for row in report.csv_rows()]
+    rows = cli._certification_rows(report)
+    assert ("norm_boundary", "nan", "fail") in [(row[4], row[5], row[7]) for row in rows]
 
 
 @pytest.mark.parametrize("topology", ["periodic", "bounded"])
@@ -634,7 +636,7 @@ def test_report_serialization_roundtrip_fields():
     report = verify_axioms(make_opset(2, 4, 0.5, "bounded"))
     text = report.to_text()
     assert "axiom_sbp: pass" in text
-    rows = report.csv_rows()
+    rows = cli._certification_rows(report)
     assert len(rows) == 4
     assert all(r[-1] == "pass" for r in rows)
 
