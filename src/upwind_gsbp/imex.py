@@ -24,10 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ImexTableau",
@@ -258,6 +260,8 @@ class ImexSplitProblem:
     @cached_property
     def _csr_l(self) -> tuple[sp.csr_matrix, float]:
         """(L, ||L||_inf): L, sparse or dense, as CSR and its largest absolute row sum."""
+        import scipy.sparse as sp
+
         lmat = self.l_implicit
         lmat = sp.csr_matrix(lmat) if isinstance(lmat, np.ndarray) else lmat.tocsr()
         return lmat, float(np.max(np.abs(lmat).sum(axis=1)))
@@ -265,6 +269,8 @@ class ImexSplitProblem:
     @cached_property
     def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, m_on, ml_on): the CSC pattern of M - M L and M, M L on it."""
+        import scipy.sparse as sp
+
         m = sp.diags(self.m_diag)
         ml = m @ self._csr_l[0]
         # |M| + |M L| cannot cancel: its nonzeros are those of M and of M L
@@ -282,6 +288,8 @@ class ImexSplitProblem:
         of the filled system are dropped, so the system is bit for bit
         ``(sp.diags(m) - tau * ml).tocsc()``.
         """
+        import scipy.sparse as sp
+
         indptr, indices, m_on, ml_on = self._pattern
         values = m_on - tau * ml_on
         mat = sp.csc_matrix((values, indices, indptr), shape=self._csr_l[0].shape, copy=True)

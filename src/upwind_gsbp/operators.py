@@ -24,12 +24,16 @@ alternating-flux (LDG-type) diffusion discretizations.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import Mesh1D, physical_nodes
 from .ref_element import ReferenceElement
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "GlobalOperatorSet",
@@ -51,29 +55,44 @@ TOPOLOGIES = ("periodic", "bounded")
 class GlobalOperatorSet:
     """Dual upwind pair with its norm, dissipation and boundary operators.
 
-    All matrices are canonical CSR (each row in column order, no duplicates,
+    The set keeps the slot layout of ``_first_derivative_matrix``:
+    ``slot_cols`` holds the columns that every matrix shares, and
+    ``d_minus_slots``, ``d_plus_slots`` and ``c_slots`` hold the values of
+    D-, D+ and C in those slots. ``D_minus``, ``D_plus`` and ``C`` are built
+    on first use, as canonical CSR (each row in column order, no duplicates,
     no stored zeros) with block-sparse structure (K diagonal blocks plus
     neighbor couplings). ``m_diag`` holds the diagonal of the norm matrix M.
     ``t_alpha`` and ``t_beta`` are present only for the bounded topology,
-    whose boundary operator B is folded into Q+/- and not kept.
+    whose boundary operator B enters Q+/- (``_q_slots``) and is not kept.
     """
 
     theta: float
     topology: str
     elem: ReferenceElement
     mesh: Mesh1D
-    D_minus: sp.csr_matrix
-    D_plus: sp.csr_matrix
     m_diag: np.ndarray
-    Q_minus: sp.csr_matrix
-    Q_plus: sp.csr_matrix
-    C: sp.csr_matrix
+    slot_cols: np.ndarray
+    d_minus_slots: np.ndarray
+    d_plus_slots: np.ndarray
+    c_slots: np.ndarray
     t_alpha: np.ndarray | None
     t_beta: np.ndarray | None
 
     @property
     def dim(self) -> int:
         return self.m_diag.size
+
+    @cached_property
+    def D_minus(self) -> sp.csr_matrix:
+        return _csr(self.d_minus_slots, self.slot_cols)
+
+    @cached_property
+    def D_plus(self) -> sp.csr_matrix:
+        return _csr(self.d_plus_slots, self.slot_cols)
+
+    @cached_property
+    def C(self) -> sp.csr_matrix:
+        return _csr(self.c_slots, self.slot_cols)
 
 
 @dataclass(frozen=True)
@@ -180,10 +199,54 @@ def _csr(values: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
     On the ``(values, cols)`` layout of ``_first_derivative_matrix`` the
     nonzero slots of a row ascend in column, so the matrix is canonical.
     """
+    # imported here, not at module level, so that runs which only certify
+    # operator sets (``gsbp verify``) never load scipy.sparse
+    import scipy.sparse as sp
+
     dim = values.shape[0]
     keep = values != 0
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
     return sp.csr_matrix((values[keep], cols[keep], indptr.astype(np.int32)), shape=(dim, dim))
+
+
+def _entries(values: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, data) of the nonzero ``values`` at ``cols``, as ``_csr`` stores them."""
+    keep = values != 0
+    return np.nonzero(keep)[0], cols[keep], values[keep]
+
+
+def _q_slots(
+    elem: ReferenceElement, topology: str, m_diag: np.ndarray, d_slots: np.ndarray
+) -> np.ndarray:
+    """Q = M D - B/2 on the slot layout of D, slot by slot.
+
+    B/2 sits in the diagonal slot of the end block rows of a bounded set (K
+    >= 2, so those rows differ), so each entry has the bits of scipy's
+    ``diags(m) @ D - 0.5 * B``.
+    """
+    q = m_diag[:, None] * d_slots
+    if topology == "bounded":
+        n = elem.n_nodes
+        lm, l1 = elem.boundary_left, elem.boundary_right
+        q[:n, n : 2 * n] -= -0.5 * np.outer(lm, lm)
+        q[-n:, n : 2 * n] -= 0.5 * np.outer(l1, l1)
+    return q
+
+
+def _apply(values: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The matrix of ``values`` at ``cols`` applied to the columns of ``x``, slot by slot.
+
+    Each row accumulates its slots in order from +0.0, as scipy's
+    ``csr_matvecs`` accumulates a CSR row. The running sum is never -0.0, so
+    adding a zero slot leaves it unchanged, and for finite ``x`` the result
+    has the bits of ``_csr(values, cols) @ x``. A non-finite slot gives the
+    nan or inf that scipy's kernel gives, without a warning.
+    """
+    out = np.zeros((values.shape[0], x.shape[1]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(values.shape[1]):
+            out += values[:, s, None] * x[cols[:, s]]
+    return out
 
 
 def assemble_first_derivative(
@@ -191,9 +254,9 @@ def assemble_first_derivative(
 ) -> GlobalOperatorSet:
     """Assemble the dual pair D-/D+, norm matrix M and dissipation matrix C.
 
-    Every matrix is built on the block layout of ``_first_derivative_matrix``
-    and stored as canonical CSR. Q+/- = M D+/- - B/2 and C = (Q+ - Q-)/2 are
-    formed slot by slot, so each entry has the bits of the scipy expressions
+    Every matrix is kept on the slot layout of ``_first_derivative_matrix``.
+    Q+/- = M D+/- - B/2 (``_q_slots``) and C = (Q+ - Q-)/2 are formed slot by
+    slot, so each entry has the bits of the scipy expressions
     ``diags(m) @ D - 0.5 * B`` and ``0.5 * (Q+ - Q-)``; only the storage order
     within a row differs from scipy's.
 
@@ -214,34 +277,26 @@ def assemble_first_derivative(
     d_plus_vals = _first_derivative_matrix(elem, mesh, -theta, topology)[0]
 
     if topology == "bounded":
-        lm, l1 = elem.boundary_left, elem.boundary_right
         t_alpha = np.zeros(dim)
-        t_alpha[:n] = lm
+        t_alpha[:n] = elem.boundary_left
         t_beta = np.zeros(dim)
-        t_beta[-n:] = l1
-        # B/2 sits in the diagonal slot of the end block rows
-        b_half = np.zeros_like(d_vals)
-        b_half[:n, n : 2 * n] = -0.5 * np.outer(lm, lm)
-        b_half[-n:, n : 2 * n] = 0.5 * np.outer(l1, l1)
+        t_beta[-n:] = elem.boundary_right
     else:
         t_alpha = t_beta = None
-        b_half = 0.0
 
-    q_minus_vals = m_diag[:, None] * d_vals - b_half
-    q_plus_vals = m_diag[:, None] * d_plus_vals - b_half
-    c_vals = 0.5 * (q_plus_vals - q_minus_vals)
+    q_minus_vals = _q_slots(elem, topology, m_diag, d_vals)
+    q_plus_vals = _q_slots(elem, topology, m_diag, d_plus_vals)
 
     return GlobalOperatorSet(
         theta=theta,
         topology=topology,
         elem=elem,
         mesh=mesh,
-        D_minus=_csr(d_vals, cols),
-        D_plus=_csr(d_plus_vals, cols),
         m_diag=m_diag,
-        Q_minus=_csr(q_minus_vals, cols),
-        Q_plus=_csr(q_plus_vals, cols),
-        C=_csr(c_vals, cols),
+        slot_cols=cols,
+        d_minus_slots=d_vals,
+        d_plus_slots=d_plus_vals,
+        c_slots=0.5 * (q_plus_vals - q_minus_vals),
         t_alpha=t_alpha,
         t_beta=t_beta,
     )
@@ -269,21 +324,25 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
-def _entry_sums(a: sp.csr_matrix, b: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _entry_sums(
+    a: tuple[np.ndarray, np.ndarray, np.ndarray],
+    b: tuple[np.ndarray, np.ndarray, np.ndarray],
+    dim: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(keys, a_sums, bt_sums) over the positions that a or the transpose of b stores.
 
-    A position (i, j) has the key i * n_cols + j; the keys ascend. At each
-    position, ``a_sums`` holds a's entries there summed in storage order,
-    starting from 0.0, and 0.0 where a stores none; ``bt_sums`` does the same
-    for b^T. These are the operands scipy's binop combines, so
-    ``a_sums + bt_sums`` has the bits of the entries of ``a + b.T``. Unsorted
-    indices and duplicate entries are taken as stored.
+    ``a`` and ``b`` are the (rows, cols, data) entries of two dim x dim
+    matrices, in storage order. A position (i, j) has the key i * dim + j;
+    the keys ascend. At each position, ``a_sums`` holds a's entries there
+    summed in storage order, starting from 0.0, and 0.0 where a stores none;
+    ``bt_sums`` does the same for b^T. These are the operands scipy's binop
+    combines, so ``a_sums + bt_sums`` has the bits of the entries of
+    ``a + b.T``. Entries in any order and duplicate entries are taken as
+    stored.
     """
-    n_rows, n_cols = a.shape
-    n_a = a.indptr[-1]
-    a_rows = np.repeat(np.arange(n_rows), np.diff(a.indptr))
-    b_rows = np.repeat(np.arange(n_cols), np.diff(b.indptr))
-    keys = np.concatenate([a_rows * n_cols + a.indices, b.indices.astype(np.int64) * n_cols + b_rows])
+    a_rows, a_cols, a_data = a
+    b_rows, b_cols, b_data = b
+    keys = np.concatenate([a_rows * dim + a_cols, b_cols.astype(np.int64) * dim + b_rows])
     # a stable sort keeps each side's duplicates in storage order, a's first
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -292,8 +351,8 @@ def _entry_sums(a: sp.csr_matrix, b: sp.csr_matrix) -> tuple[np.ndarray, np.ndar
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     n_keys = int(np.count_nonzero(first))
     # bin 2k sums a's entries at the k-th position, bin 2k + 1 those of b^T
-    bins = 2 * np.cumsum(first) - 2 + (order >= n_a)
-    sums = np.bincount(bins, np.concatenate([a.data, b.data])[order], 2 * n_keys)
+    bins = 2 * np.cumsum(first) - 2 + (order >= a_data.size)
+    sums = np.bincount(bins, np.concatenate([a_data, b_data])[order], 2 * n_keys)
     sums = sums.reshape(n_keys, 2)
     return keys[first], sums[:, 0], sums[:, 1]
 
@@ -325,10 +384,10 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, np.n
     return roots.size, labels
 
 
-def _max_eig_sym(mat: sp.csr_matrix, sums: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
-    """Largest eigenvalue of the symmetric part of ``mat``, one component at a time.
+def _max_eig_sym(dim: int, sums: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    """Largest eigenvalue of the symmetric part of a dim x dim matrix, one component at a time.
 
-    ``sums`` is ``_entry_sums(mat, mat)``, which the caller has formed. A
+    ``sums`` is ``_entry_sums(mat, mat, dim)``, which the caller has formed. A
     symmetric matrix is block diagonal over the connected components of its
     sparsity graph, so its spectrum is the union of the components' spectra.
     The components of each size are stacked into one batched ``eigvalsh``. On
@@ -342,9 +401,9 @@ def _max_eig_sym(mat: sp.csr_matrix, sums: tuple[np.ndarray, np.ndarray, np.ndar
     if not np.isfinite(total).all():
         return float("nan")
     stored = total != 0
-    sym_rows, sym_cols = np.divmod(keys[stored], mat.shape[1])
+    sym_rows, sym_cols = np.divmod(keys[stored], dim)
     sym_data = 0.5 * total[stored]
-    n_comp, labels = _components(mat.shape[0], sym_rows, sym_cols)
+    n_comp, labels = _components(dim, sym_rows, sym_cols)
     sizes = np.bincount(labels, minlength=n_comp)
     # position of each node within its component, and of each component
     # within the stack of components of its size
@@ -362,6 +421,25 @@ def _max_eig_sym(mat: sp.csr_matrix, sums: tuple[np.ndarray, np.ndarray, np.ndar
         stack[slot[labels[rows]], local[rows], local[cols]] = sym_data[keep]
         top = max(top, float(np.linalg.eigvalsh(stack)[:, -1].max()))
     return top
+
+
+def _sbp_certificate(
+    q_plus: tuple[np.ndarray, np.ndarray, np.ndarray],
+    q_minus: tuple[np.ndarray, np.ndarray, np.ndarray],
+    c: tuple[np.ndarray, np.ndarray, np.ndarray],
+    dim: int,
+) -> tuple[float, float, float]:
+    """(SBP, C symmetry, largest C eigenvalue) residuals from the entries of Q+, Q- and C.
+
+    Each matrix is given as its (rows, cols, data) entries, as ``_entry_sums`` reads them.
+    """
+    _, q_plus_sums, q_minus_t = _entry_sums(q_plus, q_minus, dim)
+    sbp_residual = _max_abs(q_plus_sums + q_minus_t)
+    c_sums = _entry_sums(c, c, dim)
+    # inf - inf on a non-finite diagonal entry is nan, which fails the axiom
+    with np.errstate(invalid="ignore"):
+        c_sym = _max_abs(c_sums[1] - c_sums[2])
+    return sbp_residual, c_sym, _max_eig_sym(dim, c_sums)
 
 
 @dataclass(frozen=True)
@@ -417,10 +495,13 @@ def verify_axioms(opset: GlobalOperatorSet, tol: float = 1e-10) -> Certification
     Bounded topology: accuracy on monomials up to the element degree,
     boundary interpolation exactness, the SBP relation Q+ + (Q-)^T = 0 and
     negative semi-definiteness of C. Periodic topology: the latter two only.
-    All residuals are recorded; nothing is raised on failure.
+    The checks read the slot layout of the set with numpy alone; Q+/- are
+    formed from D+/- by ``_q_slots``, as assembly forms them. All residuals
+    are recorded; nothing is raised on failure.
     """
     elem, mesh = opset.elem, opset.mesh
     degree = elem.degree
+    cols = opset.slot_cols
 
     accuracy = None
     bnd_alpha = bnd_beta = None
@@ -434,8 +515,8 @@ def verify_axioms(opset: GlobalOperatorSet, tol: float = 1e-10) -> Certification
         derivs = np.arange(degree + 1)[:, None] * np.vstack([np.zeros_like(x), powers[:-1]])
         scale = np.maximum(1.0, np.max(np.abs(powers), axis=1))
         accuracy = [
-            np.max(np.abs(d @ powers.T - derivs.T), axis=0) / scale
-            for d in (opset.D_minus, opset.D_plus)
+            np.max(np.abs(_apply(d, cols, powers.T) - derivs.T), axis=0) / scale
+            for d in (opset.d_minus_slots, opset.d_plus_slots)
         ]
         bnd_alpha, bnd_beta = [], []
         for k, xk in enumerate(powers):
@@ -446,13 +527,13 @@ def verify_axioms(opset: GlobalOperatorSet, tol: float = 1e-10) -> Certification
         acc_pass = accuracy <= tol
         nb_pass = bool(np.min(opset.m_diag) > 0.0 and bnd_alpha <= tol and bnd_beta <= tol)
 
-    _, q_plus, q_minus_t = _entry_sums(opset.Q_plus, opset.Q_minus)
-    sbp_residual = _max_abs(q_plus + q_minus_t)
-    c_sums = _entry_sums(opset.C, opset.C)
-    # inf - inf on a non-finite diagonal entry is nan, which fails the axiom
-    with np.errstate(invalid="ignore"):
-        c_sym = _max_abs(c_sums[1] - c_sums[2])
-    c_eig = _max_eig_sym(opset.C, c_sums)
+    q_plus, q_minus = (
+        _entries(_q_slots(elem, opset.topology, opset.m_diag, d), cols)
+        for d in (opset.d_plus_slots, opset.d_minus_slots)
+    )
+    sbp_residual, c_sym, c_eig = _sbp_certificate(
+        q_plus, q_minus, _entries(opset.c_slots, cols), opset.dim
+    )
 
     return CertificationReport(
         degree=degree,

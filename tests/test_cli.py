@@ -776,8 +776,8 @@ def test_config_file_drives_run(tmp_path, capsys):
 
 
 # Run in a fresh interpreter: the test process itself has long loaded
-# scipy.sparse.linalg and multiprocessing. Each step reports its exit status
-# and which of the two modules are loaded after it.
+# scipy.sparse, scipy.sparse.linalg and multiprocessing. Each step reports its
+# exit status and which of the three modules are loaded after it.
 LAZY_IMPORT_SCRIPT = """
 import contextlib, io, json, sys, tempfile
 
@@ -786,7 +786,7 @@ import numpy as np
 from upwind_gsbp.cli import main
 
 def loaded():
-    return ["scipy.sparse.linalg" in sys.modules, "multiprocessing" in sys.modules]
+    return [m in sys.modules for m in ("scipy.sparse", "scipy.sparse.linalg", "multiprocessing")]
 
 out = tempfile.mkdtemp()
 seen = {"import": [0, *loaded()]}
@@ -821,19 +821,46 @@ def test_runs_load_only_what_they_execute():
         [sys.executable, "-c", LAZY_IMPORT_SCRIPT], env=env, capture_output=True, text=True, check=True
     )
     seen = json.loads(run.stdout.splitlines()[-1])
-    # [exit status or steps taken, scipy.sparse.linalg loaded, multiprocessing loaded]
+    # [exit status or steps taken, scipy.sparse loaded, scipy.sparse.linalg
+    # loaded, multiprocessing loaded]
     assert seen == {
-        "import": [0, False, False],
-        "help": [0, False, False],
-        "config_error": [2, False, False],
-        "verify": [0, False, False],
-        # Burgers solves its stage systems on the symbol of L, with no sparse factorization
-        "burgers": [0, False, False],
+        "import": [0, False, False, False],
+        "help": [0, False, False, False],
+        "config_error": [2, False, False, False],
+        # the verifier reads the operators' slot layout with numpy alone
+        "verify": [0, False, False, False],
+        # Burgers applies CSR matrices, but solves its stage systems on the
+        # symbol of L, with no sparse factorization
+        "burgers": [0, True, False, False],
         # a sparse run factorizes its stage systems, which loads the solver
-        "integrate": [3, True, False],
+        "integrate": [3, True, True, False],
         # one worker starts no process pool
-        "scan": [0, True, False],
+        "scan": [0, True, True, False],
     }
+
+
+# A None entry in sys.modules makes every import of scipy raise ImportError.
+NO_SCIPY_VERIFY_SCRIPT = """
+import sys
+
+sys.modules["scipy"] = None
+
+from upwind_gsbp.cli import main
+
+sys.exit(main(["verify", "--N", "1,3", "--K", "4,320", "--theta", "0,0.5", "--out", sys.argv[1]]))
+"""
+
+
+def test_verify_runs_without_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_VERIFY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    for name in ("certification.csv", "certification.txt"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):

@@ -9,8 +9,11 @@ from upwind_gsbp import cli
 from upwind_gsbp.mesh import Mesh1D, physical_nodes, uniform_mesh
 from upwind_gsbp.operators import (
     _components,
+    _csr,
     _entry_sums,
     _max_eig_sym,
+    _q_slots,
+    _sbp_certificate,
     assemble_first_derivative,
     interface_jumps,
     second_derivative_from,
@@ -23,6 +26,34 @@ def make_opset(degree, n_cells, theta, topology, interval=(-np.pi, np.pi)):
     elem = build_lgl(degree)
     mesh = uniform_mesh(interval[0], interval[1], n_cells)
     return assemble_first_derivative(elem, mesh, theta, topology)
+
+
+def q_pair(ops):
+    """(Q-, Q+) as CSR, formed from the set's D-/D+ slots as ``verify_axioms`` forms them."""
+    return tuple(
+        _csr(_q_slots(ops.elem, ops.topology, ops.m_diag, d), ops.slot_cols)
+        for d in (ops.d_minus_slots, ops.d_plus_slots)
+    )
+
+
+def with_slots(ops, **slots):
+    """``ops`` with D-/D+ slots replaced and C's slots formed from them, as assembly forms them."""
+    d_minus = slots.get("d_minus_slots", ops.d_minus_slots)
+    d_plus = slots.get("d_plus_slots", ops.d_plus_slots)
+    q_minus, q_plus = (_q_slots(ops.elem, ops.topology, ops.m_diag, d) for d in (d_minus, d_plus))
+    return dataclasses.replace(
+        ops, d_minus_slots=d_minus, d_plus_slots=d_plus, c_slots=0.5 * (q_plus - q_minus)
+    )
+
+
+def entries(mat):
+    """(rows, cols, data) of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), mat.indices, mat.data
+
+
+def slot_of_nonzero(slots, k):
+    """The (row, slot) of the k-th nonzero slot of ``slots`` in storage order."""
+    return np.unravel_index(np.flatnonzero(slots)[k], slots.shape)
 
 
 # ---------------------------------------------------------------- assembly
@@ -157,8 +188,7 @@ def test_assembly_matches_per_cell_reference(n_cells, uniform, theta, topology):
         for got, want in [
             (ops.D_minus, d_minus),
             (ops.D_plus, d_plus),
-            (ops.Q_minus, q_minus),
-            (ops.Q_plus, q_plus),
+            *zip(q_pair(ops), (q_minus, q_plus)),
             (ops.C, c),
         ]:
             assert same_bits(got, want.sorted_indices())
@@ -175,9 +205,10 @@ def test_assembly_matches_scipy_when_b_adds_entries(theta):
     m, b = sp.diags(ops.m_diag), reference_boundary_operator(elem, ops.dim)
     q_minus = m @ reference_first_derivative(elem, mesh, theta, "bounded") - 0.5 * b
     q_plus = m @ reference_first_derivative(elem, mesh, -theta, "bounded") - 0.5 * b
-    assert ops.D_minus[1, 1] == 0 and ops.Q_minus[1, 1] != 0
-    assert same_bits(ops.Q_minus, q_minus.tocsr().sorted_indices())
-    assert same_bits(ops.Q_plus, q_plus.tocsr().sorted_indices())
+    set_q_minus, set_q_plus = q_pair(ops)
+    assert ops.D_minus[1, 1] == 0 and set_q_minus[1, 1] != 0
+    assert same_bits(set_q_minus, q_minus.tocsr().sorted_indices())
+    assert same_bits(set_q_plus, q_plus.tocsr().sorted_indices())
 
 
 @pytest.mark.parametrize("theta", [-0.5, -0.25, 0.0, 0.25, 0.5])
@@ -187,8 +218,9 @@ def test_operator_set_is_canonical_csr(theta, topology):
     for degree in range(1, 6):
         for n_cells in range(2, 8):
             ops = make_opset(degree, n_cells, theta, topology)
-            for name in ("D_minus", "D_plus", "Q_minus", "Q_plus", "C"):
-                mat = getattr(ops, name)
+            q_minus, q_plus = q_pair(ops)
+            mats = dict(D_minus=ops.D_minus, D_plus=ops.D_plus, Q_minus=q_minus, Q_plus=q_plus, C=ops.C)
+            for name, mat in mats.items():
                 assert mat.has_canonical_format, (degree, n_cells, name)
                 assert np.all(mat.data != 0), (degree, n_cells, name)
 
@@ -240,8 +272,8 @@ def test_norm_matrix_diagonal_spd(topology):
 @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
 @pytest.mark.parametrize("topology", ["periodic", "bounded"])
 def test_sbp_relation(theta, topology):
-    ops = make_opset(3, 5, theta, topology)
-    assert abs(ops.Q_plus + ops.Q_minus.T).max() <= 1e-12
+    q_minus, q_plus = q_pair(make_opset(3, 5, theta, topology))
+    assert abs(q_plus + q_minus.T).max() <= 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
@@ -258,7 +290,7 @@ def test_boundary_operator_structure():
     n = ops.elem.n_nodes
     lm, l1 = ops.elem.boundary_left, ops.elem.boundary_right
     m = sp.diags(ops.m_diag)
-    for d, q in ((ops.D_minus, ops.Q_minus), (ops.D_plus, ops.Q_plus)):
+    for d, q in zip((ops.D_minus, ops.D_plus), q_pair(ops)):
         half_b = (m @ d - q).toarray()
         np.testing.assert_allclose(half_b[:n, :n], -0.5 * np.outer(lm, lm), rtol=0, atol=1e-14)
         np.testing.assert_allclose(half_b[-n:, -n:], 0.5 * np.outer(l1, l1), rtol=0, atol=1e-14)
@@ -272,8 +304,9 @@ def test_boundary_operator_matches_lil_reference(degree, n_cells):
     # the B that Q+/- fold in is the lil-built one, bit for bit
     ops = make_opset(degree, n_cells, 0.25, "bounded")
     m, b = sp.diags(ops.m_diag), reference_boundary_operator(ops.elem, ops.dim)
-    assert same_bits(ops.Q_minus, (m @ ops.D_minus - 0.5 * b).tocsr())
-    assert same_bits(ops.Q_plus, (m @ ops.D_plus - 0.5 * b).tocsr())
+    q_minus, q_plus = q_pair(ops)
+    assert same_bits(q_minus, (m @ ops.D_minus - 0.5 * b).tocsr())
+    assert same_bits(q_plus, (m @ ops.D_plus - 0.5 * b).tocsr())
 
 
 # ---------------------------------------------------------------- C matrix
@@ -299,14 +332,14 @@ def test_negative_theta_flips_sign_and_is_flagged():
 
 
 def test_misassembled_operators_are_flagged():
-    # the verifier reads the matrices as given, so one wrong entry of Q+
-    # breaks the SBP relation and the symmetry of C
+    # the verifier reads the slots as given, so one wrong entry of D+, which
+    # moves its entry of Q+ = M D+ by 1e-3, breaks the SBP relation and the
+    # symmetry of C
     ops = make_opset(2, 4, 0.5, "periodic")
-    q_plus = ops.Q_plus.copy()
-    entry = np.flatnonzero(q_plus.indices[: q_plus.indptr[1]] == 2)[0]
-    q_plus.data[entry] += 1e-3  # an off-diagonal entry of row 0
-    bad = dataclasses.replace(ops, Q_plus=q_plus, C=0.5 * (q_plus - ops.Q_minus))
-    report = verify_axioms(bad)
+    d_plus = ops.d_plus_slots.copy()
+    slot = np.flatnonzero(ops.slot_cols[0] == 2)[0]
+    d_plus[0, slot] += 1e-3 / ops.m_diag[0]  # an off-diagonal entry of row 0
+    report = verify_axioms(with_slots(ops, d_plus_slots=d_plus))
     assert report.sbp_residual == pytest.approx(1e-3, rel=1e-9)
     assert report.c_symmetry_residual == pytest.approx(5e-4, rel=1e-9)
     assert not report.axiom_sbp_pass
@@ -315,7 +348,7 @@ def test_misassembled_operators_are_flagged():
 
 def max_eig_sym(mat):
     """``_max_eig_sym`` with the entry sums ``verify_axioms`` forms for it."""
-    return _max_eig_sym(mat, _entry_sums(mat, mat))
+    return _max_eig_sym(mat.shape[0], _entry_sums(entries(mat), entries(mat), mat.shape[0]))
 
 
 def dense_max_eig_sym(mat):
@@ -429,12 +462,23 @@ def scipy_max_eig_sym(mat):
     )
 
 
-def scipy_certificate(opset):
+def scipy_certificate(q_plus, q_minus, c):
     """(sbp, C symmetry, C eigenvalue) residuals from scipy's sparse algebra."""
-    c_t = opset.C.T.tocsr()
-    sums = [opset.Q_plus + opset.Q_minus.T.tocsr(), opset.C - c_t]
+    c_t = c.T.tocsr()
+    sums = [q_plus + q_minus.T.tocsr(), c - c_t]
     sbp, c_sym = (float(np.max(np.abs(m.data), initial=0.0)) for m in sums)
-    return sbp, c_sym, scipy_max_eig_sym(opset.C)
+    return sbp, c_sym, scipy_max_eig_sym(c)
+
+
+def scipy_set_certificate(opset):
+    """``scipy_certificate`` of the set's Q+, Q- and C."""
+    q_minus, q_plus = q_pair(opset)
+    return scipy_certificate(q_plus, q_minus, opset.C)
+
+
+def triples_certificate(q_plus, q_minus, c):
+    """The verifier's residuals from the (rows, cols, data) entries of CSR matrices."""
+    return _sbp_certificate(entries(q_plus), entries(q_minus), entries(c), c.shape[0])
 
 
 def certificate(report):
@@ -469,39 +513,43 @@ def split_entries(mat, seed):
 @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
 def test_verifier_reads_unsorted_indices(theta, topology):
     ops = make_opset(2, 6, theta, topology)
-    q_plus = shuffled_rows(ops.Q_plus, 1)
+    set_q_minus, set_q_plus = q_pair(ops)
+    q_plus = shuffled_rows(set_q_plus, 1)
     assert not q_plus.has_sorted_indices
-    bad = dataclasses.replace(ops, Q_plus=q_plus, C=shuffled_rows(ops.C, 2))
-    assert certificate(verify_axioms(bad)) == scipy_certificate(bad)
+    c = shuffled_rows(ops.C, 2)
+    got = triples_certificate(q_plus, set_q_minus, c)
+    assert got == scipy_certificate(q_plus, set_q_minus, c)
+    # the order the entries are stored in moves no bit
+    assert got == certificate(verify_axioms(ops))
 
 
 @pytest.mark.parametrize("topology", ["periodic", "bounded"])
 @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
 def test_verifier_sums_duplicate_entries(theta, topology):
     ops = make_opset(2, 6, theta, topology)
-    q_plus, q_minus = split_entries(ops.Q_plus, 3), split_entries(ops.Q_minus, 4)
-    c = 0.5 * (q_plus - q_minus)
-    assert q_plus.nnz > ops.Q_plus.nnz and not q_plus.has_canonical_format
-    bad = dataclasses.replace(ops, Q_plus=q_plus, Q_minus=q_minus, C=split_entries(c, 5))
-    report = verify_axioms(bad)
-    assert certificate(report) == scipy_certificate(bad)
+    set_q_minus, set_q_plus = q_pair(ops)
+    q_plus, q_minus = split_entries(set_q_plus, 3), split_entries(set_q_minus, 4)
+    c = split_entries(0.5 * (q_plus - q_minus), 5)
+    assert q_plus.nnz > set_q_plus.nnz and not q_plus.has_canonical_format
+    got = triples_certificate(q_plus, q_minus, c)
+    assert got == scipy_certificate(q_plus, q_minus, c)
     # the split moves the sums by roundoff only
-    assert report.axiom_sbp_pass and report.axiom_dissipation_pass
+    assert max(got) <= 1e-10
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5])
 def test_verifier_flags_corrupted_bounded_set(theta):
     ops = make_opset(3, 5, theta, "bounded")
-    q_plus = ops.Q_plus.copy()
-    corner = np.flatnonzero(q_plus.indices[: q_plus.indptr[1]] == 0)[0]
-    q_plus.data[corner] += 1e-3  # the entry of Q+ that B/2 corrects
-    d_minus = ops.D_minus.copy()
-    d_minus.data[-1] *= 1.0 + 1e-6
-    bad = dataclasses.replace(
-        ops, Q_plus=q_plus, D_minus=d_minus, C=0.5 * (q_plus - ops.Q_minus)
-    )
+    n = ops.elem.n_nodes
+    d_plus = ops.d_plus_slots.copy()
+    # the diagonal slot of row 0 holds the entry of Q+ that B/2 corrects
+    assert ops.slot_cols[0, n] == 0
+    d_plus[0, n] += 1e-3 / ops.m_diag[0]
+    d_minus = ops.d_minus_slots.copy()
+    d_minus[slot_of_nonzero(d_minus, -1)] *= 1.0 + 1e-6
+    bad = with_slots(ops, d_minus_slots=d_minus, d_plus_slots=d_plus)
     report = verify_axioms(bad)
-    assert certificate(report) == scipy_certificate(bad)
+    assert certificate(report) == scipy_set_certificate(bad)
     assert report.sbp_residual == pytest.approx(1e-3, rel=1e-9)
     assert not report.axiom_accuracy_pass
     assert report.axiom_norm_boundary_pass
@@ -512,10 +560,11 @@ def test_verifier_flags_corrupted_bounded_set(theta):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_c_entry_fails_dissipation(bad):
     ops = make_opset(2, 4, 0.5, "periodic")
-    c = ops.C.copy()
-    c.data[0] = bad
-    assert np.isnan(max_eig_sym(c))
-    report = verify_axioms(dataclasses.replace(ops, C=c))
+    c = ops.c_slots.copy()
+    c[slot_of_nonzero(c, 0)] = bad
+    bad_ops = dataclasses.replace(ops, c_slots=c)
+    assert np.isnan(max_eig_sym(bad_ops.C))
+    report = verify_axioms(bad_ops)
     assert not np.isfinite(report.c_max_eigenvalue)
     assert not np.isfinite(report.c_symmetry_residual)
     assert not report.axiom_dissipation_pass and not report.all_pass
@@ -525,16 +574,23 @@ def test_non_finite_c_entry_fails_dissipation(bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["D_minus", "D_plus", "Q_plus", "Q_minus"])
 def test_non_finite_entry_fails_its_axiom(field, bad):
+    # Q is not stored: the verifier forms Q = M D - B/2 from the slots of D, so
+    # a non-finite entry of Q comes from its slot of D, and the entry fails
+    # both the accuracy of D and the SBP relation of Q
     ops = make_opset(2, 4, 0.5, "bounded")
-    mat = getattr(ops, field).copy()
-    mat.data[mat.nnz // 2] = bad
-    report = verify_axioms(dataclasses.replace(ops, **{field: mat}))
-    if field.startswith("D"):
-        assert not np.isfinite(report.accuracy_residual)
-        assert not report.axiom_accuracy_pass
-    else:
-        assert not np.isfinite(report.sbp_residual)
-        assert not report.axiom_sbp_pass
+    name = "d_" + field.split("_")[1] + "_slots"
+    slots = getattr(ops, name).copy()
+    slot = slot_of_nonzero(slots, np.count_nonzero(slots) // 2)
+    slots[slot] = bad
+    bad_ops = dataclasses.replace(ops, **{name: slots})
+    if field.startswith("Q"):
+        q = dict(zip(("Q_minus", "Q_plus"), q_pair(bad_ops)))[field]
+        assert not np.isfinite(q[slot[0], ops.slot_cols[slot]])
+    report = verify_axioms(bad_ops)
+    assert not np.isfinite(report.accuracy_residual)
+    assert not report.axiom_accuracy_pass
+    assert not np.isfinite(report.sbp_residual)
+    assert not report.axiom_sbp_pass
     assert not report.all_pass
 
 
@@ -630,6 +686,49 @@ def test_axioms_certified(degree, n_cells, theta):
     report_p = verify_axioms(make_opset(degree, n_cells, theta, "periodic"))
     assert report_p.axiom_sbp_pass and report_p.axiom_dissipation_pass
     assert report_p.accuracy_residual is None
+
+
+def graded_mesh(seed):
+    """A mesh of random size and position whose widths grow or shrink geometrically."""
+    rng = np.random.default_rng(seed)
+    n_cells = int(rng.integers(2, 13))
+    widths = rng.uniform(0.2, 1.0) * rng.uniform(0.7, 1.4) ** np.arange(n_cells)
+    x_a = float(rng.uniform(-3.0, 1.0))
+    return Mesh1D(x_a, x_a + float(np.sum(widths)), widths)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("topology", ["periodic", "bounded"])
+def test_verifier_bits_on_graded_meshes(seed, topology):
+    # the CLI goldens pin the verifier on uniform meshes only; here each
+    # residual is the scipy expression's, bit for bit
+    mesh = graded_mesh(seed)
+    for degree in range(1, 6):
+        elem = build_lgl(degree)
+        for theta in (0.0, 0.25, 0.5):
+            ops = assemble_first_derivative(elem, mesh, theta, topology)
+            report = verify_axioms(ops)
+            m = sp.diags(ops.m_diag)
+            q_minus, q_plus = m @ ops.D_minus, m @ ops.D_plus
+            if topology == "bounded":
+                half_b = 0.5 * reference_boundary_operator(elem, ops.dim)
+                q_minus, q_plus = q_minus - half_b, q_plus - half_b
+            c = ops.C
+            assert report.sbp_residual == abs(q_plus + q_minus.T).max()
+            assert report.c_symmetry_residual == abs(c - c.T).max()
+            assert report.c_max_eigenvalue == scipy_max_eig_sym(c)
+            if topology == "periodic":
+                assert report.accuracy_residual is None
+                continue
+            x = physical_nodes(mesh, elem)
+            powers = np.array([x**k for k in range(degree + 1)])
+            derivs = np.arange(degree + 1)[:, None] * np.vstack([np.zeros_like(x), powers[:-1]])
+            scale = np.maximum(1.0, np.max(np.abs(powers), axis=1))
+            want = max(
+                float(np.max(np.max(np.abs(d @ powers.T - derivs.T), axis=0) / scale))
+                for d in (ops.D_minus, ops.D_plus)
+            )
+            assert report.accuracy_residual == want
 
 
 def test_report_serialization_roundtrip_fields():
