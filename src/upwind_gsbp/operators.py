@@ -16,6 +16,9 @@ Q^{+/-} = M D^{+/-} - B/2,
     (iv)   C = (Q+ - Q-)/2 symmetric negative semi-definite (theta >= 0),
 
 and the quadratic form of C equals -theta * sum of squared interface jumps.
+An assembled set keeps only D+/- and M; Q+/-, C and the boundary operator
+B = t_beta t_beta^T - t_alpha t_alpha^T, whose vectors are the element's
+boundary interpolation vectors, are formed from them where they are used.
 Second-derivative operators are the products D2(theta) = D-(theta) D+(theta);
 theta = 0, +1/2, -1/2 reproduce the standard central (BR1-type) and the two
 alternating-flux (LDG-type) diffusion discretizations.
@@ -53,17 +56,17 @@ TOPOLOGIES = ("periodic", "bounded")
 
 @dataclass(frozen=True)
 class GlobalOperatorSet:
-    """Dual upwind pair with its norm, dissipation and boundary operators.
+    """Dual upwind pair D-/D+ with the diagonal of its norm matrix M.
 
     The set keeps the slot layout of ``_first_derivative_matrix``:
     ``slot_cols`` holds the columns that every matrix shares, and
-    ``d_minus_slots``, ``d_plus_slots`` and ``c_slots`` hold the values of
-    D-, D+ and C in those slots. ``D_minus``, ``D_plus`` and ``C`` are built
-    on first use, as canonical CSR (each row in column order, no duplicates,
-    no stored zeros) with block-sparse structure (K diagonal blocks plus
-    neighbor couplings). ``m_diag`` holds the diagonal of the norm matrix M.
-    ``t_alpha`` and ``t_beta`` are present only for the bounded topology,
-    whose boundary operator B enters Q+/- (``_q_slots``) and is not kept.
+    ``d_minus_slots`` and ``d_plus_slots`` hold the values of D- and D+ in
+    those slots. Everything else is a function of D+/-, M and the element:
+    ``_q_slots`` forms Q+/- and C from them, with the boundary operator B of
+    the bounded topology built from ``elem.boundary_left/right``.
+    ``D_minus``, ``D_plus`` and ``C`` are built on first use, as canonical
+    CSR (each row in column order, no duplicates, no stored zeros) with
+    block-sparse structure (K diagonal blocks plus neighbor couplings).
     """
 
     theta: float
@@ -74,9 +77,6 @@ class GlobalOperatorSet:
     slot_cols: np.ndarray
     d_minus_slots: np.ndarray
     d_plus_slots: np.ndarray
-    c_slots: np.ndarray
-    t_alpha: np.ndarray | None
-    t_beta: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -92,7 +92,7 @@ class GlobalOperatorSet:
 
     @cached_property
     def C(self) -> sp.csr_matrix:
-        return _csr(self.c_slots, self.slot_cols)
+        return _csr(_q_slots(self)[2], self.slot_cols)
 
 
 @dataclass(frozen=True)
@@ -215,22 +215,26 @@ def _entries(values: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.nonzero(keep)[0], cols[keep], values[keep]
 
 
-def _q_slots(
-    elem: ReferenceElement, topology: str, m_diag: np.ndarray, d_slots: np.ndarray
-) -> np.ndarray:
-    """Q = M D - B/2 on the slot layout of D, slot by slot.
+def _q_slots(opset: GlobalOperatorSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q+, Q-, C) on the slot layout of the set: Q+/- = M D+/- - B/2, C = (Q+ - Q-)/2.
 
-    B/2 sits in the diagonal slot of the end block rows of a bounded set (K
-    >= 2, so those rows differ), so each entry has the bits of scipy's
-    ``diags(m) @ D - 0.5 * B``.
+    B = t_beta t_beta^T - t_alpha t_alpha^T is built from the element's
+    boundary vectors; B/2 sits in the diagonal slot of the end block rows of
+    a bounded set (K >= 2, so those rows differ). Each entry has the bits of
+    scipy's ``diags(m) @ D - 0.5 * B`` and ``0.5 * (Q+ - Q-)``. A non-finite
+    boundary vector gives the nan or inf entries scipy gives, without a
+    warning.
     """
-    q = m_diag[:, None] * d_slots
-    if topology == "bounded":
-        n = elem.n_nodes
-        lm, l1 = elem.boundary_left, elem.boundary_right
-        q[:n, n : 2 * n] -= -0.5 * np.outer(lm, lm)
-        q[-n:, n : 2 * n] -= 0.5 * np.outer(l1, l1)
-    return q
+    m = opset.m_diag[:, None]
+    q_plus, q_minus = m * opset.d_plus_slots, m * opset.d_minus_slots
+    with np.errstate(invalid="ignore"):
+        if opset.topology == "bounded":
+            n = opset.elem.n_nodes
+            lm, l1 = opset.elem.boundary_left, opset.elem.boundary_right
+            for q in (q_plus, q_minus):
+                q[:n, n : 2 * n] -= -0.5 * np.outer(lm, lm)
+                q[-n:, n : 2 * n] -= 0.5 * np.outer(l1, l1)
+        return q_plus, q_minus, 0.5 * (q_plus - q_minus)
 
 
 def _apply(values: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -252,13 +256,11 @@ def _apply(values: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
 def assemble_first_derivative(
     elem: ReferenceElement, mesh: Mesh1D, theta: float, topology: str = "periodic"
 ) -> GlobalOperatorSet:
-    """Assemble the dual pair D-/D+, norm matrix M and dissipation matrix C.
+    """Assemble the dual pair D-/D+ and the diagonal of the norm matrix M.
 
-    Every matrix is kept on the slot layout of ``_first_derivative_matrix``.
-    Q+/- = M D+/- - B/2 (``_q_slots``) and C = (Q+ - Q-)/2 are formed slot by
-    slot, so each entry has the bits of the scipy expressions
-    ``diags(m) @ D - 0.5 * B`` and ``0.5 * (Q+ - Q-)``; only the storage order
-    within a row differs from scipy's.
+    D+/- are kept on the slot layout of ``_first_derivative_matrix``. Q+/-
+    and C are not formed here: ``_q_slots`` forms them from the set when the
+    verifier or ``GlobalOperatorSet.C`` needs them.
 
     Raises:
         ValueError: if theta is outside [-1/2, 1/2] or topology is unknown.
@@ -269,36 +271,16 @@ def assemble_first_derivative(
     if topology not in TOPOLOGIES:
         raise ValueError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
 
-    n = elem.n_nodes
-    k_cells = mesh.n_cells
-    dim = k_cells * n
-    m_diag = np.repeat(0.5 * mesh.widths, n) * np.tile(elem.weights, k_cells)
     d_vals, cols = _first_derivative_matrix(elem, mesh, theta, topology)
-    d_plus_vals = _first_derivative_matrix(elem, mesh, -theta, topology)[0]
-
-    if topology == "bounded":
-        t_alpha = np.zeros(dim)
-        t_alpha[:n] = elem.boundary_left
-        t_beta = np.zeros(dim)
-        t_beta[-n:] = elem.boundary_right
-    else:
-        t_alpha = t_beta = None
-
-    q_minus_vals = _q_slots(elem, topology, m_diag, d_vals)
-    q_plus_vals = _q_slots(elem, topology, m_diag, d_plus_vals)
-
     return GlobalOperatorSet(
         theta=theta,
         topology=topology,
         elem=elem,
         mesh=mesh,
-        m_diag=m_diag,
+        m_diag=np.repeat(0.5 * mesh.widths, elem.n_nodes) * np.tile(elem.weights, mesh.n_cells),
         slot_cols=cols,
         d_minus_slots=d_vals,
-        d_plus_slots=d_plus_vals,
-        c_slots=0.5 * (q_plus_vals - q_minus_vals),
-        t_alpha=t_alpha,
-        t_beta=t_beta,
+        d_plus_slots=_first_derivative_matrix(elem, mesh, -theta, topology)[0],
     )
 
 
@@ -495,12 +477,13 @@ def verify_axioms(opset: GlobalOperatorSet, tol: float = 1e-10) -> Certification
     Bounded topology: accuracy on monomials up to the element degree,
     boundary interpolation exactness, the SBP relation Q+ + (Q-)^T = 0 and
     negative semi-definiteness of C. Periodic topology: the latter two only.
-    The checks read the slot layout of the set with numpy alone; Q+/- are
-    formed from D+/- by ``_q_slots``, as assembly forms them. All residuals
-    are recorded; nothing is raised on failure.
+    The checks read the slot layout of the set with numpy alone. Q+/- and C
+    come from ``_q_slots``, which also forms the C that ``GlobalOperatorSet.C``
+    applies, and the boundary check reads the element's boundary vectors that
+    B is built from. All residuals are recorded; nothing is raised on failure.
     """
     elem, mesh = opset.elem, opset.mesh
-    degree = elem.degree
+    degree, n = elem.degree, elem.n_nodes
     cols = opset.slot_cols
 
     accuracy = None
@@ -519,20 +502,18 @@ def verify_axioms(opset: GlobalOperatorSet, tol: float = 1e-10) -> Certification
             for d in (opset.d_minus_slots, opset.d_plus_slots)
         ]
         bnd_alpha, bnd_beta = [], []
-        for k, xk in enumerate(powers):
-            scale = max(1.0, abs(mesh.x_a) ** k, abs(mesh.x_b) ** k)
-            bnd_alpha.append(abs(opset.t_alpha @ xk - mesh.x_a**k) / scale)
-            bnd_beta.append(abs(opset.t_beta @ xk - mesh.x_b**k) / scale)
+        # a non-finite boundary vector times a zero node value is nan, which fails the axiom
+        with np.errstate(invalid="ignore"):
+            for k, xk in enumerate(powers):
+                scale = max(1.0, abs(mesh.x_a) ** k, abs(mesh.x_b) ** k)
+                bnd_alpha.append(abs(elem.boundary_left @ xk[:n] - mesh.x_a**k) / scale)
+                bnd_beta.append(abs(elem.boundary_right @ xk[-n:] - mesh.x_b**k) / scale)
         accuracy, bnd_alpha, bnd_beta = (float(np.max(r)) for r in (accuracy, bnd_alpha, bnd_beta))
         acc_pass = accuracy <= tol
         nb_pass = bool(np.min(opset.m_diag) > 0.0 and bnd_alpha <= tol and bnd_beta <= tol)
 
-    q_plus, q_minus = (
-        _entries(_q_slots(elem, opset.topology, opset.m_diag, d), cols)
-        for d in (opset.d_plus_slots, opset.d_minus_slots)
-    )
     sbp_residual, c_sym, c_eig = _sbp_certificate(
-        q_plus, q_minus, _entries(opset.c_slots, cols), opset.dim
+        *(_entries(slots, cols) for slots in _q_slots(opset)), opset.dim
     )
 
     return CertificationReport(

@@ -29,21 +29,9 @@ def make_opset(degree, n_cells, theta, topology, interval=(-np.pi, np.pi)):
 
 
 def q_pair(ops):
-    """(Q-, Q+) as CSR, formed from the set's D-/D+ slots as ``verify_axioms`` forms them."""
-    return tuple(
-        _csr(_q_slots(ops.elem, ops.topology, ops.m_diag, d), ops.slot_cols)
-        for d in (ops.d_minus_slots, ops.d_plus_slots)
-    )
-
-
-def with_slots(ops, **slots):
-    """``ops`` with D-/D+ slots replaced and C's slots formed from them, as assembly forms them."""
-    d_minus = slots.get("d_minus_slots", ops.d_minus_slots)
-    d_plus = slots.get("d_plus_slots", ops.d_plus_slots)
-    q_minus, q_plus = (_q_slots(ops.elem, ops.topology, ops.m_diag, d) for d in (d_minus, d_plus))
-    return dataclasses.replace(
-        ops, d_minus_slots=d_minus, d_plus_slots=d_plus, c_slots=0.5 * (q_plus - q_minus)
-    )
+    """(Q-, Q+) as CSR, formed by ``_q_slots`` as ``verify_axioms`` and ``C`` form them."""
+    q_plus, q_minus, _ = _q_slots(ops)
+    return _csr(q_minus, ops.slot_cols), _csr(q_plus, ops.slot_cols)
 
 
 def entries(mat):
@@ -339,7 +327,7 @@ def test_misassembled_operators_are_flagged():
     d_plus = ops.d_plus_slots.copy()
     slot = np.flatnonzero(ops.slot_cols[0] == 2)[0]
     d_plus[0, slot] += 1e-3 / ops.m_diag[0]  # an off-diagonal entry of row 0
-    report = verify_axioms(with_slots(ops, d_plus_slots=d_plus))
+    report = verify_axioms(dataclasses.replace(ops, d_plus_slots=d_plus))
     assert report.sbp_residual == pytest.approx(1e-3, rel=1e-9)
     assert report.c_symmetry_residual == pytest.approx(5e-4, rel=1e-9)
     assert not report.axiom_sbp_pass
@@ -547,7 +535,7 @@ def test_verifier_flags_corrupted_bounded_set(theta):
     d_plus[0, n] += 1e-3 / ops.m_diag[0]
     d_minus = ops.d_minus_slots.copy()
     d_minus[slot_of_nonzero(d_minus, -1)] *= 1.0 + 1e-6
-    bad = with_slots(ops, d_minus_slots=d_minus, d_plus_slots=d_plus)
+    bad = dataclasses.replace(ops, d_minus_slots=d_minus, d_plus_slots=d_plus)
     report = verify_axioms(bad)
     assert certificate(report) == scipy_set_certificate(bad)
     assert report.sbp_residual == pytest.approx(1e-3, rel=1e-9)
@@ -559,10 +547,16 @@ def test_verifier_flags_corrupted_bounded_set(theta):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_c_entry_fails_dissipation(bad):
+    # C = (Q+ - Q-)/2 comes from the slots of D+/-, so the bad value goes
+    # into the D+ slot of the wraparound column of row 0, where D+ is zero
+    # and C is not
     ops = make_opset(2, 4, 0.5, "periodic")
-    c = ops.c_slots.copy()
-    c[slot_of_nonzero(c, 0)] = bad
-    bad_ops = dataclasses.replace(ops, c_slots=c)
+    slot = np.flatnonzero(ops.slot_cols[0] == ops.dim - 1)[0]
+    assert ops.d_plus_slots[0, slot] == 0 and ops.C[0, ops.dim - 1] != 0
+    d_plus = ops.d_plus_slots.copy()
+    d_plus[0, slot] = bad
+    bad_ops = dataclasses.replace(ops, d_plus_slots=d_plus)
+    assert not np.isfinite(bad_ops.C[0, ops.dim - 1])
     assert np.isnan(max_eig_sym(bad_ops.C))
     report = verify_axioms(bad_ops)
     assert not np.isfinite(report.c_max_eigenvalue)
@@ -594,15 +588,29 @@ def test_non_finite_entry_fails_its_axiom(field, bad):
     assert not report.all_pass
 
 
-def test_non_finite_boundary_vector_fails_its_axiom():
-    ops = make_opset(2, 4, 0.5, "bounded")
-    t_beta = ops.t_beta.copy()
-    t_beta[-1] = np.nan
-    report = verify_axioms(dataclasses.replace(ops, t_beta=t_beta))
-    assert np.isnan(report.boundary_residual_beta)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_boundary_vector_fails_its_axiom(bad, side):
+    # the boundary check and B/2 in Q+/- read the same element vectors, so
+    # one bad entry fails both; on (0, 4) the left end node is x = 0, where
+    # an infinite entry times x^k is nan
+    ops = make_opset(2, 4, 0.5, "bounded", interval=(0.0, 4.0))
+    vector = getattr(ops.elem, f"boundary_{side}").copy()
+    vector[0 if side == "left" else -1] = bad
+    elem = dataclasses.replace(ops.elem, **{f"boundary_{side}": vector})
+    report = verify_axioms(dataclasses.replace(ops, elem=elem))
+    residual = report.boundary_residual_alpha if side == "left" else report.boundary_residual_beta
+    assert not np.isfinite(residual)
     assert not report.axiom_norm_boundary_pass
+    assert not np.isfinite(report.sbp_residual)
+    assert not report.axiom_sbp_pass
+    # D+/- are untouched, so their accuracy still passes
+    assert report.axiom_accuracy_pass
     rows = cli._certification_rows(report)
-    assert ("norm_boundary", "nan", "fail") in [(row[4], row[5], row[7]) for row in rows]
+    assert ("norm_boundary", "nan" if np.isnan(residual) else "inf", "fail") in [
+        (row[4], row[5], row[7]) for row in rows
+    ]
 
 
 @pytest.mark.parametrize("topology", ["periodic", "bounded"])
