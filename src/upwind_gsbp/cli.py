@@ -231,7 +231,8 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
     Each given key is parsed once by its _KEYS row; a key left unset takes the
     subcommand's run default, else its row's default; a given dt drops mu's run
     default. A given key that the subcommand does not read is an error, and so
-    is dt given with mu.
+    is dt given with mu, and a scan whose step scale c / a^2 is not a positive
+    finite number.
     """
     command = _COMMANDS[subcommand]
     values = dict(command.defaults)
@@ -268,6 +269,14 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
             raise ConfigError(f"key {name!r}: {subcommand} does not read it")
     if "dt" in texts and "mu" in texts:
         raise ConfigError("keys 'dt' and 'mu' are exclusive: give the time step or its rule")
+    if subcommand == "scan":
+        # every grid point shares a and c, so the first one's step scale is every one's
+        scale = _scan_configs(cfg)[0].dt_scale
+        if not 0 < scale < math.inf:
+            raise ConfigError(
+                f"keys 'a' and 'c': a scan needs a positive finite step scale c / a^2, "
+                f"got {scale} from a = {cfg.a!r}, c = {cfg.c!r}"
+            )
     return cfg
 
 
@@ -352,9 +361,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
-    out = Path(cfg.out)
-    scan_cfgs = [
+def _scan_configs(cfg: RunConfig) -> list[experiments.ScanConfig]:
+    """The ScanConfig of every (order, N, K, pair) grid point, in table order."""
+    return [
         experiments.ScanConfig(
             order, AdvDiffConfig(cfg.a, cfg.c, *pair, degree, n_cells), cfg.horizon
         )
@@ -363,6 +372,11 @@ def _cmd_scan(cfg: RunConfig) -> int:
         for n_cells in cfg.K
         for pair in cfg.pairs
     ]
+
+
+def _cmd_scan(cfg: RunConfig) -> int:
+    out = Path(cfg.out)
+    scan_cfgs = _scan_configs(cfg)
 
     def progress(done, total, res):
         print(

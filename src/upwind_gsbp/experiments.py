@@ -111,8 +111,13 @@ class ScanConfig:
 
     @property
     def dt_scale(self) -> float:
-        """Time step corresponding to tau = 1."""
-        return self.cfg.c / self.cfg.a**2
+        """Time step corresponding to tau = 1: c / a^2, inf or 0 when a^2 leaves the floats."""
+        try:
+            return self.cfg.c / self.cfg.a**2
+        except ZeroDivisionError:  # a^2 underflows to 0
+            return math.inf
+        except OverflowError:  # a^2 overflows
+            return 0.0
 
 
 @dataclass
@@ -170,6 +175,7 @@ def max_stable_dt(
     Raises:
         ValueError: if theta_adv < 0: D-(theta_adv) then fails the dissipation
             axiom, and halving toward TAU_FLOOR can double a probe's steps 20 times.
+            Also if the step scale c / a^2 is not a positive finite number.
     """
     if scan_cfg.cfg.theta_adv < 0:
         raise ValueError(
@@ -177,6 +183,8 @@ def max_stable_dt(
             "D-(theta_adv) fails the dissipation axiom below 0"
         )
     scale = scan_cfg.dt_scale
+    if not 0 < scale < math.inf:
+        raise ValueError(f"a scan needs a positive finite step scale c / a^2, got {scale}")
     if bracket is None:
         dt_lo, dt_cap = DEFAULT_TAU_LO * scale, DEFAULT_TAU_CAP * scale
     else:

@@ -14,9 +14,10 @@ independent blocks I - tau L_hat[k] acting on the rfft over cells, each
 inverted once per tau. Any other problem solves it through the M-symmetrized
 form (M - tau M L) with SuperLU; that form is symmetric positive definite
 when M L is negative semi-definite, and its sparsity pattern and the
-tau-free values on it are cached on the problem. Either way the solution is
-refined against the assembled L to SOLVE_RTOL (``ImexSplitProblem.factorize``),
-and each stepping session caches one factorization per stage coefficient.
+tau-free values on it are cached on the problem. ``ImexSplitProblem.factorize``
+builds every stage solver: one of these two arms, refined against the
+assembled L to SOLVE_RTOL, or for tau = 0 the identity, which factorizes
+nothing. Each stepping session caches one solver per stage coefficient.
 """
 
 from __future__ import annotations
@@ -296,15 +297,20 @@ class ImexSplitProblem:
         mat.eliminate_zeros()
         return mat
 
-    def _base_solver(self, tau: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x ~ (I - tau L)^-1 r, before refinement, from one factorization.
+    def factorize(self, tau: float) -> Callable[[np.ndarray], tuple]:
+        """The refined solver b -> (x, L x) of (I - tau L) x = b, factorized once.
 
-        With a symbol, each block I - tau L_hat[k] is inverted and a solve
-        is irfft(G_k^-1 rfft(r)) over cells. Without one, SuperLU factorizes
-        M - tau M L, symmetric positive definite by the SBP identity. Either
-        way a failed factorization means a misassembled operator and raises
-        ``SolverFailure``.
+        tau = 0 gives the identity, b -> (a copy of b, None), and factorizes
+        nothing. With a symbol, each block I - tau L_hat[k] is inverted and a
+        solve is irfft(G_k^-1 rfft(r)) over cells; without one, SuperLU
+        factorizes M - tau M L, SPD by the SBP identity. A negative tau raises
+        ValueError; a failed factorization (a misassembled operator) or a
+        stalled refinement against the assembled L raises ``SolverFailure``.
         """
+        if tau < 0:
+            raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
+        if tau == 0.0:
+            return lambda rhs: (rhs.copy(), None)
         if self.l_symbol is not None:
             n = self.l_symbol.shape[-1]
             n_cells = self.dim // n
@@ -313,34 +319,25 @@ class ImexSplitProblem:
             except np.linalg.LinAlgError as exc:  # singular block: misassembled symbol
                 raise SolverFailure(f"stage symbol inversion failed: {exc}") from exc
 
-            def symbol_solve(r: np.ndarray) -> np.ndarray:
+            def base_solve(r: np.ndarray) -> np.ndarray:
                 r_hat = np.fft.rfft(r.reshape(n_cells, n), axis=0)
                 x_hat = (g_inv @ r_hat[:, :, None])[:, :, 0]
                 return np.fft.irfft(x_hat, n=n_cells, axis=0).ravel()
+        else:
+            # imported here, not at module level, so that runs which never factorize
+            # a sparse system (``gsbp verify``, ``gsbp burgers``, certified scan
+            # probes) never load scipy.sparse.linalg
+            from scipy.sparse.linalg import splu
 
-            return symbol_solve
+            m_diag = self.m_diag
+            try:
+                lu = splu(self.system(tau))
+            except Exception as exc:  # singular system: misassembled operator
+                raise SolverFailure(f"stage factorization failed: {exc}") from exc
 
-        # imported here, not at module level, so that runs which never factorize
-        # a sparse system (``gsbp verify``, ``gsbp burgers``, certified scan
-        # probes) never load scipy.sparse.linalg
-        from scipy.sparse.linalg import splu
+            def base_solve(r: np.ndarray) -> np.ndarray:
+                return lu.solve(m_diag * r)
 
-        m_diag = self.m_diag
-        try:
-            lu = splu(self.system(tau))
-        except Exception as exc:  # singular system: misassembled operator
-            raise SolverFailure(f"stage factorization failed: {exc}") from exc
-        return lambda r: lu.solve(m_diag * r)
-
-    def factorize(self, tau: float) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """The refined solver of (I - tau L) x = b, factorized once (``_base_solver``).
-
-        A negative tau raises ValueError, a failed factorization or stalled
-        refinement ``SolverFailure``.
-        """
-        if tau < 0:
-            raise ValueError(f"stage coefficient tau must be >= 0, got {tau}")
-        base_solve = self._base_solver(tau)
         lmat, row_norm = self._csr_l
 
         # the residual evaluation itself carries fp noise of order
@@ -351,12 +348,10 @@ class ImexSplitProblem:
             """(x, L x): the refinement check's L x is handed back for reuse.
 
             Norms are sqrt(v . v), which is what np.linalg.norm computes for a
-            contiguous real vector.
+            contiguous real vector. For b = 0 the first check (0 <= 0) returns.
             """
             b_norm = math.sqrt(rhs.dot(rhs))
             x = base_solve(rhs)
-            if b_norm == 0.0:
-                return x, lmat @ x
             target = SOLVE_RTOL * b_norm
             # iterative refinement against the unsymmetrized system (I - tau L):
             # up to 5 refinements before the residual counts as stalled
@@ -368,21 +363,20 @@ class ImexSplitProblem:
                 r_norm = math.sqrt(residual.dot(residual))
                 if r_norm <= target or r_norm <= noise_per_x * math.sqrt(x.dot(x)):
                     return x, l_x
-            raise SolverFailure(
-                f"implicit stage residual stalled at {r_norm / b_norm:.3e} relative"
-            )
+            # b = 0 stalls only on a non-finite x or L x, a misassembled operator
+            relative = r_norm / b_norm if b_norm else math.nan
+            raise SolverFailure(f"implicit stage residual stalled at {relative:.3e} relative")
 
         return solve
 
 
 def solve_implicit_stage(lmat, tau: float, rhs: np.ndarray, m_diag: np.ndarray) -> np.ndarray:
-    """Solve (I - tau L) x = rhs through the M-symmetrized SPD form M - tau M L.
+    """Solve (I - tau L) x = rhs with ``ImexSplitProblem.factorize(tau)``.
 
-    tau = 0 returns a copy of rhs; tau < 0 raises ValueError.
+    The problem has no symbol, so tau > 0 solves the M-symmetrized SPD form
+    M - tau M L; tau = 0 returns a copy of rhs, and tau < 0 raises ValueError.
     """
     rhs = np.ascontiguousarray(rhs, dtype=float)
-    if tau == 0.0:
-        return rhs.copy()
     # F is never evaluated: only the stage systems of L are built
     return ImexSplitProblem(rhs.size, None, lmat, m_diag).factorize(tau)(rhs)[0]
 
@@ -434,7 +428,7 @@ def step(session: Stepper, u_n: np.ndarray, dt: float, t_n: float = 0.0) -> np.n
 
 
 class Stepper:
-    """Stepping session owning one factorization per stage coefficient tau.
+    """Stepping session owning one ``ImexSplitProblem.factorize(tau)`` solver per stage tau.
 
     ``integrate`` drives any session with this interface: ``state`` maps the
     nodal initial data to the session's state, ``advance`` takes one step,
@@ -448,9 +442,7 @@ class Stepper:
         self._solvers: dict[float, Callable] = {}
 
     def solve(self, tau: float, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """(x, L x) for (I - tau L) x = rhs; L x is None when no solve ran."""
-        if tau == 0.0:
-            return rhs.copy(), None
+        """(x, L x) for (I - tau L) x = rhs from ``factorize(tau)``; L x is None at tau = 0."""
         if tau not in self._solvers:
             self._solvers[tau] = self.problem.factorize(tau)
         return self._solvers[tau](rhs)
@@ -479,13 +471,16 @@ def step_times(dt: float, t_final: float):
     """Yield (t, t_next) for each step ``integrate`` takes from 0 to t_final.
 
     Steps land on multiples of dt, and the last one is truncated to land on
-    t_final; the step size t_next - t therefore varies in the last ulp.
+    t_final; the step size t_next - t therefore varies in the last ulp. A
+    step ending within 1e-12 t_final of t_final ends on it: the tolerance is
+    relative to t_final alone, so any dt takes at least one step when
+    t_final > 0.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not 0 <= t_final < math.inf:
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
-    tol = 1e-12 * max(dt, t_final)
+    tol = 1e-12 * t_final
     t = 0.0
     k = 0
     while t < t_final - tol:

@@ -91,6 +91,22 @@ def test_scan_rejects_a_downwind_advection_pair(tmp_path, capsys):
     assert build_run_config("solve", {"pairs": "-0.5,0"}).pairs == ((-0.5, 0.0),)
 
 
+@pytest.mark.parametrize(
+    "velocity, diffusion, scale",
+    [("1e-200", "0.1", "inf"), ("1e-10", "1e308", "inf"), ("1e200", "0.1", "0.0")],
+)
+def test_scan_step_scale_out_of_the_floats_exits_2(tmp_path, capsys, velocity, diffusion, scale):
+    # c / a^2 is the time step of tau = 1: a^2 underflows to 0 or overflows, or
+    # the quotient does, and the scan has no step to start from
+    argv = ["scan", "--a", velocity, "--c", diffusion, "--N", "1", "--K", "4",
+            "--order", "1", "--pair", "0.5", "0.5", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: keys 'a' and 'c': a scan needs a positive finite")
+    assert f"got {scale} from a = {float(velocity)!r}, c = {float(diffusion)!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_domain_violations_name_the_key():
     with pytest.raises(ConfigError, match="'a'"):
         build_run_config("scan", {"a": "-1"})
@@ -604,6 +620,14 @@ def test_burgers_at_zero_final_time_writes_initial_data(tmp_path, capsys, t_fina
     assert (tmp_path / "burgers_K4_t0.csv").read_text().splitlines() == want
     summary = (tmp_path / "burgers_summary.csv").read_text().splitlines()
     assert summary[1] == "4,0,0,completed,0.000000e+00"
+
+
+def test_solve_with_a_step_far_above_the_final_time_takes_one_step(tmp_path):
+    argv = ["solve", "--K", "4", "--T", "1e-3", "--dt", "1e10", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    header, *rows = (tmp_path / "energy.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows] == [["0", "0.000000000000e+00"],
+                                                    ["1", "1.000000000000e-03"]]
 
 
 def test_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, monkeypatch, capsys):

@@ -144,6 +144,16 @@ def test_scan_rejects_a_downwind_advection_pair():
     assert max_stable_dt(scan_cfg(1, 0.0, -0.5, n_cells=4, horizon=1.0)).unbounded
 
 
+@pytest.mark.parametrize(
+    "a, c, scale", [(1e-200, 0.1, "inf"), (1e-10, 1e308, "inf"), (1e200, 0.1, "0.0")]
+)
+def test_scan_rejects_a_step_scale_out_of_the_floats(a, c, scale):
+    cfg = scan_cfg(1, 0.5, 0.5, n_cells=4, a=a, c=c)
+    assert str(cfg.dt_scale) == scale
+    with pytest.raises(ValueError, match=f"positive finite step scale c / a\\^2, got {scale}$"):
+        max_stable_dt(cfg)
+
+
 def test_scan_extends_below_default_tau_lo():
     # threshold sits under the default tau_lo = 0.01: halving must find it
     cfg = scan_cfg(1, 0.5, 0.0, degree=3, n_cells=320)

@@ -293,9 +293,41 @@ def test_singular_symbol_block_raises():
         singular.factorize(0.5)
 
 
+@pytest.mark.parametrize("b", [0.0, 1.0])
+def test_non_finite_symbol_solve_raises_for_any_rhs(b):
+    # a nan in one block leaves its inverse all nan, and so x; b = 0 takes
+    # the same refinement as any other b and fails it, with no relative size
+    problem = burgers_problem(20)
+    symbol = problem.l_symbol.copy()
+    symbol[1, 0, 0] = np.nan
+    solve = replace(problem, l_symbol=symbol).factorize(0.5)
+    with pytest.raises(SolverFailure, match="residual stalled at nan relative"):
+        solve(np.full(problem.dim, b))
+
+
 def test_symbol_stage_solve_negative_tau_rejected():
     with pytest.raises(ValueError, match="tau must be >= 0"):
         burgers_problem(20).factorize(-0.1)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "symbol"])
+def test_tau_zero_stage_solver_is_the_identity(monkeypatch, kind):
+    # factorize(0) is the one identity solver: it builds no factorization of
+    # either arm and hands back a new copy of b with no L x
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("tau = 0 factorized a stage system")
+
+    monkeypatch.setattr(spla, "splu", no_factorization)
+    monkeypatch.setattr(np.linalg, "inv", no_factorization)
+    if kind == "sparse":
+        problem = make_split_problem(discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 2, 6)))
+    else:
+        problem = burgers_problem(20)
+    rhs = np.random.default_rng(3).standard_normal(problem.dim)
+    x, l_x = problem.factorize(0.0)(rhs)
+    np.testing.assert_array_equal(x, rhs)
+    assert not np.shares_memory(x, rhs)
+    assert l_x is None
 
 
 # ------------------------------------------------- PDE one-step identities
@@ -590,6 +622,13 @@ def test_non_finite_final_time_is_rejected(bad):
         integrate(tableau_imex1(), problem, np.array([1.0]), 0.1, bad)
     with pytest.raises(ValueError, match="t_final must be finite"):
         next(step_times(0.1, bad))
+
+
+@pytest.mark.parametrize("dt", [5.0, 1e10, 1e300])
+def test_step_above_final_time_takes_one_step_to_it(dt):
+    # the end tolerance is relative to t_final alone: one relative to dt
+    # would exceed t_final once dt > 1e12 t_final, and no step would be taken
+    assert list(step_times(dt, 1e-3)) == [(0.0, 1e-3)]
 
 
 def test_nan_step_on_implicit_problem_is_not_a_solver_failure():
