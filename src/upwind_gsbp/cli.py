@@ -3,9 +3,10 @@
 Every flag is a config line: its text is laid over the ``key = value`` texts
 of a ``--config`` file, and each key's text is parsed by its row of one key
 table. Unknown keys, keys the subcommand does not read and abbreviated flags
-are a hard error. Every run writes deterministic CSV files into the output
-directory. This module alone turns results into file text: the experiment
-modules return numbers, and every CSV is written by ``_write_csv``.
+are a hard error, and so is a run scheduled for more than MAX_STEPS steps.
+Every run writes deterministic CSV files into the output directory.
+``experiments`` runs every experiment and returns numbers; this module steps
+nothing and alone turns results into file text, every CSV through ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -22,18 +23,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import experiments
-from .imex import SolverFailure, integrate, tableau_by_name
+from .imex import SolverFailure, tableau_by_name
 from .mesh import uniform_mesh
 from .operators import CertificationReport, assemble_first_derivative, verify_axioms
-from .problems import (
-    DOMAIN,
-    AdvDiffConfig,
-    discretize,
-    initial_condition,
-    l2_error,
-    make_split_problem,
-    solution_by_kind,
-)
+from .problems import DOMAIN, AdvDiffConfig, solution_by_kind
 from .ref_element import MAX_DEGREE, build_lgl
 
 __all__ = [
@@ -231,8 +224,9 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
     Each given key is parsed once by its _KEYS row; a key left unset takes the
     subcommand's run default, else its row's default; a given dt drops mu's run
     default. A given key that the subcommand does not read is an error, and so
-    is dt given with mu, and a scan whose step scale c / a^2 is not a positive
-    finite number.
+    is dt given with mu, a scan whose step scale c / a^2 is not a positive
+    finite number, and a run scheduled for more than MAX_STEPS steps, counted
+    at the largest K under the step rule and at a scan's first probe.
     """
     command = _COMMANDS[subcommand]
     values = dict(command.defaults)
@@ -269,6 +263,7 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
             raise ConfigError(f"key {name!r}: {subcommand} does not read it")
     if "dt" in texts and "mu" in texts:
         raise ConfigError("keys 'dt' and 'mu' are exclusive: give the time step or its rule")
+    keys, span, dt = "", 0.0, 1.0  # verify takes no step
     if subcommand == "scan":
         # every grid point shares a and c, so the first one's step scale is every one's
         scale = _scan_configs(cfg)[0].dt_scale
@@ -277,6 +272,17 @@ def build_run_config(subcommand: str, texts: dict[str, str]) -> RunConfig:
                 f"keys 'a' and 'c': a scan needs a positive finite step scale c / a^2, "
                 f"got {scale} from a = {cfg.a!r}, c = {cfg.c!r}"
             )
+        # checked at its first probe: dt = DEFAULT_TAU_LO c / a^2 up to the horizon
+        keys, span, dt = "'horizon', 'a' and 'c'", cfg.horizon, experiments.DEFAULT_TAU_LO * scale
+    elif cfg.dt is not None:
+        keys, span, dt = "'T' and 'dt'", cfg.T, cfg.dt
+    elif cfg.mu is not None:  # dt = mu dx is smallest on the largest K
+        keys, span, dt = "'T', 'mu' and 'K'", cfg.T, cfg.mu * (DOMAIN[1] - DOMAIN[0]) / max(cfg.K)
+    if span > experiments.MAX_STEPS * dt:
+        raise ConfigError(
+            f"keys {keys}: a run of {span!r} in steps of {dt!r} takes more than "
+            f"MAX_STEPS = {experiments.MAX_STEPS} steps"
+        )
     return cfg
 
 
@@ -422,24 +428,18 @@ def _cmd_solve(cfg: RunConfig) -> int:
     order = cfg.order[0]
     degree = cfg.N[0]
     n_cells = cfg.K[0]
-    disc = discretize(AdvDiffConfig(cfg.a, cfg.c, *cfg.pairs[0], degree, n_cells))
-    solution = solution_by_kind(cfg.solution, cfg.a, cfg.c)
-    problem = make_split_problem(disc, solution.source)
-    dt = cfg.dt if cfg.dt is not None else cfg.mu * disc.dx_max
-    u0 = initial_condition(solution, disc.mesh, disc.elem)
-    tableau = tableau_by_name(order)
+    problem = AdvDiffConfig(cfg.a, cfg.c, *cfg.pairs[0], degree, n_cells)
+    linear = experiments.LinearRun(problem, solution_by_kind(cfg.solution, cfg.a, cfg.c))
+    dt = cfg.dt if cfg.dt is not None else cfg.mu * linear.disc.dx_max
     # as for a sourced convergence run: the growth solution's energy rises legitimately
-    monitor = experiments.EnergyMonitor(
-        max(problem.energy(u0), 1.0), blowup_factor=experiments.BLOWUP_FACTOR
-    )
-    u_final, trace = integrate(tableau, problem, u0, dt, cfg.T, observer=monitor)
+    u_final, trace, grew = linear.run(tableau_by_name(order), dt, cfg.T, experiments.BLOWUP_FACTOR)
     _write_energy(out / "energy.csv", trace.steps)
     summary = f"solve: K={n_cells} N={degree} dt={dt:g} T={cfg.T:g}"
-    if monitor.grew:
+    if grew:
         print(f"{summary} blow-up detected at t={trace.steps[-1][1]:g}")
         return EXIT_OK
-    error = l2_error(u_final, solution, cfg.T, disc.nodes, disc.m_diag)
-    _write_snapshot(out / f"solution_t{cfg.T:g}.csv", disc.nodes, u_final)
+    error = linear.error(u_final, cfg.T)
+    _write_snapshot(out / f"solution_t{cfg.T:g}.csv", linear.disc.nodes, u_final)
     print(f"{summary} l2_error={error:.6e}")
     return EXIT_OK
 

@@ -12,7 +12,9 @@ stable probe with dt >= horizon: "+" means stable at every step the scan
 took, not stable up to tau = 1e4. Convergence studies integrate a closed-form
 solution with dt = mu * dx over a sequence of cell counts and report discrete
 L2 errors and experimental orders of convergence between successive counts.
-Results are numbers; ``cli`` turns them into CSV text.
+Each scan probe, convergence level and ``gsbp solve`` is one ``LinearRun``,
+the one setup and energy verdict of a linear run, and no run is scheduled for
+more than MAX_STEPS steps. Results are numbers; ``cli`` turns them into CSV text.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .mesh import physical_nodes, uniform_mesh
 from .problems import (
     DOMAIN,
     AdvDiffConfig,
+    ManufacturedSolution,
     burgers_rhs,
     decay_solution,
     discretize,
@@ -46,6 +49,7 @@ __all__ = [
     "ConvergenceRow",
     "BurgersRunResult",
     "EnergyMonitor",
+    "LinearRun",
     "max_stable_dt",
     "scan_many",
     "run_convergence",
@@ -64,6 +68,9 @@ BLOWUP_FACTOR = 1e12
 # a Burgers run blows up once its energy exceeds this multiple of the initial
 # energy
 BURGERS_BLOWUP_FACTOR = 1e3
+# no run is scheduled for more steps than this: a sparse step takes 45-80 us
+# on a 2-core x86-64 host, so that many take over an hour
+MAX_STEPS = 10**8
 
 STABLE, UNSTABLE, SOLVER_FAILURE = "stable", "unstable", "solver_failure"
 
@@ -131,34 +138,56 @@ class StabilityScanResult:
     probes: list[tuple[float, str]] = field(default_factory=list)
 
 
-class _ProbeContext:
-    """Shared state for probing one configuration at many time steps.
+class LinearRun:
+    """The split problem and u0 of a closed-form solution on ``cfg``, and its energy verdict.
+
+    ``run`` halts at per-step energy growth, or with ``blowup_factor`` at energy
+    above that multiple of max(E0, 1): a sourced solution's energy may rise.
+    """
+
+    def __init__(self, cfg: AdvDiffConfig, solution: ManufacturedSolution):
+        self.disc = discretize(cfg)
+        self.solution = solution
+        self.problem = make_split_problem(self.disc, solution.source)
+        self.u0 = initial_condition(solution, self.disc.mesh, self.disc.elem)
+
+    def run(self, tableau, dt: float, t_final: float, blowup_factor=None, problem=None):
+        """Integrate ``problem`` (the run's own when None) from u0: (u, trace, grew)."""
+        e0 = self.problem.energy(self.u0)
+        if blowup_factor is None:
+            monitor = EnergyMonitor(e0)
+        else:
+            monitor = EnergyMonitor(max(e0, 1.0), blowup_factor)
+        problem = self.problem if problem is None else problem
+        u, trace = integrate(tableau, problem, self.u0, dt, t_final, observer=monitor)
+        return u, trace, monitor.grew
+
+    def error(self, u: np.ndarray, t: float) -> float:
+        """Discrete L2 error of the state u against the solution at time t."""
+        return l2_error(u, self.solution, t, self.disc.nodes, self.disc.m_diag)
+
+
+class _ProbeContext(LinearRun):
+    """The decay run of one scan configuration, probed at many time steps.
 
     A probe whose step maps are all certified (fourier.CERTIFIED_GROWTH) steps
     the rfft coefficients; every other probe steps the sparse problem.
     """
 
     def __init__(self, scan_cfg: ScanConfig):
-        self.scan_cfg = scan_cfg
-        cfg = scan_cfg.cfg
-        disc = discretize(cfg)
-        solution = decay_solution(cfg.a, cfg.c)
-        self.problem = make_split_problem(disc)
-        self.u0 = initial_condition(solution, disc.mesh, disc.elem)
+        super().__init__(scan_cfg.cfg, decay_solution(scan_cfg.cfg.a, scan_cfg.cfg.c))
+        self.horizon = scan_cfg.horizon
         self.tableau = tableau_by_name(scan_cfg.order)
-        self.fourier = FourierEngine(disc, self.tableau)
+        self.fourier = FourierEngine(self.disc, self.tableau)
 
     def probe(self, dt: float) -> str:
         """STABLE iff the decay-problem energy is non-increasing at every step."""
-        monitor = EnergyMonitor(self.problem.energy(self.u0))
-        horizon = self.scan_cfg.horizon
         try:
-            fourier = self.fourier.problem(dt, horizon)
-            problem = self.problem if fourier is None else fourier
-            integrate(self.tableau, problem, self.u0, dt, horizon, observer=monitor)
+            fourier = self.fourier.problem(dt, self.horizon)
+            grew = self.run(self.tableau, dt, self.horizon, problem=fourier)[2]
         except SolverFailure:
             return SOLVER_FAILURE
-        return UNSTABLE if monitor.grew else STABLE
+        return UNSTABLE if grew else STABLE
 
 
 def max_stable_dt(
@@ -175,7 +204,8 @@ def max_stable_dt(
     Raises:
         ValueError: if theta_adv < 0: D-(theta_adv) then fails the dissipation
             axiom, and halving toward TAU_FLOOR can double a probe's steps 20 times.
-            Also if the step scale c / a^2 is not a positive finite number.
+            Also if the step scale c / a^2 is not a positive finite number, or
+            if the first probe takes more than MAX_STEPS steps to the horizon.
     """
     if scan_cfg.cfg.theta_adv < 0:
         raise ValueError(
@@ -189,6 +219,11 @@ def max_stable_dt(
         dt_lo, dt_cap = DEFAULT_TAU_LO * scale, DEFAULT_TAU_CAP * scale
     else:
         dt_lo, dt_cap = bracket
+    if scan_cfg.horizon > MAX_STEPS * dt_lo:
+        raise ValueError(
+            f"a scan's first probe, dt = {dt_lo} up to the horizon {scan_cfg.horizon}, "
+            f"takes more than MAX_STEPS = {MAX_STEPS} steps"
+        )
 
     ctx = _ProbeContext(scan_cfg)
     probes: list[tuple[float, str]] = []
@@ -285,25 +320,15 @@ def run_convergence(
     rows: list[ConvergenceRow] = []
     prev_error: Optional[float] = None
     prev_n: Optional[int] = None
+    blowup_factor = None if solution.source is None else BLOWUP_FACTOR
     for n_cells in cell_counts:
-        cfg = replace(base_cfg, n_cells=n_cells)
-        disc = discretize(cfg)
-        problem = make_split_problem(disc, solution.source)
-        u0 = initial_condition(solution, disc.mesh, disc.elem)
-        dt = mu * disc.dx_max
-        e0 = problem.energy(u0)
-        if solution.source is None:
-            monitor = EnergyMonitor(e0)
-        else:
-            monitor = EnergyMonitor(max(e0, 1.0), blowup_factor=BLOWUP_FACTOR)
+        level = LinearRun(replace(base_cfg, n_cells=n_cells), solution)
+        dt = mu * level.disc.dx_max
         try:
-            u_final, _ = integrate(tableau, problem, u0, dt, t_final, observer=monitor)
-            unstable = monitor.grew
+            u_final, _, unstable = level.run(tableau, dt, t_final, blowup_factor)
         except SolverFailure:
             unstable = True
-        error: Optional[float] = None
-        if not unstable:
-            error = l2_error(u_final, solution, t_final, disc.nodes, disc.m_diag)
+        error = None if unstable else level.error(u_final, t_final)
 
         eoc = None
         if error is not None and prev_error is not None and error > 0 and n_cells != prev_n:

@@ -107,6 +107,34 @@ def test_scan_step_scale_out_of_the_floats_exits_2(tmp_path, capsys, velocity, d
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--K", "4", "--dt", "1e-300", "--T", "1"],
+        ["burgers", "--K", "4", "--dt", "1e-300", "--T", "1"],
+        ["converge", "--K", "4", "--mu", "1e-300", "--T", "1"],
+        ["scan", "--K", "4", "--N", "1", "--order", "1", "--pair", "0.5", "0.5",
+         "--horizon", "1e300"],
+        ["scan", "--a", "1e150", "--c", "1e-10", "--N", "1", "--K", "4", "--order", "1",
+         "--pair", "0.5", "0.5"],
+    ],
+    ids=["solve", "burgers", "converge", "scan-horizon", "scan-scale"],
+)
+def test_run_past_max_steps_exits_2(tmp_path, capsys, argv):
+    # each is scheduled for far more than MAX_STEPS steps, and would run for hours
+    with pytest.raises(ConfigError, match="takes more than MAX_STEPS = 100000000 steps$"):
+        cli._config_from_args(cli._parser().parse_args(argv))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "more than MAX_STEPS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_at_max_steps_is_accepted():
+    # exactly MAX_STEPS = 1e8 steps of 1: accepted, and not run here
+    cfg = build_run_config("solve", {"T": "1e8", "dt": "1"})
+    assert (cfg.T, cfg.dt) == (1e8, 1.0)
+
+
 def test_domain_violations_name_the_key():
     with pytest.raises(ConfigError, match="'a'"):
         build_run_config("scan", {"a": "-1"})
@@ -422,6 +450,22 @@ def test_solve_reports_a_blow_up(tmp_path, capsys, t_final):
     energies = [float(row.split(",")[2]) for row in rows]
     assert energies[-1] > BLOWUP_FACTOR * energies[0] > max(energies[:-1])
     assert sorted(path.name for path in tmp_path.iterdir()) == ["energy.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--solution", "growth", "--order", "3", "--N", "2", "--mu", "0.5", "--K", "20",
+          "--T", "1", "--pair", "0", "0"], "7.440748e-04"),
+        (["--K", "40", "--pair", "0.5", "0.5"], "2.305315e-02"),
+    ],
+    ids=["growth", "decay"],
+)
+def test_solve_and_one_level_converge_print_the_same_error(tmp_path, capsys, argv, error):
+    assert main(["solve", *argv, "--out", str(tmp_path / "solve")]) == 0
+    assert capsys.readouterr().out.endswith(f" l2_error={error}\n")
+    assert main(["converge", *argv, "--out", str(tmp_path / "converge")]) == 0
+    assert capsys.readouterr().out.endswith(f": error={error} eoc=-\n")
 
 
 def test_burgers_subcommand(tmp_path, capsys):

@@ -7,14 +7,18 @@ import pytest
 
 from upwind_gsbp import cli, experiments, imex
 from upwind_gsbp.experiments import (
+    BLOWUP_FACTOR,
     ConvergenceRow,
+    EnergyMonitor,
+    LinearRun,
     ScanConfig,
     max_stable_dt,
     run_burgers_demo,
     run_convergence,
     scan_many,
 )
-from upwind_gsbp.problems import AdvDiffConfig
+from upwind_gsbp.imex import integrate, tableau_by_name
+from upwind_gsbp.problems import AdvDiffConfig, decay_solution
 
 
 def scan_cfg(order, theta_adv, theta_diff, degree=1, n_cells=20, a=0.1, c=0.1, horizon=100.0):
@@ -154,6 +158,14 @@ def test_scan_rejects_a_step_scale_out_of_the_floats(a, c, scale):
         max_stable_dt(cfg)
 
 
+def test_scan_rejects_a_first_probe_past_max_steps():
+    # step scale 1e-310: the first probe, tau = 0.01 up to the horizon 100,
+    # would take 1e14 steps
+    cfg = scan_cfg(1, 0.5, 0.5, n_cells=4, a=1e150, c=1e-10)
+    with pytest.raises(ValueError, match="takes more than MAX_STEPS = 100000000 steps$"):
+        max_stable_dt(cfg)
+
+
 def test_scan_extends_below_default_tau_lo():
     # threshold sits under the default tau_lo = 0.01: halving must find it
     cfg = scan_cfg(1, 0.5, 0.0, degree=3, n_cells=320)
@@ -280,6 +292,30 @@ def test_sparse_probe_factorizes_once_per_stage_coefficient(monkeypatch):
         assert set(taus) == {h * g for h in sizes for g in diagonal}
         spread += len(sizes) > 1
     assert spread > 0
+
+
+# -------------------------------------------------------------- linear run
+
+
+def test_linear_run_is_integrate_under_the_per_step_monitor():
+    linear = LinearRun(AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 2, 20), decay_solution(0.1, 0.1))
+    tableau = tableau_by_name(2)
+    u, trace, grew = linear.run(tableau, 0.7, 10.0)
+    monitor = EnergyMonitor(linear.problem.energy(linear.u0))
+    u_ref, trace_ref = integrate(tableau, linear.problem, linear.u0, 0.7, 10.0, observer=monitor)
+    assert np.array(trace.steps).tobytes() == np.array(trace_ref.steps).tobytes()
+    assert u.tobytes() == u_ref.tobytes()
+    assert not grew and not monitor.grew and len(trace.steps) == 16
+
+
+def test_linear_run_blowup_factor_stops_at_blow_up_not_first_growth():
+    # README's blow-up solve: order 2, pair (1/2, 0), K = 80, N = 3, dt = 5
+    linear = LinearRun(AdvDiffConfig(0.1, 0.1, 0.5, 0.0, 3, 80), decay_solution(0.1, 0.1))
+    tableau = tableau_by_name(2)
+    _, trace, grew = linear.run(tableau, 5.0, 200.0, BLOWUP_FACTOR)
+    assert grew and trace.steps[-1][:2] == (7, 35.0)
+    _, trace, grew = linear.run(tableau, 5.0, 200.0)
+    assert grew and trace.steps[-1][:2] == (4, 20.0)
 
 
 # ------------------------------------------------------------- convergence
