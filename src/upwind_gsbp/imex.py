@@ -260,11 +260,17 @@ class ImexSplitProblem:
 
     @cached_property
     def _csr_l(self) -> tuple[sp.csr_matrix, float]:
-        """(L, ||L||_inf): L, sparse or dense, as CSR and its largest absolute row sum."""
+        """(L, ||L||_inf): L, sparse or dense, as canonical CSR and its largest absolute row sum.
+
+        ``l_implicit`` is never modified: any L but a canonical CSR becomes a new matrix.
+        """
         import scipy.sparse as sp
 
         lmat = self.l_implicit
         lmat = sp.csr_matrix(lmat) if isinstance(lmat, np.ndarray) else lmat.tocsr()
+        if not lmat.has_canonical_format:
+            lmat = lmat.copy()
+            lmat.sum_duplicates()
         return lmat, float(np.max(np.abs(lmat).sum(axis=1)))
 
     @cached_property
@@ -331,7 +337,8 @@ class ImexSplitProblem:
 
             m_diag = self.m_diag
             try:
-                lu = splu(self.system(tau))
+                # COLAMD is scipy's default, named because the factor's bits set the scan's tau
+                lu = splu(self.system(tau), permc_spec="COLAMD")
             except Exception as exc:  # singular system: misassembled operator
                 raise SolverFailure(f"stage factorization failed: {exc}") from exc
 

@@ -298,8 +298,10 @@ def interface_jumps(opset: GlobalOperatorSet, u: np.ndarray) -> np.ndarray:
 
 
 def second_derivative_from(opset: GlobalOperatorSet) -> SecondDerivativeOperator:
-    """D2 = D- D+ from an already assembled operator set."""
-    return SecondDerivativeOperator((opset.D_minus @ opset.D_plus).tocsr())
+    """D2 = D- D+ from an already assembled operator set, as canonical CSR."""
+    d2 = opset.D_minus @ opset.D_plus
+    d2.sum_duplicates()  # scipy's product leaves rows unsorted; L = c D2 sums in column order
+    return SecondDerivativeOperator(d2)
 
 
 def _max_abs(values: np.ndarray) -> float:

@@ -169,7 +169,7 @@ def make_split_problem(
     return ImexSplitProblem(
         dim=nodes.size,
         f_explicit=f_explicit,
-        l_implicit=(cfg.c * disc.d2op.D2).tocsr(),
+        l_implicit=cfg.c * disc.d2op.D2,
         m_diag=disc.m_diag,
     )
 
@@ -232,7 +232,7 @@ def burgers_rhs(
     return ImexSplitProblem(
         dim=mesh.n_cells * elem.n_nodes,
         f_explicit=f_explicit,
-        l_implicit=(c * d2op.D2).tocsr(),
+        l_implicit=c * d2op.D2,
         m_diag=opset_adv.m_diag,
         l_symbol=c * d2_symbol(elem, theta_diff, mesh.n_cells, dx),
     )

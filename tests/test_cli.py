@@ -600,7 +600,7 @@ def test_single_run_rejects_a_second_value(tmp_path, capsys, sub, given, message
 def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     import scipy.sparse.linalg
 
-    def singular(mat):
+    def singular(mat, **options):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)

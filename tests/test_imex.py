@@ -206,8 +206,8 @@ def _splu_off_by(monkeypatch, rel):
     splu = spla.splu
     calls = []
 
-    def inexact(mat):
-        lu = splu(mat)
+    def inexact(mat, **options):
+        lu = splu(mat, **options)
 
         def solve(b):
             calls.append(b)
@@ -240,6 +240,59 @@ def test_stalled_stage_refinement_raises(small_advdiff, monkeypatch):
     with pytest.raises(SolverFailure, match=r"residual stalled at \S+ relative"):
         solve(np.sin(disc.nodes))
     assert len(calls) == 6
+
+
+def test_sparse_stage_factorization_orders_columns_by_colamd(small_advdiff, monkeypatch):
+    # the factor's bits, and so the scan's roundoff-set tau, depend on the ordering
+    splu, options = spla.splu, []
+
+    def recording(mat, **kwargs):
+        options.append(kwargs)
+        return splu(mat, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    small_advdiff[2].factorize(0.3)
+    assert options == [{"permc_spec": "COLAMD"}]
+
+
+def csr_arrays(mat):
+    return mat.indptr.copy(), mat.indices.copy(), mat.data.copy()
+
+
+@pytest.mark.parametrize("kind", ["sparse", "symbol"])
+def test_factorize_leaves_the_problems_l_bitwise_untouched(kind):
+    # L = c D2 is canonical from assembly, so no stage solve reorders it
+    if kind == "sparse":
+        problem = make_split_problem(discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.0, 3, 80)))
+    else:
+        problem = burgers_rhs(build_lgl(2), uniform_mesh(-np.pi, np.pi, 20), 0.5, 0.0, 0.1)
+    lmat = problem.l_implicit
+    x = np.random.default_rng(5).standard_normal(problem.dim)
+    before, l_x = csr_arrays(lmat), lmat @ x
+    assert lmat.has_canonical_format
+    problem.factorize(0.05)
+    for saved, now in zip(before, csr_arrays(lmat)):
+        np.testing.assert_array_equal(now, saved)
+    np.testing.assert_array_equal(lmat @ x, l_x)
+
+
+def test_factorize_sorts_an_unsorted_l_into_a_new_matrix():
+    # each row of a canonical L reversed: the solver reads a sorted copy, so the
+    # caller's arrays survive and the solve is that of the sorted matrix
+    problem = make_split_problem(discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.0, 3, 20)))
+    lmat = problem.l_implicit
+    order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(lmat.indptr[:-1], lmat.indptr[1:])])
+    unsorted = sp.csr_matrix((lmat.data[order], lmat.indices[order], lmat.indptr), shape=lmat.shape)
+    assert not unsorted.has_canonical_format
+    saved = csr_arrays(unsorted)
+    rhs = np.random.default_rng(6).standard_normal(problem.dim)
+    x, l_x = replace(problem, l_implicit=unsorted).factorize(0.05)(rhs)
+    for before, now in zip(saved, csr_arrays(unsorted)):
+        np.testing.assert_array_equal(now, before)
+    sorted_x, sorted_l_x = problem.factorize(0.05)(rhs)
+    np.testing.assert_array_equal(x, sorted_x)
+    np.testing.assert_array_equal(l_x, sorted_l_x)
+    np.testing.assert_array_equal(l_x, lmat @ x)
 
 
 def test_stage_matrix_smallest_eigenvalue_bound():

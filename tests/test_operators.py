@@ -646,6 +646,21 @@ def second_derivative(elem, mesh, theta_diff, topology="periodic"):
     return second_derivative_from(assemble_first_derivative(elem, mesh, theta_diff, topology))
 
 
+@pytest.mark.parametrize("topology", ["periodic", "bounded"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("n_cells", [2, 3, 20])
+def test_d2_is_canonical_csr_with_the_products_entries(topology, degree, n_cells):
+    # D2 is born sorted and keeps the values of scipy's unsorted product
+    for theta in (0.0, 0.25, 0.5):
+        ops = make_opset(degree, n_cells, theta, topology)
+        d2 = second_derivative_from(ops).D2
+        assert d2.has_canonical_format, theta
+        rows, cols, data = entries(ops.D_minus @ ops.D_plus)
+        order = np.lexsort((cols, rows))
+        for got, want in zip(entries(d2), (rows[order], cols[order], data[order])):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_d2_annihilates_constants():
     d2op = second_derivative(build_lgl(2), uniform_mesh(-np.pi, np.pi, 6), 0.5)
     assert np.max(np.abs(d2op.D2 @ np.ones(18))) <= 1e-12
