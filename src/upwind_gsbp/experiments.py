@@ -14,7 +14,11 @@ solution with dt = mu * dx over a sequence of cell counts and report discrete
 L2 errors and experimental orders of convergence between successive counts.
 Each scan probe, convergence level and ``gsbp solve`` is one ``LinearRun``,
 the one setup and energy verdict of a linear run, and no run is scheduled for
-more than MAX_STEPS steps. Results are numbers; ``cli`` turns them into CSV text.
+more than MAX_STEPS steps. A run builds its sparse split problem, with D2, the
+first time it steps it: a scan probe certified by ``fourier.FourierEngine``
+steps Fourier coefficients instead, so a scan whose probes are all certified
+never builds the problem and never loads scipy. Results are numbers; ``cli``
+turns them into CSV text.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fourier import FourierEngine
-from .imex import ENERGY_GROWTH_RTOL, SolverFailure, integrate, tableau_by_name
+from .imex import ENERGY_GROWTH_RTOL, ImexSplitProblem, SolverFailure, integrate, tableau_by_name
 from .mesh import physical_nodes, uniform_mesh
 from .problems import (
     DOMAIN,
@@ -143,17 +148,24 @@ class LinearRun:
 
     ``run`` halts at per-step energy growth, or with ``blowup_factor`` at energy
     above that multiple of max(E0, 1): a sourced solution's energy may rise.
+    E0 is read off the discretization's norm M, and the sparse split problem,
+    with D2 and ``scipy.sparse``, is built the first time ``problem`` is read:
+    a run that is only ever given other problems (a scan whose probes are all
+    certified) never builds it.
     """
 
     def __init__(self, cfg: AdvDiffConfig, solution: ManufacturedSolution):
         self.disc = discretize(cfg)
         self.solution = solution
-        self.problem = make_split_problem(self.disc, solution.source)
         self.u0 = initial_condition(solution, self.disc.mesh, self.disc.elem)
+
+    @cached_property
+    def problem(self) -> ImexSplitProblem:
+        return make_split_problem(self.disc, self.solution.source)
 
     def run(self, tableau, dt: float, t_final: float, blowup_factor=None, problem=None):
         """Integrate ``problem`` (the run's own when None) from u0: (u, trace, grew)."""
-        e0 = self.problem.energy(self.u0)
+        e0 = self.disc.energy(self.u0)
         if blowup_factor is None:
             monitor = EnergyMonitor(e0)
         else:
@@ -171,7 +183,8 @@ class _ProbeContext(LinearRun):
     """The decay run of one scan configuration, probed at many time steps.
 
     A probe whose step maps are all certified (fourier.CERTIFIED_GROWTH) steps
-    the rfft coefficients; every other probe steps the sparse problem.
+    the rfft coefficients; every other probe steps the sparse problem, which
+    the first such probe builds.
     """
 
     def __init__(self, scan_cfg: ScanConfig):

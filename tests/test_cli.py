@@ -866,6 +866,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     with contextlib.redirect_stderr(io.StringIO()):
         seen["config_error"] = [main(["scan", "--pair", "0.7", "0", "--out", out]), *loaded()]
     seen["verify"] = [main(["verify", "--N", "1", "--K", "4", "--theta", "0", "--out", out]), *loaded()]
+    scan = ["scan", "--order", "1", "--N", "1", "--K", "4", "--pair", "0", "0", "--horizon", "1"]
+    seen["scan"] = [main([*scan, "--workers", "1", "--out", out]), *loaded()]
     seen["burgers"] = [main(["burgers", "--K", "10", "--T", "0.2", "--out", out]), *loaded()]
 
 from upwind_gsbp.imex import integrate, tableau_by_name
@@ -875,9 +877,6 @@ disc = discretize(AdvDiffConfig(0.1, 0.1, 0.5, 0.5, 1, 4))
 u, trace = integrate(tableau_by_name(2), make_split_problem(disc), np.sin(disc.nodes), 0.1, 0.3)
 assert np.isfinite(u).all()
 seen["integrate"] = [trace.steps[-1][0], *loaded()]
-with contextlib.redirect_stdout(io.StringIO()):
-    scan = ["scan", "--order", "1", "--N", "1", "--K", "4", "--pair", "0", "0", "--horizon", "1"]
-    seen["scan"] = [main([*scan, "--workers", "1", "--out", out]), *loaded()]
 print(json.dumps(seen))
 """
 
@@ -897,13 +896,14 @@ def test_runs_load_only_what_they_execute():
         "config_error": [2, False, False, False],
         # the verifier reads the operators' slot layout with numpy alone
         "verify": [0, False, False, False],
+        # every probe of this scan is certified and steps Fourier coefficients,
+        # so it builds no sparse problem; one worker starts no process pool
+        "scan": [0, False, False, False],
         # Burgers applies CSR matrices, but solves its stage systems on the
         # symbol of L, with no sparse factorization
         "burgers": [0, True, False, False],
         # a sparse run factorizes its stage systems, which loads the solver
         "integrate": [3, True, True, False],
-        # one worker starts no process pool
-        "scan": [0, True, True, False],
     }
 
 

@@ -5,7 +5,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from upwind_gsbp import cli, experiments, imex
+from upwind_gsbp import cli, experiments, imex, problems
 from upwind_gsbp.experiments import (
     BLOWUP_FACTOR,
     ConvergenceRow,
@@ -258,23 +258,43 @@ def record_probes(monkeypatch):
 
 
 def test_scan_builds_stage_pieces_once(monkeypatch):
-    # the tau-free parts of the stage systems (the sparsity pattern of
-    # M - M L and the values on it) belong to the problem, which every probe
-    # of a scan shares
-    calls = []
-    real_pattern = imex.ImexSplitProblem._pattern.func
+    # the sparse problem, its D2 and the tau-free parts of the stage systems
+    # (the sparsity pattern of M - M L and the values on it) are built at a
+    # scan's first sparse probe and shared by every later one; a scan whose
+    # probes are all certified builds none of them, and building them late
+    # leaves the probes and tau as an eagerly built problem gives them
+    real_init = LinearRun.__init__
 
-    def counted(problem):
-        calls.append(problem)
-        return real_pattern(problem)
+    def eager_init(run, *args):
+        real_init(run, *args)
+        run.problem
 
-    pattern = cached_property(counted)
-    pattern.__set_name__(imex.ImexSplitProblem, "_pattern")
-    monkeypatch.setattr(imex.ImexSplitProblem, "_pattern", pattern)
-    runs = record_probes(monkeypatch)
-    max_stable_dt(scan_cfg(1, 0.5, 0.0, degree=3, n_cells=20))
-    assert sum(engine == "ImexSplitProblem" for _, engine, _, _ in runs) > 1
-    assert len(calls) == 1
+    def counting(calls, name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    # (pair, N, builds): certified probes only, then sparse probes
+    for (theta_adv, theta_diff), degree, builds in (((0.5, 0.5), 1, 0), ((0.5, 0.0), 3, 1)):
+        cfg = scan_cfg(1, theta_adv, theta_diff, degree=degree, n_cells=20)
+        with monkeypatch.context() as m:
+            m.setattr(LinearRun, "__init__", eager_init)
+            eager = max_stable_dt(cfg)
+        with monkeypatch.context() as m:
+            calls = dict.fromkeys(("make_split_problem", "second_derivative_from", "_pattern"), 0)
+            for module, name in ((experiments, "make_split_problem"), (problems, "second_derivative_from")):
+                m.setattr(module, name, counting(calls, name, getattr(module, name)))
+            pattern = cached_property(counting(calls, "_pattern", imex.ImexSplitProblem._pattern.func))
+            pattern.__set_name__(imex.ImexSplitProblem, "_pattern")
+            m.setattr(imex.ImexSplitProblem, "_pattern", pattern)
+            runs = record_probes(m)
+            result = max_stable_dt(cfg)
+        sparse = sum(engine == "ImexSplitProblem" for _, engine, _, _ in runs)
+        assert sparse > 1 if builds else sparse == 0
+        assert calls == dict.fromkeys(calls, builds)
+        assert (result.probes, result.tau) == (eager.probes, eager.tau)
 
 
 def test_sparse_probe_factorizes_once_per_stage_coefficient(monkeypatch):
